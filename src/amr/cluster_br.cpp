@@ -1,9 +1,11 @@
 #include "amr/cluster_br.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <future>
 #include <iterator>
+#include <numeric>
 
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -12,25 +14,38 @@ namespace ssamr {
 
 namespace {
 
-/// Bounding box of a span of points.
-Box bbox_of(const std::vector<IntVec>& pts, std::size_t lo, std::size_t hi,
-            level_t level) {
-  IntVec mn = pts[lo], mx = pts[lo];
-  for (std::size_t i = lo + 1; i < hi; ++i) {
-    mn = min(mn, pts[i]);
-    mx = max(mx, pts[i]);
-  }
-  return Box(mn, mx, level);
-}
+coord_t run_length(const FlagRun& r) { return r.x1 - r.x0 + 1; }
 
-/// Signature (flag count per plane) of the span along `axis`, within `b`.
-std::vector<std::int64_t> signature(const std::vector<IntVec>& pts,
-                                    std::size_t lo, std::size_t hi,
-                                    const Box& b, int axis) {
-  std::vector<std::int64_t> sig(
-      static_cast<std::size_t>(b.extent()[axis]), 0);
-  for (std::size_t i = lo; i < hi; ++i)
-    ++sig[static_cast<std::size_t>(pts[i][axis] - b.lo()[axis])];
+/// Per-plane flag counts of a node's runs along each axis the box can be
+/// cut along (n >= 2 · min_size); the other axes stay empty.  Computed
+/// once per node and read by both the hole and the inflection search.
+using Signatures = std::array<std::vector<std::int64_t>, kDim>;
+
+Signatures signatures(const std::vector<FlagRun>& runs, const Box& b,
+                      coord_t min_size) {
+  const IntVec lo = b.lo();
+  const IntVec n = b.extent();
+  const bool cut_x = n.x >= 2 * min_size;
+  const bool cut_y = n.y >= 2 * min_size;
+  const bool cut_z = n.z >= 2 * min_size;
+  Signatures sig;
+  // x: a run covers a contiguous plane range, so mark its ends in a
+  // difference array (one spare slot past the last plane) and prefix-sum.
+  if (cut_x) sig[0].assign(static_cast<std::size_t>(n.x) + 1, 0);
+  if (cut_y) sig[1].assign(static_cast<std::size_t>(n.y), 0);
+  if (cut_z) sig[2].assign(static_cast<std::size_t>(n.z), 0);
+  for (const FlagRun& r : runs) {
+    if (cut_x) {
+      ++sig[0][static_cast<std::size_t>(r.x0 - lo.x)];
+      --sig[0][static_cast<std::size_t>(r.x1 - lo.x + 1)];
+    }
+    if (cut_y) sig[1][static_cast<std::size_t>(r.y - lo.y)] += run_length(r);
+    if (cut_z) sig[2][static_cast<std::size_t>(r.z - lo.z)] += run_length(r);
+  }
+  if (cut_x) {
+    std::partial_sum(sig[0].begin(), sig[0].end(), sig[0].begin());
+    sig[0].pop_back();
+  }
   return sig;
 }
 
@@ -41,14 +56,13 @@ struct Cut {
 };
 
 /// Find the most central zero-signature plane usable as a cut.
-Cut find_hole(const std::vector<IntVec>& pts, std::size_t lo, std::size_t hi,
-              const Box& b, coord_t min_size) {
+Cut find_hole(const Signatures& sigs, const Box& b, coord_t min_size) {
   Cut best;
   real_t best_centrality = -1;
   for (int axis = 0; axis < kDim; ++axis) {
     const coord_t n = b.extent()[axis];
     if (n < 2 * min_size) continue;
-    const auto sig = signature(pts, lo, hi, b, axis);
+    const auto& sig = sigs[static_cast<std::size_t>(axis)];
     for (coord_t c = min_size; c <= n - min_size; ++c) {
       // Cutting at offset c puts planes [0,c) left, [c,n) right.  A hole at
       // plane c-1 or c makes the cut clean; we just need a zero plane whose
@@ -70,14 +84,13 @@ Cut find_hole(const std::vector<IntVec>& pts, std::size_t lo, std::size_t hi,
 }
 
 /// Find the strongest inflection (sign change of the signature Laplacian).
-Cut find_inflection(const std::vector<IntVec>& pts, std::size_t lo,
-                    std::size_t hi, const Box& b, coord_t min_size) {
+Cut find_inflection(const Signatures& sigs, const Box& b, coord_t min_size) {
   Cut best;
   std::int64_t best_jump = -1;
   for (int axis = 0; axis < kDim; ++axis) {
     const coord_t n = b.extent()[axis];
     if (n < 2 * min_size || n < 4) continue;
-    const auto sig = signature(pts, lo, hi, b, axis);
+    const auto& sig = sigs[static_cast<std::size_t>(axis)];
     // Laplacian on interior planes: lap[i] = sig[i-1] - 2 sig[i] + sig[i+1]
     std::vector<std::int64_t> lap(sig.size(), 0);
     for (std::size_t i = 1; i + 1 < sig.size(); ++i)
@@ -114,84 +127,131 @@ Cut find_midpoint(const Box& b, coord_t min_size) {
   return cut;
 }
 
-void cluster_recursive(std::vector<IntVec>& pts, std::size_t lo,
-                       std::size_t hi, level_t level,
+void cluster_recursive(std::vector<FlagRun> runs, level_t level,
                        const ClusterConfig& cfg, int depth,
                        std::vector<Box>& out) {
-  SSAMR_ASSERT(lo < hi, "empty span in cluster_recursive");
-  const Box b = bbox_of(pts, lo, hi, level);
-  const real_t eff = static_cast<real_t>(hi - lo) /
-                     static_cast<real_t>(b.cells());
+  SSAMR_ASSERT(!runs.empty(), "empty node in cluster_recursive");
+  IntVec mn(runs[0].x0, runs[0].y, runs[0].z);
+  IntVec mx(runs[0].x1, runs[0].y, runs[0].z);
+  std::int64_t count = 0;
+  for (const FlagRun& r : runs) {
+    mn = min(mn, IntVec(r.x0, r.y, r.z));
+    mx = max(mx, IntVec(r.x1, r.y, r.z));
+    count += run_length(r);
+  }
+  const Box b(mn, mx, level);
+  const real_t eff =
+      static_cast<real_t>(count) / static_cast<real_t>(b.cells());
   if (eff >= cfg.efficiency || b.cells() <= cfg.small_box_cells ||
       depth >= cfg.max_depth) {
     out.push_back(b);
     return;
   }
 
-  Cut cut = find_hole(pts, lo, hi, b, cfg.min_box_size);
-  if (!cut.found()) cut = find_inflection(pts, lo, hi, b, cfg.min_box_size);
+  const Signatures sigs = signatures(runs, b, cfg.min_box_size);
+  Cut cut = find_hole(sigs, b, cfg.min_box_size);
+  if (!cut.found()) cut = find_inflection(sigs, b, cfg.min_box_size);
   if (!cut.found()) cut = find_midpoint(b, cfg.min_box_size);
   if (!cut.found()) {
     out.push_back(b);  // nothing can be cut without violating min size
     return;
   }
 
+  // Cells below the cut plane go left, the rest right: a y or z cut moves
+  // whole runs, an x cut splits the runs that straddle it.  The left side
+  // compacts in place; the right side gets its own vector.
   const coord_t split_coord = b.lo()[cut.axis] + cut.offset;
-  const auto mid_it = std::partition(
-      pts.begin() + static_cast<std::ptrdiff_t>(lo),
-      pts.begin() + static_cast<std::ptrdiff_t>(hi),
-      [&](IntVec p) { return p[cut.axis] < split_coord; });
-  const auto mid = static_cast<std::size_t>(mid_it - pts.begin());
-  if (mid == lo || mid == hi) {
+  std::vector<FlagRun> right;
+  std::size_t keep = 0;
+  std::int64_t left_count = 0;
+  for (const FlagRun r : runs) {  // a copy: runs[keep] may be this slot
+    const coord_t first = cut.axis == 0 ? r.x0 : (cut.axis == 1 ? r.y : r.z);
+    const coord_t last = cut.axis == 0 ? r.x1 : first;
+    if (last < split_coord) {
+      runs[keep++] = r;
+      left_count += run_length(r);
+    } else if (first >= split_coord) {
+      right.push_back(r);
+    } else {
+      runs[keep++] = FlagRun{r.x0, split_coord - 1, r.y, r.z};
+      left_count += split_coord - r.x0;
+      right.push_back(FlagRun{split_coord, r.x1, r.y, r.z});
+    }
+  }
+  runs.resize(keep);
+  if (runs.empty() || right.empty()) {
     out.push_back(b);  // degenerate cut (all flags on one side)
     return;
   }
 
-  // Fork-join over the two disjoint spans when the left half is big
-  // enough to pay for a task.  Each side writes its own vector; appending
+  // Fork-join over the two disjoint halves when the left one holds enough
+  // flags to pay for a task.  Each side writes its own vector; appending
   // left-then-right reproduces the serial depth-first output order
   // exactly, so box lists are bit-identical at any thread count.
-  constexpr std::size_t kForkThreshold = 1024;
+  constexpr std::int64_t kForkThreshold = 1024;
   ThreadPool& pool = ThreadPool::global();
-  if (pool.worker_count() > 0 && mid - lo >= kForkThreshold) {
+  if (pool.worker_count() > 0 && left_count >= kForkThreshold) {
     std::vector<Box> left;
-    std::future<void> fut = pool.async([&pts, lo, mid, level, &cfg, depth,
-                                        &left] {
-      cluster_recursive(pts, lo, mid, level, cfg, depth + 1, left);
+    std::future<void> fut = pool.async([&runs, level, &cfg, depth, &left] {
+      cluster_recursive(std::move(runs), level, cfg, depth + 1, left);
     });
-    std::vector<Box> right;
-    cluster_recursive(pts, mid, hi, level, cfg, depth + 1, right);
+    std::vector<Box> right_boxes;
+    cluster_recursive(std::move(right), level, cfg, depth + 1, right_boxes);
     pool.wait(fut);
     out.insert(out.end(), std::make_move_iterator(left.begin()),
                std::make_move_iterator(left.end()));
-    out.insert(out.end(), std::make_move_iterator(right.begin()),
-               std::make_move_iterator(right.end()));
+    out.insert(out.end(), std::make_move_iterator(right_boxes.begin()),
+               std::make_move_iterator(right_boxes.end()));
     return;
   }
-  cluster_recursive(pts, lo, mid, level, cfg, depth + 1, out);
-  cluster_recursive(pts, mid, hi, level, cfg, depth + 1, out);
+  cluster_recursive(std::move(runs), level, cfg, depth + 1, out);
+  cluster_recursive(std::move(right), level, cfg, depth + 1, out);
 }
 
 }  // namespace
 
-std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
-                               level_t level, const ClusterConfig& cfg) {
+std::vector<Box> cluster_runs(std::vector<FlagRun> runs, level_t level,
+                              const ClusterConfig& cfg) {
   SSAMR_REQUIRE(cfg.efficiency > 0 && cfg.efficiency <= 1,
                 "efficiency must be in (0,1]");
   SSAMR_REQUIRE(cfg.min_box_size >= 1, "min box size must be >= 1");
-  if (flags.empty()) return {};
-  // Deduplicate; duplicates would inflate the efficiency estimate.
-  std::vector<IntVec> pts = flags;
-  std::sort(pts.begin(), pts.end(), [](IntVec a, IntVec b) {
+  for (const FlagRun& r : runs)
+    SSAMR_REQUIRE(r.x0 <= r.x1, "flag runs must be non-empty");
+  if (runs.empty()) return {};
+  std::vector<Box> out;
+  cluster_recursive(std::move(runs), level, cfg, 0, out);
+  return out;
+}
+
+std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
+                               level_t level, const ClusterConfig& cfg) {
+  const auto zyx_less = [](IntVec a, IntVec b) {
     if (a.z != b.z) return a.z < b.z;
     if (a.y != b.y) return a.y < b.y;
     return a.x < b.x;
-  });
-  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-
-  std::vector<Box> out;
-  cluster_recursive(pts, 0, pts.size(), level, cfg, 0, out);
-  return out;
+  };
+  std::vector<IntVec> sorted_copy;
+  const std::vector<IntVec>* pts = &flags;
+  if (!std::is_sorted(flags.begin(), flags.end(), zyx_less)) {
+    sorted_copy = flags;
+    std::sort(sorted_copy.begin(), sorted_copy.end(), zyx_less);
+    pts = &sorted_copy;
+  }
+  // Pack each row's consecutive cells into one run.  In (z, y, x) order a
+  // duplicate lands on its run's last cell, so packing also deduplicates
+  // (duplicates would inflate the efficiency estimate).
+  std::vector<FlagRun> runs;
+  for (const IntVec& p : *pts) {
+    if (!runs.empty()) {
+      FlagRun& last = runs.back();
+      if (last.y == p.y && last.z == p.z && p.x <= last.x1 + 1) {
+        last.x1 = p.x;
+        continue;
+      }
+    }
+    runs.push_back(FlagRun{p.x, p.x, p.y, p.z});
+  }
+  return cluster_runs(std::move(runs), level, cfg);
 }
 
 }  // namespace ssamr

@@ -6,6 +6,13 @@
 /// small set of rectilinear boxes with bounded fill efficiency.  This is the
 /// classic signature/hole/inflection algorithm of Berger & Rigoutsos (IEEE
 /// Trans. Systems, Man & Cybernetics, 1991).
+///
+/// The recursion works on runs of flagged cells — x-intervals on one (y, z)
+/// row — rather than on single cells: a refinement band crosses each row
+/// once, so one run stands for a whole row's flags.  Every
+/// quantity the algorithm reads (bounding box, flag count, per-plane
+/// signatures) is a function of the flag set alone, so clustering runs
+/// gives exactly the boxes clustering their cells would.
 
 #include <vector>
 
@@ -29,10 +36,25 @@ struct ClusterConfig {
   int max_depth = 32;
 };
 
-/// Cluster flagged cells (at some level l) into boxes at the same level.
-/// The returned boxes are disjoint, each contains every flag inside its
-/// bounds, and their union covers all flags.  `flags` may contain
-/// duplicates.  Returns an empty list when `flags` is empty.
+/// The flagged cells x0..x1 (inclusive) of the row (y, z).
+struct FlagRun {
+  coord_t x0 = 0, x1 = 0;
+  coord_t y = 0, z = 0;
+};
+
+/// Cluster flagged runs (at some level l) into boxes at the same level.
+/// Runs must be non-empty (x0 <= x1) and pairwise disjoint; their order
+/// and whether adjacent runs are merged do not affect the result.  The
+/// returned boxes are disjoint, each contains every flag inside its
+/// bounds, and their union covers all flags.  Returns an empty list when
+/// `runs` is empty.
+std::vector<Box> cluster_runs(std::vector<FlagRun> runs, level_t level,
+                              const ClusterConfig& cfg);
+
+/// Cluster flagged cells (at some level l) into boxes at the same level:
+/// cluster_runs() over the runs the cells form.  `flags` may contain
+/// duplicates and may come in any order; input already sorted by
+/// (z, y, x) skips the sort.
 std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
                                level_t level, const ClusterConfig& cfg);
 

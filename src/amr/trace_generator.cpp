@@ -66,16 +66,35 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
     const real_t amp = amp0 * static_cast<real_t>(scale);
     const real_t halfw = cfg_.band_halfwidth;
 
-    std::vector<IntVec> flags;
+    // The perturbation separates into a y term per row and a z term per
+    // plane; tabulate both over the level's domain (parent boxes nest
+    // inside it) so a row costs no transcendental call.
+    const IntVec dom_lo = cfg_.domain.lo() * scale;
+    std::vector<real_t> wave_y(static_cast<std::size_t>(ext0.y * scale));
+    for (std::size_t j = 0; j < wave_y.size(); ++j) {
+      const real_t yfrac =
+          (static_cast<real_t>(dom_lo.y + static_cast<coord_t>(j)) + 0.5) /
+          ny;
+      wave_y[j] = std::sin(2.0 * kPi * cfg_.waves_y * yfrac);
+    }
+    std::vector<real_t> wave_z(static_cast<std::size_t>(ext0.z * scale));
+    for (std::size_t k = 0; k < wave_z.size(); ++k) {
+      const real_t zfrac =
+          (static_cast<real_t>(dom_lo.z + static_cast<coord_t>(k)) + 0.5) /
+          nz;
+      wave_z[k] = 0.5 * std::cos(2.0 * kPi * cfg_.waves_z * zfrac);
+    }
+
+    // One run per row of each parent box.  The parent boxes are disjoint
+    // (clipped, coalesced, refined cluster boxes), so the runs are too.
+    std::vector<FlagRun> runs;
     for (const Box& pb : parent_union) {
       for (coord_t k = pb.lo().z; k <= pb.hi().z; ++k) {
         for (coord_t j = pb.lo().y; j <= pb.hi().y; ++j) {
-          const real_t yfrac = (static_cast<real_t>(j) + 0.5) / ny;
-          const real_t zfrac = (static_cast<real_t>(k) + 0.5) / nz;
           const real_t xs =
               pos * nx +
-              amp * (std::sin(2.0 * kPi * cfg_.waves_y * yfrac) +
-                     0.5 * std::cos(2.0 * kPi * cfg_.waves_z * zfrac));
+              amp * (wave_y[static_cast<std::size_t>(j - dom_lo.y)] +
+                     wave_z[static_cast<std::size_t>(k - dom_lo.z)]);
           // Clamp to the parent box IN FLOATING POINT before converting:
           // with extreme amplitudes/band widths the band edges can exceed
           // the range of coord_t, and casting an out-of-range double to an
@@ -91,15 +110,14 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
               static_cast<coord_t>(std::clamp(band_lo, box_lo, box_hi));
           const coord_t ihi =
               static_cast<coord_t>(std::clamp(band_hi, box_lo, box_hi));
-          for (coord_t i = ilo; i <= ihi; ++i) flags.emplace_back(i, j, k);
+          runs.push_back(FlagRun{ilo, ihi, j, k});
         }
       }
     }
-    if (flags.empty()) break;
+    if (runs.empty()) break;
 
-    ClusterConfig ccfg = cfg_.cluster;
     const auto coarse_boxes =
-        cluster_flags(flags, static_cast<level_t>(l), ccfg);
+        cluster_runs(std::move(runs), static_cast<level_t>(l), cfg_.cluster);
     // A cluster's bounding box can bridge the gap between two disjoint
     // parent boxes; clip against the parent union (and re-coalesce) so the
     // refined level stays properly nested.

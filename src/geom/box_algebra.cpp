@@ -88,18 +88,32 @@ bool mergeable(const Box& a, const Box& b, Box& merged) {
 }  // namespace
 
 std::vector<Box> coalesce(std::vector<Box> boxes) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < boxes.size() && !changed; ++i) {
-      for (std::size_t j = i + 1; j < boxes.size() && !changed; ++j) {
-        Box merged;
-        if (mergeable(boxes[i], boxes[j], merged)) {
-          boxes[i] = merged;
-          boxes.erase(boxes.begin() + static_cast<std::ptrdiff_t>(j));
-          changed = true;
+  // Merges happen in the order of a scan that restarts from pair (0, 1)
+  // after every merge: each merge takes the first mergeable pair (i, j) in
+  // row-major order.  A merge only changes box i, so the only pairs that
+  // can have become mergeable involve box i; rather than rescanning,
+  // first pull box i into the smallest earlier index that accepts it
+  // (repeating while one does), then resume the scan right after it.
+  const auto erase_at = [&boxes](std::size_t k) {
+    boxes.erase(boxes.begin() + static_cast<std::ptrdiff_t>(k));
+  };
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    for (std::size_t j = i + 1; j < boxes.size(); ++j) {
+      Box merged;
+      if (!mergeable(boxes[i], boxes[j], merged)) continue;
+      boxes[i] = merged;
+      erase_at(j);
+      for (std::size_t a = 0; a < i;) {
+        if (mergeable(boxes[a], boxes[i], merged)) {
+          boxes[a] = merged;
+          erase_at(i);
+          i = a;
+          a = 0;
+        } else {
+          ++a;
         }
       }
+      j = i;  // resume at (i, i + 1)
     }
   }
   return boxes;

@@ -272,15 +272,21 @@ std::size_t simulate_transfers_indexed(
       Fluid& f = fluid[i];
       f.remaining -= drained_bytes(BytesPerSec{f.rate}, now - f.last);
       f.last = now;
-      if (f.remaining <= kDrainedBytes) {
+      // A live residual means the deadline was optimistic: the rate
+      // dropped after it was queued (slowdowns never touch the heap).
+      // Re-arm at the exact finish under the rate in force; every
+      // slowdown since the last arm is absorbed by this one re-timing.
+      // A residual that drains in under half an ulp of the clock would
+      // re-arm at `now` and drain nothing, forever: it finishes now, like
+      // a drained one.
+      const Seconds finish = f.remaining <= kDrainedBytes
+                                 ? now
+                                 : now + Seconds{f.remaining / f.rate};
+      if (finish == now) {
         retire(i, f);
         continue;
       }
-      // The deadline was optimistic: the rate dropped after it was queued
-      // (slowdowns never touch the heap).  Re-arm at the exact finish
-      // under the rate in force; every slowdown since the last arm is
-      // absorbed by this one re-timing.
-      completions.schedule(now + Seconds{f.remaining / f.rate}, i);
+      completions.schedule(finish, i);
     }
     // Admissions due now.
     while (next_start < starts.size() && starts[next_start].time <= now) {

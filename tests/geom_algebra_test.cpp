@@ -4,6 +4,7 @@
 
 #include "geom/box_algebra.hpp"
 #include "geom/box_list.hpp"
+#include "oracle.hpp"
 #include "util/rng.hpp"
 
 namespace ssamr {
@@ -112,6 +113,53 @@ TEST(Coalesce, ChainsMerges) {
   const auto m = coalesce(boxes);
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m[0].cells(), 8 * 2 * 2);
+}
+
+/// A guillotine tiling of a random box (every cut splits one tile in two),
+/// thinned and shuffled: many face-adjacent pairs, chains of merges, and
+/// boxes that only become mergeable after an earlier merge.
+std::vector<Box> random_tiling(Rng& rng) {
+  const auto level = static_cast<level_t>(rng.uniform_int(0, 1));
+  std::vector<Box> pending{Box(
+      IntVec(0, 0, 0),
+      IntVec(rng.uniform_int(0, 15), rng.uniform_int(0, 15),
+             rng.uniform_int(0, 7)),
+      level)};
+  std::vector<Box> tiles;
+  while (!pending.empty() && pending.size() + tiles.size() < 80) {
+    const Box b = pending.back();
+    pending.pop_back();
+    const int axis = static_cast<int>(rng.uniform_int(0, 2));
+    const coord_t n = b.extent()[axis];
+    if (n < 2 || rng.uniform() < 0.2) {
+      tiles.push_back(b);
+      continue;
+    }
+    const auto halves = b.split(axis, rng.uniform_int(1, n - 1));
+    pending.push_back(halves.first);
+    pending.push_back(halves.second);
+  }
+  tiles.insert(tiles.end(), pending.begin(), pending.end());
+  std::vector<Box> out;
+  for (const Box& t : tiles)
+    if (rng.uniform() < 0.9) out.push_back(t);
+  for (std::size_t i = out.size(); i > 1; --i)
+    std::swap(out[i - 1], out[static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(i) - 1))]);
+  return out;
+}
+
+TEST(Coalesce, MatchesRestartingScanOracle) {
+  Rng rng(7);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::vector<Box> boxes = random_tiling(rng);
+    const std::vector<Box> got = coalesce(boxes);
+    const std::vector<Box> want = oracle::coalesce(boxes);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "trial " << trial << " box " << i;
+    EXPECT_EQ(total_cells(got), total_cells(boxes));
+  }
 }
 
 TEST(ClipAll, IntersectsAndDropsEmpties) {

@@ -1,0 +1,283 @@
+#pragma once
+/// \file oracle.hpp
+/// Reference implementations the differential tests compare the library
+/// against.  Each is the straightforward form of an algorithm whose
+/// library version is optimized but must give identical results:
+///
+///   - coalesce: the pairwise face-merge that rescans from pair (0, 1)
+///     after every merge;
+///   - cluster_flags: Berger–Rigoutsos recursing over single flagged
+///     cells (serial, sort + dedupe up front);
+///   - boxes_at_epoch: the synthetic trace flagging cell by cell, with
+///     two transcendental calls per row, and clustering with the oracle
+///     above.
+
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <vector>
+
+#include "amr/cluster_br.hpp"
+#include "amr/trace_generator.hpp"
+#include "geom/box.hpp"
+#include "geom/box_list.hpp"
+#include "geom/point.hpp"
+
+namespace ssamr::oracle {
+
+// ---------------------------------------------------------------------------
+// coalesce
+
+/// True when a and b can merge into one box (equal bounds in all directions
+/// except one, where they are exactly adjacent).
+inline bool mergeable(const Box& a, const Box& b, Box& merged) {
+  if (a.level() != b.level()) return false;
+  int diff_axis = -1;
+  for (int d = 0; d < kDim; ++d) {
+    if (a.lo()[d] == b.lo()[d] && a.hi()[d] == b.hi()[d]) continue;
+    if (diff_axis >= 0) return false;
+    diff_axis = d;
+  }
+  if (diff_axis < 0) return false;
+  const int d = diff_axis;
+  if (a.hi()[d] + 1 == b.lo()[d] || b.hi()[d] + 1 == a.lo()[d]) {
+    merged = bounding_union(a, b);
+    return true;
+  }
+  return false;
+}
+
+inline std::vector<Box> coalesce(std::vector<Box> boxes) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i < boxes.size() && !changed; ++i) {
+      for (std::size_t j = i + 1; j < boxes.size() && !changed; ++j) {
+        Box merged;
+        if (mergeable(boxes[i], boxes[j], merged)) {
+          boxes[i] = merged;
+          boxes.erase(boxes.begin() + static_cast<std::ptrdiff_t>(j));
+          changed = true;
+        }
+      }
+    }
+  }
+  return boxes;
+}
+
+// ---------------------------------------------------------------------------
+// Berger–Rigoutsos over single cells
+
+namespace detail {
+
+inline Box bbox_of(const std::vector<IntVec>& pts, std::size_t lo,
+                   std::size_t hi, level_t level) {
+  IntVec mn = pts[lo], mx = pts[lo];
+  for (std::size_t i = lo + 1; i < hi; ++i) {
+    mn = min(mn, pts[i]);
+    mx = max(mx, pts[i]);
+  }
+  return Box(mn, mx, level);
+}
+
+inline std::vector<std::int64_t> signature(const std::vector<IntVec>& pts,
+                                           std::size_t lo, std::size_t hi,
+                                           const Box& b, int axis) {
+  std::vector<std::int64_t> sig(static_cast<std::size_t>(b.extent()[axis]),
+                                0);
+  for (std::size_t i = lo; i < hi; ++i)
+    ++sig[static_cast<std::size_t>(pts[i][axis] - b.lo()[axis])];
+  return sig;
+}
+
+struct Cut {
+  int axis = -1;
+  coord_t offset = 0;
+  bool found() const { return axis >= 0; }
+};
+
+inline Cut find_hole(const std::vector<IntVec>& pts, std::size_t lo,
+                     std::size_t hi, const Box& b, coord_t min_size) {
+  Cut best;
+  real_t best_centrality = -1;
+  for (int axis = 0; axis < kDim; ++axis) {
+    const coord_t n = b.extent()[axis];
+    if (n < 2 * min_size) continue;
+    const auto sig = signature(pts, lo, hi, b, axis);
+    for (coord_t c = min_size; c <= n - min_size; ++c) {
+      if (sig[static_cast<std::size_t>(c)] != 0 &&
+          sig[static_cast<std::size_t>(c - 1)] != 0)
+        continue;
+      const real_t centrality =
+          1.0 - std::abs(static_cast<real_t>(2 * c - n)) /
+                    static_cast<real_t>(n);
+      if (centrality > best_centrality) {
+        best_centrality = centrality;
+        best.axis = axis;
+        best.offset = c;
+      }
+    }
+  }
+  return best;
+}
+
+inline Cut find_inflection(const std::vector<IntVec>& pts, std::size_t lo,
+                           std::size_t hi, const Box& b, coord_t min_size) {
+  Cut best;
+  std::int64_t best_jump = -1;
+  for (int axis = 0; axis < kDim; ++axis) {
+    const coord_t n = b.extent()[axis];
+    if (n < 2 * min_size || n < 4) continue;
+    const auto sig = signature(pts, lo, hi, b, axis);
+    std::vector<std::int64_t> lap(sig.size(), 0);
+    for (std::size_t i = 1; i + 1 < sig.size(); ++i)
+      lap[i] = sig[i - 1] - 2 * sig[i] + sig[i + 1];
+    for (coord_t c = std::max<coord_t>(min_size, 2);
+         c <= std::min<coord_t>(n - min_size, n - 2); ++c) {
+      const std::int64_t a = lap[static_cast<std::size_t>(c - 1)];
+      const std::int64_t d = lap[static_cast<std::size_t>(c)];
+      if ((a < 0 && d > 0) || (a > 0 && d < 0)) {
+        const std::int64_t jump = std::abs(a - d);
+        if (jump > best_jump) {
+          best_jump = jump;
+          best.axis = axis;
+          best.offset = c;
+        }
+      }
+    }
+  }
+  return best;
+}
+
+inline Cut find_midpoint(const Box& b, coord_t min_size) {
+  Cut cut;
+  coord_t best_extent = 0;
+  for (int axis = 0; axis < kDim; ++axis) {
+    const coord_t n = b.extent()[axis];
+    if (n >= 2 * min_size && n > best_extent) {
+      best_extent = n;
+      cut.axis = axis;
+      cut.offset = n / 2;
+    }
+  }
+  return cut;
+}
+
+inline void cluster_recursive(std::vector<IntVec>& pts, std::size_t lo,
+                              std::size_t hi, level_t level,
+                              const ClusterConfig& cfg, int depth,
+                              std::vector<Box>& out) {
+  const Box b = bbox_of(pts, lo, hi, level);
+  const real_t eff =
+      static_cast<real_t>(hi - lo) / static_cast<real_t>(b.cells());
+  if (eff >= cfg.efficiency || b.cells() <= cfg.small_box_cells ||
+      depth >= cfg.max_depth) {
+    out.push_back(b);
+    return;
+  }
+  Cut cut = find_hole(pts, lo, hi, b, cfg.min_box_size);
+  if (!cut.found()) cut = find_inflection(pts, lo, hi, b, cfg.min_box_size);
+  if (!cut.found()) cut = find_midpoint(b, cfg.min_box_size);
+  if (!cut.found()) {
+    out.push_back(b);
+    return;
+  }
+  const coord_t split_coord = b.lo()[cut.axis] + cut.offset;
+  const auto mid_it = std::partition(
+      pts.begin() + static_cast<std::ptrdiff_t>(lo),
+      pts.begin() + static_cast<std::ptrdiff_t>(hi),
+      [&](IntVec p) { return p[cut.axis] < split_coord; });
+  const auto mid = static_cast<std::size_t>(mid_it - pts.begin());
+  if (mid == lo || mid == hi) {
+    out.push_back(b);
+    return;
+  }
+  cluster_recursive(pts, lo, mid, level, cfg, depth + 1, out);
+  cluster_recursive(pts, mid, hi, level, cfg, depth + 1, out);
+}
+
+}  // namespace detail
+
+inline std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
+                                      level_t level,
+                                      const ClusterConfig& cfg) {
+  if (flags.empty()) return {};
+  std::vector<IntVec> pts = flags;
+  std::sort(pts.begin(), pts.end(), [](IntVec a, IntVec b) {
+    if (a.z != b.z) return a.z < b.z;
+    if (a.y != b.y) return a.y < b.y;
+    return a.x < b.x;
+  });
+  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+  std::vector<Box> out;
+  detail::cluster_recursive(pts, 0, pts.size(), level, cfg, 0, out);
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Synthetic trace, flagged cell by cell
+
+inline BoxList boxes_at_epoch(const TraceConfig& cfg, int epoch) {
+  constexpr real_t kPi = 3.14159265358979323846;
+  const SyntheticAmrTrace trace(cfg);
+  BoxList out;
+  out.push_back(cfg.domain);
+  const real_t pos = trace.interface_position(epoch);
+  const real_t amp0 = std::min(
+      cfg.amplitude0 + cfg.growth * static_cast<real_t>(epoch),
+      cfg.max_amplitude);
+  const IntVec ext0 = cfg.domain.extent();
+  std::vector<Box> parent_union{cfg.domain};
+  for (int l = 0; l + 1 < cfg.max_levels; ++l) {
+    coord_t scale = 1;
+    for (int i = 0; i < l; ++i) scale *= cfg.ratio;
+    const real_t nx = static_cast<real_t>(ext0.x * scale);
+    const real_t ny = static_cast<real_t>(ext0.y * scale);
+    const real_t nz = static_cast<real_t>(ext0.z * scale);
+    const real_t amp = amp0 * static_cast<real_t>(scale);
+    const real_t halfw = cfg.band_halfwidth;
+    std::vector<IntVec> flags;
+    for (const Box& pb : parent_union) {
+      for (coord_t k = pb.lo().z; k <= pb.hi().z; ++k) {
+        for (coord_t j = pb.lo().y; j <= pb.hi().y; ++j) {
+          const real_t yfrac = (static_cast<real_t>(j) + 0.5) / ny;
+          const real_t zfrac = (static_cast<real_t>(k) + 0.5) / nz;
+          const real_t xs =
+              pos * nx + amp * (std::sin(2.0 * kPi * cfg.waves_y * yfrac) +
+                                0.5 * std::cos(2.0 * kPi * cfg.waves_z *
+                                               zfrac));
+          const real_t band_lo = std::floor(xs - halfw);
+          const real_t band_hi = std::ceil(xs + halfw);
+          const real_t box_lo = static_cast<real_t>(pb.lo().x);
+          const real_t box_hi = static_cast<real_t>(pb.hi().x);
+          if (band_lo > box_hi || band_hi < box_lo) continue;
+          const coord_t ilo =
+              static_cast<coord_t>(std::clamp(band_lo, box_lo, box_hi));
+          const coord_t ihi =
+              static_cast<coord_t>(std::clamp(band_hi, box_lo, box_hi));
+          for (coord_t i = ilo; i <= ihi; ++i) flags.emplace_back(i, j, k);
+        }
+      }
+    }
+    if (flags.empty()) break;
+    const auto coarse_boxes =
+        oracle::cluster_flags(flags, static_cast<level_t>(l), cfg.cluster);
+    std::vector<Box> clipped;
+    for (const Box& b : coarse_boxes)
+      for (const Box& pb : parent_union) {
+        const Box piece = b.intersection(pb);
+        if (!piece.empty()) clipped.push_back(piece);
+      }
+    clipped = oracle::coalesce(std::move(clipped));
+    std::vector<Box> next_union;
+    for (const Box& b : clipped) {
+      const Box fine = b.refined(cfg.ratio);
+      out.push_back(fine);
+      next_union.push_back(fine);
+    }
+    parent_union = std::move(next_union);
+  }
+  return out;
+}
+
+}  // namespace ssamr::oracle

@@ -488,6 +488,31 @@ TEST(MessageSimIndexed, FanOutContentionMatchesClosedForm) {
   EXPECT_NEAR(ts[1].finish_time.value(), 0.2, 1e-9);
 }
 
+/// Transfers whose residual, after a slowdown, drains in less than half an
+/// ulp of the virtual clock.  Past 1024 s the re-armed deadline
+/// `now + remaining / rate` rounds back to `now`; the indexed simulator
+/// must finish such a transfer instead of re-arming it forever (CMake
+/// gives this binary a hard timeout, so a regression fails, not hangs).
+std::vector<Transfer> late_slowdown_mix(real_t t0) {
+  return {Transfer{0, 1, Bytes{1000}, Seconds{t0}, Seconds{0}},
+          Transfer{0, 2, Bytes{1007}, Seconds{t0}, Seconds{0}},
+          Transfer{3, 2, Bytes{2003}, Seconds{t0 + 0.001}, Seconds{0}}};
+}
+
+TEST(MessageSimIndexed, SubUlpResidualFinishesLateInVirtualTime) {
+  NetworkModel net;
+  const std::vector<MbitsPerSec> bw(4, MbitsPerSec{100.0});
+  for (real_t t0 : {512.0, 2048.0, 65536.0}) {
+    std::vector<Transfer> exact = late_slowdown_mix(t0);
+    std::vector<Transfer> indexed = exact;
+    EXPECT_EQ(simulate_transfers(exact, bw, net),
+              simulate_transfers_indexed(indexed, bw, net));
+    for (std::size_t i = 0; i < exact.size(); ++i)
+      EXPECT_EQ(indexed[i].finish_time, exact[i].finish_time)
+          << "t0 " << t0 << " transfer " << i;
+  }
+}
+
 PartitionResult two_adjacent_boxes() {
   PartitionResult r;
   r.assignments.push_back(

@@ -89,8 +89,9 @@ void BM_SfcKnapsackPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_SfcKnapsackPartition)->Arg(4)->Arg(32);
 
-// The dual-constraint hot path: box pricing scans the particle field, so
-// gate the particle-coupled partition cost separately.
+// The dual-constraint hot path: box pricing counts particles through the
+// field's bucket index, so gate the particle-coupled partition cost
+// separately.
 void BM_KnapsackPartitionParticles(benchmark::State& state) {
   const auto caps = caps_for(8);
   const SyntheticAmrTrace trace([] {

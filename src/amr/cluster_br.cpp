@@ -6,6 +6,7 @@
 #include <future>
 #include <iterator>
 #include <numeric>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -16,12 +17,18 @@ namespace {
 
 coord_t run_length(const FlagRun& r) { return r.x1 - r.x0 + 1; }
 
+std::int64_t flag_count(std::span<const FlagRun> runs) {
+  std::int64_t n = 0;
+  for (const FlagRun& r : runs) n += run_length(r);
+  return n;
+}
+
 /// Per-plane flag counts of a node's runs along each axis the box can be
 /// cut along (n >= 2 · min_size); the other axes stay empty.  Computed
 /// once per node and read by both the hole and the inflection search.
 using Signatures = std::array<std::vector<std::int64_t>, kDim>;
 
-Signatures signatures(const std::vector<FlagRun>& runs, const Box& b,
+Signatures signatures(std::span<const FlagRun> runs, const Box& b,
                       coord_t min_size) {
   const IntVec lo = b.lo();
   const IntVec n = b.extent();
@@ -127,7 +134,7 @@ Cut find_midpoint(const Box& b, coord_t min_size) {
   return cut;
 }
 
-void cluster_recursive(std::vector<FlagRun> runs, level_t level,
+void cluster_recursive(std::span<FlagRun> runs, level_t level,
                        const ClusterConfig& cfg, int depth,
                        std::vector<Box>& out) {
   SSAMR_ASSERT(!runs.empty(), "empty node in cluster_recursive");
@@ -157,55 +164,68 @@ void cluster_recursive(std::vector<FlagRun> runs, level_t level,
     return;
   }
 
-  // Cells below the cut plane go left, the rest right: a y or z cut moves
-  // whole runs, an x cut splits the runs that straddle it.  The left side
-  // compacts in place; the right side gets its own vector.
+  // Cells below the cut plane go left, the rest right.  A y or z cut moves
+  // whole runs, so it partitions the node's slice in place.  An x cut
+  // splits the runs that straddle it: their left pieces compact in place,
+  // and their right pieces join the right-only runs in an exactly sized
+  // vector that this frame owns until both sides are clustered.
   const coord_t split_coord = b.lo()[cut.axis] + cut.offset;
-  std::vector<FlagRun> right;
-  std::size_t keep = 0;
-  std::int64_t left_count = 0;
-  for (const FlagRun r : runs) {  // a copy: runs[keep] may be this slot
-    const coord_t first = cut.axis == 0 ? r.x0 : (cut.axis == 1 ? r.y : r.z);
-    const coord_t last = cut.axis == 0 ? r.x1 : first;
-    if (last < split_coord) {
-      runs[keep++] = r;
-      left_count += run_length(r);
-    } else if (first >= split_coord) {
-      right.push_back(r);
-    } else {
-      runs[keep++] = FlagRun{r.x0, split_coord - 1, r.y, r.z};
-      left_count += split_coord - r.x0;
-      right.push_back(FlagRun{split_coord, r.x1, r.y, r.z});
+  std::span<FlagRun> left, right;
+  std::vector<FlagRun> right_runs;
+  if (cut.axis == 0) {
+    right_runs.reserve(static_cast<std::size_t>(
+        std::count_if(runs.begin(), runs.end(), [&](const FlagRun& r) {
+          return r.x1 >= split_coord;
+        })));
+    std::size_t keep = 0;
+    for (const FlagRun r : runs) {  // a copy: runs[keep] may be this slot
+      if (r.x1 < split_coord) {
+        runs[keep++] = r;
+      } else if (r.x0 >= split_coord) {
+        right_runs.push_back(r);
+      } else {
+        runs[keep++] = FlagRun{r.x0, split_coord - 1, r.y, r.z};
+        right_runs.push_back(FlagRun{split_coord, r.x1, r.y, r.z});
+      }
     }
+    left = runs.first(keep);
+    right = right_runs;
+  } else {
+    const auto mid =
+        std::partition(runs.begin(), runs.end(), [&](const FlagRun& r) {
+          return (cut.axis == 1 ? r.y : r.z) < split_coord;
+        });
+    left = runs.first(static_cast<std::size_t>(mid - runs.begin()));
+    right = runs.subspan(left.size());
   }
-  runs.resize(keep);
-  if (runs.empty() || right.empty()) {
+  if (left.empty() || right.empty()) {
     out.push_back(b);  // degenerate cut (all flags on one side)
     return;
   }
 
-  // Fork-join over the two disjoint halves when the left one holds enough
+  // Fork-join over the two disjoint slices when the left one holds enough
   // flags to pay for a task.  Each side writes its own vector; appending
   // left-then-right reproduces the serial depth-first output order
   // exactly, so box lists are bit-identical at any thread count.
   constexpr std::int64_t kForkThreshold = 1024;
   ThreadPool& pool = ThreadPool::global();
-  if (pool.worker_count() > 0 && left_count >= kForkThreshold) {
-    std::vector<Box> left;
-    std::future<void> fut = pool.async([&runs, level, &cfg, depth, &left] {
-      cluster_recursive(std::move(runs), level, cfg, depth + 1, left);
+  if (pool.worker_count() > 0 && flag_count(left) >= kForkThreshold) {
+    std::vector<Box> left_boxes;
+    std::future<void> fut = pool.async([left, level, &cfg, depth,
+                                        &left_boxes] {
+      cluster_recursive(left, level, cfg, depth + 1, left_boxes);
     });
     std::vector<Box> right_boxes;
-    cluster_recursive(std::move(right), level, cfg, depth + 1, right_boxes);
+    cluster_recursive(right, level, cfg, depth + 1, right_boxes);
     pool.wait(fut);
-    out.insert(out.end(), std::make_move_iterator(left.begin()),
-               std::make_move_iterator(left.end()));
+    out.insert(out.end(), std::make_move_iterator(left_boxes.begin()),
+               std::make_move_iterator(left_boxes.end()));
     out.insert(out.end(), std::make_move_iterator(right_boxes.begin()),
                std::make_move_iterator(right_boxes.end()));
     return;
   }
-  cluster_recursive(std::move(runs), level, cfg, depth + 1, out);
-  cluster_recursive(std::move(right), level, cfg, depth + 1, out);
+  cluster_recursive(left, level, cfg, depth + 1, out);
+  cluster_recursive(right, level, cfg, depth + 1, out);
 }
 
 }  // namespace
@@ -219,7 +239,7 @@ std::vector<Box> cluster_runs(std::vector<FlagRun> runs, level_t level,
     SSAMR_REQUIRE(r.x0 <= r.x1, "flag runs must be non-empty");
   if (runs.empty()) return {};
   std::vector<Box> out;
-  cluster_recursive(std::move(runs), level, cfg, 0, out);
+  cluster_recursive(runs, level, cfg, 0, out);
   return out;
 }
 

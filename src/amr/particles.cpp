@@ -1,6 +1,9 @@
 #include "amr/particles.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -8,6 +11,17 @@
 namespace ssamr {
 
 namespace {
+
+/// Mean particles per bucket the grid is sized for.
+constexpr real_t kParticlesPerBucket = 12;
+/// Narrowest bucket relative to the magnitude of the coordinates it
+/// covers (2^20 units in the last place).  The query range is computed in
+/// floating point and widened by one bucket; this floor keeps its rounding
+/// error, a few units in the last place, far below that margin.
+constexpr real_t kMinRelativeWidth = 0x1p-32;
+/// Particle slots and bucket offsets are 32-bit.
+constexpr std::uint32_t kMaxParticles =
+    std::numeric_limits<std::uint32_t>::max();
 
 /// Reflect `v` into [0, span) by folding at the walls.  span must be > 0.
 real_t reflect_into(real_t v, real_t span) {
@@ -30,9 +44,13 @@ real_t reflect_into(real_t v, real_t span) {
 ParticleField ParticleField::gaussian_cloud(const Box& base_domain,
                                             const ParticleCloudConfig& cfg,
                                             real_t center_x) {
-  SSAMR_REQUIRE(cfg.count >= 0, "particle count must be non-negative");
+  SSAMR_REQUIRE(cfg.count >= 0 && cfg.count <= kMaxParticles,
+                "particle count must be in [0, 2^32)");
   SSAMR_REQUIRE(base_domain.level() == 0,
                 "particle domain must be a level-0 box");
+  SSAMR_REQUIRE(std::isfinite(center_x) && std::isfinite(cfg.sigma_x) &&
+                    std::isfinite(cfg.sigma_yz_frac),
+                "particle cloud center and spreads must be finite");
   ParticleField field;
   if (cfg.count == 0) return field;
   SSAMR_REQUIRE(!base_domain.empty(), "particle domain must be non-empty");
@@ -45,28 +63,130 @@ ParticleField ParticleField::gaussian_cloud(const Box& base_domain,
   const real_t sy = cfg.sigma_yz_frac * ey;
   const real_t sz = cfg.sigma_yz_frac * ez;
 
-  field.xs_.reserve(static_cast<std::size_t>(cfg.count));
-  field.ys_.reserve(static_cast<std::size_t>(cfg.count));
-  field.zs_.reserve(static_cast<std::size_t>(cfg.count));
+  for (std::vector<real_t>& axis : field.pos_)
+    axis.reserve(static_cast<std::size_t>(cfg.count));
   Rng rng(cfg.seed);
   const real_t lox = static_cast<real_t>(base_domain.lo().x);
   const real_t loy = static_cast<real_t>(base_domain.lo().y);
   const real_t loz = static_cast<real_t>(base_domain.lo().z);
+  // The cloud's bounding box, for the index grid.
+  std::array<real_t, kDim> lo, hi;
+  lo.fill(std::numeric_limits<real_t>::infinity());
+  hi.fill(-std::numeric_limits<real_t>::infinity());
   for (std::int64_t i = 0; i < cfg.count; ++i) {
     // Fixed draw order (x, y, z) so the stream is position-independent of
     // any future config fields.
     const real_t px = rng.normal(cx, cfg.sigma_x);
     const real_t py = rng.normal(ey / 2, sy);
     const real_t pz = rng.normal(ez / 2, sz);
-    field.xs_.push_back(lox + reflect_into(px, ex));
-    field.ys_.push_back(loy + reflect_into(py, ey));
-    field.zs_.push_back(loz + reflect_into(pz, ez));
+    const std::array<real_t, kDim> p{lox + reflect_into(px, ex),
+                                     loy + reflect_into(py, ey),
+                                     loz + reflect_into(pz, ez)};
+    for (std::size_t d = 0; d < kDim; ++d) {
+      field.pos_[d].push_back(p[d]);
+      lo[d] = std::min(lo[d], p[d]);
+      hi[d] = std::max(hi[d], p[d]);
+    }
   }
+  field.build_index(lo, hi);
   return field;
 }
 
+std::size_t ParticleField::grid_index(int axis, real_t v, real_t pad) const {
+  // Truncating a value clamped to [0, dims) is its floor.
+  const auto d = static_cast<std::size_t>(axis);
+  const real_t t = (v - origin_[d]) * inv_width_[d] + pad;
+  return static_cast<std::size_t>(
+      std::clamp(t, real_t{0}, static_cast<real_t>(dims_[d] - 1)));
+}
+
+void ParticleField::build_index(const std::array<real_t, kDim>& lo,
+                                const std::array<real_t, kDim>& hi) {
+  const std::size_t n = pos_[0].size();
+  // Size the grid from the count alone, so memory stays O(n) whatever the
+  // domain volume: cubic buckets over the cloud's bounding box, about
+  // kParticlesPerBucket particles each on average.  An axis thinner than
+  // one bucket (or than the rounding floor) gets a single layer, and the
+  // edge is recomputed over the remaining axes.
+  const real_t target =
+      std::max(real_t{1}, static_cast<real_t>(n) / kParticlesPerBucket);
+  std::array<real_t, kDim> ext{}, min_width{};
+  std::array<bool, kDim> flat{};
+  for (std::size_t d = 0; d < kDim; ++d) {
+    origin_[d] = lo[d];
+    ext[d] = hi[d] - lo[d];
+    min_width[d] = kMinRelativeWidth *
+                   std::max({real_t{1}, std::abs(lo[d]), std::abs(hi[d])});
+    flat[d] = !(ext[d] > min_width[d]);
+  }
+  real_t edge = 0;
+  for (int pass = 0; pass < kDim; ++pass) {
+    real_t volume = 1;
+    int live = 0;
+    for (std::size_t d = 0; d < kDim; ++d)
+      if (!flat[d]) {
+        volume *= ext[d];
+        ++live;
+      }
+    if (live == 0) break;
+    edge = std::pow(volume / target, real_t{1} / live);
+    bool thinned = false;
+    for (std::size_t d = 0; d < kDim; ++d)
+      if (!flat[d] && ext[d] < edge) {
+        flat[d] = true;
+        thinned = true;
+      }
+    if (!thinned) break;
+  }
+  std::size_t nbuckets = 1;
+  for (std::size_t d = 0; d < kDim; ++d) {
+    const real_t cells =
+        flat[d] ? 1 : std::floor(ext[d] / std::max(edge, min_width[d]));
+    dims_[d] = static_cast<std::size_t>(std::clamp(cells, real_t{1}, target));
+    inv_width_[d] = flat[d] ? 0 : static_cast<real_t>(dims_[d]) / ext[d];
+    nbuckets *= dims_[d];
+  }
+
+  // Counting sort: count per bucket (shifted one slot up, so the prefix
+  // sum yields offsets), turn each particle's bucket into its destination,
+  // scatter each axis, then take each bucket's bounds from its run.
+  std::vector<std::uint32_t> offset(nbuckets + 1, 0);
+  std::vector<std::uint32_t> slot(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t b =
+        grid_index(0, pos_[0][p], 0) +
+        dims_[0] * (grid_index(1, pos_[1][p], 0) +
+                    dims_[1] * grid_index(2, pos_[2][p], 0));
+    slot[p] = static_cast<std::uint32_t>(b);
+    ++offset[b + 1];
+  }
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  buckets_.resize(nbuckets);
+  for (std::size_t b = 0; b < nbuckets; ++b) {
+    buckets_[b].begin = offset[b];
+    buckets_[b].end = offset[b + 1];
+  }
+  for (std::uint32_t& s : slot) s = offset[s]++;
+  for (std::vector<real_t>& axis : pos_) {
+    std::vector<real_t> sorted(n);
+    for (std::size_t p = 0; p < n; ++p) sorted[slot[p]] = axis[p];
+    axis = std::move(sorted);
+  }
+  for (Bucket& bk : buckets_)
+    for (std::size_t d = 0; d < kDim; ++d) {
+      real_t mn = std::numeric_limits<real_t>::infinity();
+      real_t mx = -mn;
+      for (std::size_t p = bk.begin; p < bk.end; ++p) {
+        mn = std::min(mn, pos_[d][p]);
+        mx = std::max(mx, pos_[d][p]);
+      }
+      bk.lo[d] = mn;
+      bk.hi[d] = mx;
+    }
+}
+
 std::int64_t ParticleField::count_in(const Box& b, coord_t ratio) const {
-  if (xs_.empty() || b.empty()) return 0;
+  if (empty() || b.empty()) return 0;
   SSAMR_REQUIRE(ratio >= 2, "refinement ratio must be >= 2");
   real_t scale = 1;
   for (level_t l = 0; l < b.level(); ++l)
@@ -74,23 +194,51 @@ std::int64_t ParticleField::count_in(const Box& b, coord_t ratio) const {
   // Half-open interval [lo, hi+1) per dimension in the box's own index
   // space; the same scaled coordinate is compared against every box, so
   // counts are exactly additive across a partition of the index space.
-  const real_t lox = static_cast<real_t>(b.lo().x);
-  const real_t loy = static_cast<real_t>(b.lo().y);
-  const real_t loz = static_cast<real_t>(b.lo().z);
-  const real_t hix = static_cast<real_t>(b.hi().x + 1);
-  const real_t hiy = static_cast<real_t>(b.hi().y + 1);
-  const real_t hiz = static_cast<real_t>(b.hi().z + 1);
-  std::int64_t count = 0;
-  const std::size_t n = xs_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const real_t sx = xs_[i] * scale;
-    if (sx < lox || sx >= hix) continue;
-    const real_t sy = ys_[i] * scale;
-    if (sy < loy || sy >= hiy) continue;
-    const real_t sz = zs_[i] * scale;
-    if (sz < loz || sz >= hiz) continue;
-    ++count;
+  std::array<real_t, kDim> lo{}, hi{};
+  std::array<std::size_t, kDim> first{}, last{};
+  for (int d = 0; d < kDim; ++d) {
+    const auto a = static_cast<std::size_t>(d);
+    lo[a] = static_cast<real_t>(b.lo()[d]);
+    hi[a] = static_cast<real_t>(b.hi()[d] + 1);
+    // Candidate buckets, one wider each way than the box's footprint: the
+    // bucket bounds below decide membership, this range only has to hold
+    // every bucket that can.
+    first[a] = grid_index(d, lo[a] / scale, -1);
+    last[a] = grid_index(d, hi[a] / scale, +1);
   }
+  const real_t* xs = pos_[0].data();
+  const real_t* ys = pos_[1].data();
+  const real_t* zs = pos_[2].data();
+  std::int64_t count = 0;
+  for (std::size_t k = first[2]; k <= last[2]; ++k)
+    for (std::size_t j = first[1]; j <= last[1]; ++j)
+      for (std::size_t i = first[0]; i <= last[0]; ++i) {
+        const Bucket& bk = buckets_[i + dims_[0] * (j + dims_[1] * k)];
+        if (bk.begin == bk.end) continue;
+        bool inside = true;
+        bool disjoint = false;
+        for (std::size_t d = 0; d < kDim; ++d) {
+          const real_t blo = bk.lo[d] * scale;
+          const real_t bhi = bk.hi[d] * scale;
+          inside = inside && blo >= lo[d] && bhi < hi[d];
+          disjoint = disjoint || bhi < lo[d] || blo >= hi[d];
+        }
+        if (disjoint) continue;
+        if (inside) {
+          count += static_cast<std::int64_t>(bk.end - bk.begin);
+          continue;
+        }
+        // Straddling bucket: the per-particle "skip if outside" test.
+        std::int64_t in = 0;
+        for (std::size_t p = bk.begin; p < bk.end; ++p) {
+          const real_t sx = xs[p] * scale;
+          const real_t sy = ys[p] * scale;
+          const real_t sz = zs[p] * scale;
+          in += !(sx < lo[0]) & !(sx >= hi[0]) & !(sy < lo[1]) &
+                !(sy >= hi[1]) & !(sz < lo[2]) & !(sz >= hi[2]);
+        }
+        count += in;
+      }
   return count;
 }
 

@@ -26,6 +26,13 @@ SyntheticAmrTrace::SyntheticAmrTrace(TraceConfig cfg) : cfg_(cfg) {
   SSAMR_REQUIRE(cfg.max_levels >= 1, "need at least one level");
   SSAMR_REQUIRE(cfg.ratio >= 2, "ratio must be >= 2");
   SSAMR_REQUIRE(cfg.band_halfwidth > 0, "band half-width must be positive");
+  // std::clamp passes NaN through, so a non-finite band edge would reach
+  // the integer casts in boxes_at_epoch.
+  SSAMR_REQUIRE(std::isfinite(cfg.interface_x0) && std::isfinite(cfg.speed) &&
+                    std::isfinite(cfg.amplitude0) &&
+                    std::isfinite(cfg.growth) &&
+                    std::isfinite(cfg.max_amplitude),
+                "interface position, speed and amplitudes must be finite");
 }
 
 real_t SyntheticAmrTrace::interface_position(int epoch) const {
@@ -87,7 +94,11 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
 
     // One run per row of each parent box.  The parent boxes are disjoint
     // (clipped, coalesced, refined cluster boxes), so the runs are too.
+    std::size_t rows = 0;
+    for (const Box& pb : parent_union)
+      rows += static_cast<std::size_t>(pb.extent().y * pb.extent().z);
     std::vector<FlagRun> runs;
+    runs.reserve(rows);
     for (const Box& pb : parent_union) {
       for (coord_t k = pb.lo().z; k <= pb.hi().z; ++k) {
         for (coord_t j = pb.lo().y; j <= pb.hi().y; ++j) {

@@ -19,7 +19,7 @@ PartitionResult GreedyPartitioner::partition(
   SSAMR_REQUIRE(cap_sum > 0, "capacities must not all be zero");
   const std::size_t nproc = capacities.size();
 
-  // Price each box once (particle-coupled models make box_work a scan),
+  // Price each box once (particle-coupled models make box_work a count),
   // then take the largest boxes first.
   std::vector<real_t> works = per_box_work(boxes, work);
   std::vector<std::size_t> order(boxes.size());

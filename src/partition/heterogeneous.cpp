@@ -24,8 +24,8 @@ PartitionResult HeterogeneousPartitioner::partition(
   const std::size_t nproc = capacities.size();
 
   // Sort boxes ascending by work.  Price each box once up front — under a
-  // particle-coupled model box_work scans the particle field, which the
-  // sort comparator must not re-trigger per comparison.
+  // particle-coupled model box_work counts particles, which the sort
+  // comparator must not re-trigger per comparison.
   std::vector<real_t> works = per_box_work(boxes, work);
   std::vector<std::size_t> perm(boxes.size());
   std::iota(perm.begin(), perm.end(), std::size_t{0});

@@ -38,8 +38,8 @@ PartitionResult KnapsackPartitioner::partition(
   const std::size_t nproc = capacities.size();
   const std::size_t nbox = boxes.size();
 
-  // Price every box once: with a particle-coupled model box_work scans the
-  // particle field, so the packing loops must not re-evaluate it.
+  // Price every box once: with a particle-coupled model box_work counts
+  // particles, so the packing loops must not re-evaluate it.
   std::vector<real_t> works(nbox);
   for (std::size_t i = 0; i < nbox; ++i) works[i] = box_work(boxes[i], work);
 

@@ -55,6 +55,9 @@ class TraceWorkloadSource final : public WorkloadSource {
   }
   const ParticleField* particles_for_regrid(int regrid_index) override {
     if (trace_.config().particles.count == 0) return nullptr;
+    // Release the previous epoch's field before building the next, so the
+    // two are never alive together.
+    particles_ = ParticleField{};
     particles_ = trace_.particles_at_epoch(regrid_index);
     return &particles_;
   }

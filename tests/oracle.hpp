@@ -10,7 +10,9 @@
 ///     cells (serial, sort + dedupe up front);
 ///   - boxes_at_epoch: the synthetic trace flagging cell by cell, with
 ///     two transcendental calls per row, and clustering with the oracle
-///     above.
+///     above;
+///   - gaussian_cloud / count_in: the particle cloud drawn in the
+///     library's order and counted by testing every particle.
 
 #include <algorithm>
 #include <cmath>
@@ -18,10 +20,12 @@
 #include <vector>
 
 #include "amr/cluster_br.hpp"
+#include "amr/particles.hpp"
 #include "amr/trace_generator.hpp"
 #include "geom/box.hpp"
 #include "geom/box_list.hpp"
 #include "geom/point.hpp"
+#include "util/rng.hpp"
 
 namespace ssamr::oracle {
 
@@ -278,6 +282,75 @@ inline BoxList boxes_at_epoch(const TraceConfig& cfg, int epoch) {
     parent_union = std::move(next_union);
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Particle cloud, counted by a scan of every particle
+
+struct ParticleCloud {
+  std::vector<real_t> xs, ys, zs;
+};
+
+namespace detail {
+
+inline real_t reflect_into(real_t v, real_t span) {
+  const real_t period = 2 * span;
+  real_t r = std::fmod(v, period);
+  if (r < 0) r += period;
+  if (r >= span) r = period - r;
+  if (r >= span) r = std::nextafter(span, real_t{0});
+  return r;
+}
+
+}  // namespace detail
+
+inline ParticleCloud gaussian_cloud(const Box& domain,
+                                    const ParticleCloudConfig& cfg,
+                                    real_t center_x) {
+  ParticleCloud cloud;
+  if (cfg.count == 0) return cloud;
+  const IntVec ext = domain.extent();
+  const real_t ex = static_cast<real_t>(ext.x);
+  const real_t ey = static_cast<real_t>(ext.y);
+  const real_t ez = static_cast<real_t>(ext.z);
+  Rng rng(cfg.seed);
+  for (std::int64_t i = 0; i < cfg.count; ++i) {
+    const real_t px = rng.normal(center_x * ex, cfg.sigma_x);
+    const real_t py = rng.normal(ey / 2, cfg.sigma_yz_frac * ey);
+    const real_t pz = rng.normal(ez / 2, cfg.sigma_yz_frac * ez);
+    cloud.xs.push_back(static_cast<real_t>(domain.lo().x) +
+                       detail::reflect_into(px, ex));
+    cloud.ys.push_back(static_cast<real_t>(domain.lo().y) +
+                       detail::reflect_into(py, ey));
+    cloud.zs.push_back(static_cast<real_t>(domain.lo().z) +
+                       detail::reflect_into(pz, ez));
+  }
+  return cloud;
+}
+
+inline std::int64_t count_in(const ParticleCloud& cloud, const Box& b,
+                             coord_t ratio) {
+  if (cloud.xs.empty() || b.empty()) return 0;
+  real_t scale = 1;
+  for (level_t l = 0; l < b.level(); ++l)
+    scale *= static_cast<real_t>(ratio);
+  const real_t lox = static_cast<real_t>(b.lo().x);
+  const real_t loy = static_cast<real_t>(b.lo().y);
+  const real_t loz = static_cast<real_t>(b.lo().z);
+  const real_t hix = static_cast<real_t>(b.hi().x + 1);
+  const real_t hiy = static_cast<real_t>(b.hi().y + 1);
+  const real_t hiz = static_cast<real_t>(b.hi().z + 1);
+  std::int64_t count = 0;
+  for (std::size_t i = 0; i < cloud.xs.size(); ++i) {
+    const real_t sx = cloud.xs[i] * scale;
+    if (sx < lox || sx >= hix) continue;
+    const real_t sy = cloud.ys[i] * scale;
+    if (sy < loy || sy >= hiy) continue;
+    const real_t sz = cloud.zs[i] * scale;
+    if (sz < loz || sz >= hiz) continue;
+    ++count;
+  }
+  return count;
 }
 
 }  // namespace ssamr::oracle

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "amr/trace_generator.hpp"
 #include "amr/workload.hpp"
 #include "geom/box_algebra.hpp"
@@ -124,6 +126,22 @@ TEST(SyntheticTrace, RejectsBadConfig) {
   EXPECT_THROW(SyntheticAmrTrace{cfg}, Error);
   SyntheticAmrTrace ok(small_trace());
   EXPECT_THROW(ok.boxes_at_epoch(-1), Error);
+}
+
+TEST(SyntheticTrace, RejectsNonFiniteParameters) {
+  // A NaN band edge would reach the integer casts of the flag runs.
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  real_t TraceConfig::*const fields[] = {
+      &TraceConfig::interface_x0, &TraceConfig::speed,
+      &TraceConfig::amplitude0, &TraceConfig::growth,
+      &TraceConfig::max_amplitude};
+  for (real_t TraceConfig::*field : fields)
+    for (const real_t bad : {nan, inf, -inf}) {
+      TraceConfig cfg = small_trace();
+      cfg.*field = bad;
+      EXPECT_THROW(SyntheticAmrTrace{cfg}, Error);
+    }
 }
 
 TEST(WorkModel, BoxWorkScalesWithLevel) {

@@ -17,6 +17,8 @@ normalized time exceeds the baseline by more than --threshold (default
 Usage:
   bench_check.py --bench-dir build/bench                 # check
   bench_check.py --bench-dir build/bench --update-baseline
+  bench_check.py --bench-dir build/bench --binaries bench_amr \
+      --update-baseline          # refresh one binary, keep the others
 """
 
 import argparse
@@ -89,6 +91,18 @@ def load_baseline(path):
     return data, None
 
 
+def merge_baseline(baseline, report):
+    """The baseline with the entries of the binaries in `report` replaced.
+
+    Binaries the run did not cover keep their entries, so refreshing one
+    binary (--binaries X --update-baseline) leaves the others' intact.
+    """
+    merged = dict(baseline)
+    for binary, data in report["binaries"].items():
+        merged[binary] = data["normalized"]
+    return merged
+
+
 def gate(report, baseline, threshold, out=sys.stdout):
     """Compare a run report against the baseline.
 
@@ -145,12 +159,15 @@ def main():
     print(f"wrote {args.output}")
 
     if args.update_baseline:
-        baseline = {
-            binary: data["normalized"]
-            for binary, data in report["binaries"].items()
-        }
+        existing = {}
+        if os.path.exists(args.baseline):
+            existing, err = load_baseline(args.baseline)
+            if err:
+                sys.stderr.write(err + "\n")
+                return 1
         with open(args.baseline, "w") as f:
-            json.dump(baseline, f, indent=2, sort_keys=True)
+            json.dump(merge_baseline(existing, report), f, indent=2,
+                      sort_keys=True)
         print(f"updated {args.baseline}")
         return 0
 

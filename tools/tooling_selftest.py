@@ -13,7 +13,9 @@ every regression through.  This suite pins:
   bench_check.load_baseline — graceful rejection of malformed or
       wrong-shape baselines (message, not traceback);
   bench_check.gate         — threshold edges and the new-benchmark
-      (no-baseline-entry) path.
+      (no-baseline-entry) path;
+  bench_check.merge_baseline — refreshing some binaries keeps the
+      others' entries.
 
 Run directly or via ctest (PyTooling.SelfTest).  Stdlib only.
 """
@@ -172,6 +174,23 @@ class GateTest(unittest.TestCase):
             self._report({"BM_Step": 0.5}), {"bench_amr": {"BM_Step": 1.0}},
             0.15, out=io.StringIO())
         self.assertEqual(failures, [])
+
+
+class MergeBaselineTest(unittest.TestCase):
+    def test_refresh_keeps_other_binaries(self):
+        baseline = {"bench_amr": {"BM_Step": 1.0},
+                    "bench_partitioners": {"BM_Old": 2.0}}
+        report = {"binaries": {"bench_partitioners": {
+            "normalized": {"BM_New": 0.5}}}}
+        merged = bench_check.merge_baseline(baseline, report)
+        self.assertEqual(merged, {"bench_amr": {"BM_Step": 1.0},
+                                  "bench_partitioners": {"BM_New": 0.5}})
+        self.assertEqual(baseline["bench_partitioners"], {"BM_Old": 2.0})
+
+    def test_new_binary_is_added(self):
+        merged = bench_check.merge_baseline(
+            {}, {"binaries": {"bench_amr": {"normalized": {"BM_Step": 1.0}}}})
+        self.assertEqual(merged, {"bench_amr": {"BM_Step": 1.0}})
 
 
 if __name__ == "__main__":

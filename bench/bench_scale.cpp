@@ -121,7 +121,7 @@ void BM_IndexedFluidSim(benchmark::State& state) {
   std::size_t events = 0;
   for (auto _ : state) {
     std::vector<sim::Transfer> ts = base;
-    events = sim::simulate_transfers_indexed(ts, bw, net);
+    events = sim::simulate_transfers(ts, bw, net);
     benchmark::DoNotOptimize(ts.data());
   }
   state.counters["events"] = static_cast<double>(events);

@@ -2,8 +2,8 @@
 /// \file capacity_audit.hpp
 /// Invariant audits of relative-capacity vectors (Eq. 1).
 ///
-/// Free functions so the capacity layer can audit itself without reaching
-/// up into the audit/ aggregation layer; audit::Validator delegates here.
+/// Free functions next to the data they check, like every other
+/// *_audit.hpp, so the capacity layer can audit itself.
 
 #include <vector>
 

@@ -11,6 +11,7 @@ Cluster::Cluster(std::vector<NodeSpec> nodes, NetworkModel network)
       loads_(nodes_.size()),
       network_(network) {
   SSAMR_REQUIRE(!nodes_.empty(), "cluster needs at least one node");
+  network_.validate();
   for (const NodeSpec& n : nodes_) {
     SSAMR_REQUIRE(n.peak_rate > WorkRate{0},
                   "node peak rate must be positive");

@@ -1,6 +1,7 @@
 #include "cluster/network.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -8,6 +9,14 @@ namespace ssamr {
 
 namespace {
 constexpr MbitsPerSec kMinBandwidthMbps = NetworkModel::kMinBandwidthMbps;
+}
+
+void NetworkModel::validate() const {
+  const real_t eff = efficiency.value();
+  SSAMR_REQUIRE(std::isfinite(eff) && eff > 0 && eff <= 1,
+                "network efficiency must be finite and in (0, 1]");
+  SSAMR_REQUIRE(std::isfinite(latency_s.value()) && latency_s >= Seconds{0},
+                "network latency must be finite and non-negative");
 }
 
 Seconds NetworkModel::transfer_time(Bytes bytes, MbitsPerSec src_mbps,

@@ -26,6 +26,12 @@ struct NetworkModel {
   /// a single TCP stream.
   Fraction efficiency{0.85};
 
+  /// Throw ssamr::Error unless efficiency is finite and in (0, 1] and
+  /// latency_s is finite and non-negative.  A zero or NaN efficiency
+  /// gives every contended transfer a rate that never drains it, and a
+  /// non-finite latency an entry time that is never reached.
+  void validate() const;
+
   /// Seconds to move `bytes` between endpoints whose deliverable
   /// bandwidths are src_mbps and dst_mbps.  Zero bytes cost nothing.
   Seconds transfer_time(Bytes bytes, MbitsPerSec src_mbps,

@@ -18,18 +18,20 @@
 #include "amr/flagging.hpp"         // IWYU pragma: export
 #include "amr/flux_register.hpp"    // IWYU pragma: export
 #include "amr/hierarchy.hpp"        // IWYU pragma: export
+#include "amr/hierarchy_audit.hpp"  // IWYU pragma: export
 #include "amr/integrator.hpp"       // IWYU pragma: export
 #include "amr/particles.hpp"        // IWYU pragma: export
 #include "amr/richardson.hpp"       // IWYU pragma: export
 #include "amr/trace_generator.hpp"  // IWYU pragma: export
 #include "amr/workload.hpp"         // IWYU pragma: export
-#include "audit/audit.hpp"          // IWYU pragma: export
-#include "audit/validator.hpp"      // IWYU pragma: export
 #include "capacity/capacity.hpp"    // IWYU pragma: export
+#include "capacity/capacity_audit.hpp"  // IWYU pragma: export
 #include "cluster/cluster.hpp"      // IWYU pragma: export
+#include "cluster/cluster_audit.hpp"    // IWYU pragma: export
 #include "geom/box.hpp"             // IWYU pragma: export
 #include "geom/box_list.hpp"        // IWYU pragma: export
 #include "hdda/hdda.hpp"            // IWYU pragma: export
+#include "monitor/monitor_audit.hpp"    // IWYU pragma: export
 #include "monitor/monitor_service.hpp"  // IWYU pragma: export
 #include "partition/grace_default.hpp"  // IWYU pragma: export
 #include "partition/greedy.hpp"         // IWYU pragma: export
@@ -37,12 +39,16 @@
 #include "partition/knapsack.hpp"       // IWYU pragma: export
 #include "partition/metrics.hpp"        // IWYU pragma: export
 #include "partition/multiaxis.hpp"      // IWYU pragma: export
+#include "partition/partition_audit.hpp"  // IWYU pragma: export
 #include "partition/sfc_heterogeneous.hpp"  // IWYU pragma: export
 #include "partition/sfc_knapsack.hpp"   // IWYU pragma: export
 #include "partition/zoo.hpp"            // IWYU pragma: export
 #include "runtime/runtime.hpp"          // IWYU pragma: export
 #include "sim/chrome_trace.hpp"         // IWYU pragma: export
 #include "sim/exec_model.hpp"           // IWYU pragma: export
+#include "sim/executor_audit.hpp"       // IWYU pragma: export
 #include "solver/advection.hpp"         // IWYU pragma: export
 #include "solver/euler.hpp"             // IWYU pragma: export
 #include "solver/richtmyer_meshkov.hpp" // IWYU pragma: export
+#include "util/audit.hpp"               // IWYU pragma: export
+#include "util/audit_report.hpp"        // IWYU pragma: export

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "audit/audit.hpp"
+#include "capacity/capacity_audit.hpp"
 #include "partition/metrics.hpp"
+#include "partition/partition_audit.hpp"
+#include "util/audit.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -102,8 +104,7 @@ void AdaptiveRuntime::stage_sense(RunTrace& trace, Seconds& t, int iteration,
       capacity_.relative_capacities(sweep.estimates);
   if (initial) {
     capacities_ = fresh;
-    SSAMR_AUDIT(audit::Validator{}.validate_capacities(capacities_,
-                                                       cfg_.weights));
+    SSAMR_AUDIT(audit::validate_capacities(capacities_, cfg_.weights));
     if (cfg_.sensing.charge_initial_sweep) {
       t += model_->sense(t, sweep.overhead_s, iteration);
       trace.sense_time += sweep.overhead_s;
@@ -148,8 +149,8 @@ void AdaptiveRuntime::stage_repartition(RunTrace& trace, Seconds& t,
   PartitionResult next = partitioner_.partition(boxes, capacities_, cfg_.work);
   // Audit every regrid's distribution before acting on it: coverage,
   // disjointness, split legality and Eq. 1 work tracking.
-  SSAMR_AUDIT(audit::Validator{}.validate_partition(
-      boxes, next, capacities_, cfg_.work, partitioner_.constraints()));
+  SSAMR_AUDIT(audit::validate_partition(boxes, next, capacities_, cfg_.work,
+                                        partitioner_.constraints()));
 
   // Migration is priced at the pre-regrid time t (the bandwidths in effect
   // when the repartition was decided) — the BSP model depends on this for
@@ -172,14 +173,6 @@ void AdaptiveRuntime::stage_repartition(RunTrace& trace, Seconds& t,
   rec.num_boxes = boxes.size();
   rec.total_work = Work{total_work(boxes, cfg_.work)};
   trace.regrids.push_back(std::move(rec));
-
-  // Refresh the HDDA registry with the new distribution.
-  registry_.clear();
-  const std::int64_t cell_bytes =
-      static_cast<std::int64_t>(cfg_.executor.ncomp) *
-      cfg_.executor.bytes_per_value * cfg_.executor.time_levels;
-  for (const BoxAssignment& a : next.assignments)
-    registry_.insert(a.box, a.owner, a.box.cells() * cell_bytes);
 
   current = std::move(next);
   ++regrid_index;

@@ -20,7 +20,6 @@
 #include "amr/integrator.hpp"
 #include "amr/trace_generator.hpp"
 #include "capacity/capacity.hpp"
-#include "hdda/hdda.hpp"
 #include "cluster/cluster.hpp"
 #include "monitor/monitor_service.hpp"
 #include "partition/partitioner.hpp"
@@ -131,13 +130,6 @@ class AdaptiveRuntime {
   /// The execution model pricing the stages (exposed for inspection).
   const ExecutionModel& model() const { return *model_; }
 
-  /// The HDDA patch registry: the current distribution (box -> owner,
-  /// payload bytes), refreshed at every repartition.  The index space is
-  /// sized for the paper workload (4 levels, factor 2); adjust via
-  /// set_registry_config before run() for deeper hierarchies.
-  const Hdda& registry() const { return registry_; }
-  void set_registry_config(const SfcConfig& cfg) { registry_ = Hdda(cfg); }
-
  private:
   /// Probe the monitor, recompute relative capacities and charge the sweep
   /// to the model.  The initial sweep always adopts what it sensed (there
@@ -150,7 +142,7 @@ class AdaptiveRuntime {
   void stage_adopt_capacities(const std::vector<real_t>& fresh);
 
   /// Regrid the application, repartition under the current capacities,
-  /// charge regrid + migration to the model, and refresh the registry.
+  /// and charge regrid + migration to the model.
   void stage_repartition(RunTrace& trace, Seconds& t, int iteration,
                          int& regrid_index, PartitionResult& current);
 
@@ -165,7 +157,6 @@ class AdaptiveRuntime {
   ResourceMonitor monitor_;
   CapacityCalculator capacity_;
   std::unique_ptr<ExecutionModel> model_;
-  Hdda registry_;
   /// Capacities the partitioner currently uses (updated by sensing).
   std::vector<real_t> capacities_;
   /// Set when a sweep quarantined or re-admitted a node: the next

@@ -44,10 +44,7 @@ Seconds EventExecutor::horizon() const {
 
 void EventExecutor::run_network(std::vector<Transfer>& transfers, Seconds t) {
   const std::vector<MbitsPerSec> bw = bandwidths_at(t);
-  events_ += cluster_.size() > kIndexedSimRanks
-                 ? simulate_transfers_indexed(transfers, bw,
-                                              cluster_.network(), net_ws_)
-                 : simulate_transfers(transfers, bw, cluster_.network());
+  events_ += simulate_transfers(transfers, bw, cluster_.network(), net_ws_);
 }
 
 Seconds EventExecutor::sense(Seconds t, Seconds sweep_s, int iteration) {

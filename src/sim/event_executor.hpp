@@ -32,13 +32,6 @@ namespace ssamr::sim {
 
 class EventExecutor final : public ExecutionModel {
  public:
-  /// Above this cluster size the fluid network runs on the indexed
-  /// simulator (simulate_transfers_indexed): per-event cost O(deg · log E)
-  /// instead of O(active).  Finish times then agree with the exact path to
-  /// rounding but not bit-for-bit, so the threshold is set above every
-  /// golden-pinned configuration (all use P ≤ 32).
-  static constexpr int kIndexedSimRanks = 64;
-
   EventExecutor(const Cluster& cluster, const ExecutorConfig& cfg);
 
   std::string name() const override { return "event"; }
@@ -63,9 +56,8 @@ class EventExecutor final : public ExecutionModel {
   std::vector<MbitsPerSec> bandwidths_at(Seconds t) const;
   /// Latest local clock over all ranks (excludes the monitor lane).
   Seconds horizon() const;
-  /// Run `transfers` through the fluid network at time-t bandwidths,
-  /// choosing the exact or indexed simulator by cluster size and
-  /// accumulating events_.
+  /// Run `transfers` through the fluid network at time-t bandwidths on
+  /// the reused workspace, accumulating events_.
   void run_network(std::vector<Transfer>& transfers, Seconds t);
 
   const Cluster& cluster_;

@@ -1,16 +1,12 @@
 #pragma once
 /// \file event_queue.hpp
-/// Deterministic discrete-event queue for the virtual-cluster simulation.
-///
-/// A min-heap ordered by (time, insertion sequence): events at equal
-/// virtual times pop in the order they were pushed, so a simulation driven
-/// by this queue is bit-reproducible regardless of how the events were
-/// generated.  Payloads are caller-defined (sim/event.hpp defines the
-/// standard ones).
+/// Deterministic deadline queue for the fluid network simulation
+/// (message_sim.hpp): each transfer owns at most one completion deadline,
+/// re-timed in place as its rate changes, and equal virtual times pop in
+/// a fixed order, so a simulation driven by it is bit-reproducible.
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "util/error.hpp"
@@ -18,54 +14,6 @@
 #include "util/units.hpp"
 
 namespace ssamr::sim {
-
-template <typename Payload>
-class EventQueue {
- public:
-  struct Item {
-    Seconds time{0};
-    std::uint64_t seq = 0;
-    Payload payload{};
-  };
-
-  /// Schedule `payload` at virtual time `time` (ties pop in push order).
-  void push(Seconds time, Payload payload) {
-    heap_.push(Item{time, next_seq_++, std::move(payload)});
-  }
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-
-  /// Time of the earliest pending event.
-  Seconds next_time() const {
-    SSAMR_REQUIRE(!heap_.empty(), "next_time() on empty event queue");
-    return heap_.top().time;
-  }
-
-  /// The earliest pending event without removing it.
-  const Item& top() const {
-    SSAMR_REQUIRE(!heap_.empty(), "top() on empty event queue");
-    return heap_.top();
-  }
-
-  /// Remove and return the earliest pending event.
-  Item pop() {
-    SSAMR_REQUIRE(!heap_.empty(), "pop() on empty event queue");
-    Item out = heap_.top();
-    heap_.pop();
-    return out;
-  }
-
- private:
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Item, std::vector<Item>, Later> heap_;
-  std::uint64_t next_seq_ = 0;
-};
 
 /// Indexed min-heap of per-id deadlines with true decrease-key: each id
 /// owns at most one entry, and a position map lets schedule() move an

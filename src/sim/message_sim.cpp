@@ -1,6 +1,7 @@
 #include "sim/message_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -11,12 +12,11 @@
 namespace ssamr::sim {
 
 namespace {
-/// Residual below which a transfer counts as drained (absolute bytes; the
-/// exact-min completion below guarantees progress regardless).
-constexpr real_t kDrainedBytes = 1e-6;
-}  // namespace
 
-namespace {
+/// Residual below which a transfer counts as drained (absolute bytes; a
+/// residual whose deadline rounds to the current clock retires regardless,
+/// so the loop always progresses).
+constexpr real_t kDrainedBytes = 1e-6;
 
 /// Deliverable endpoint capacities in bytes/s, floored like NetworkModel.
 void endpoint_caps(const std::vector<MbitsPerSec>& deliverable_mbps,
@@ -30,9 +30,9 @@ void endpoint_caps(const std::vector<MbitsPerSec>& deliverable_mbps,
 /// A transfer's entry into the shared-bandwidth phase.
 using StartEvent = SimWorkspace::Entry;
 
-/// Validate endpoints/sizes, finish the trivial transfers (zero bytes or
-/// src == dst) at their post time, and list the rest at their network
-/// entry time (post + one latency) in transfer order.
+/// Validate endpoints, sizes and post times, finish the trivial transfers
+/// (zero bytes or src == dst) at their post time, and list the rest at
+/// their network entry time (post + one latency) in transfer order.
 void admit_transfers(std::vector<Transfer>& transfers, std::size_t n,
                      const NetworkModel& net,
                      std::vector<StartEvent>& starts) {
@@ -43,6 +43,9 @@ void admit_transfers(std::vector<Transfer>& transfers, std::size_t n,
                       tr.dst >= 0 && static_cast<std::size_t>(tr.dst) < n,
                   "transfer endpoint out of range");
     SSAMR_REQUIRE(tr.bytes >= Bytes{0}, "negative transfer size");
+    SSAMR_REQUIRE(std::isfinite(tr.post_time.value()) &&
+                      tr.post_time >= Seconds{0},
+                  "transfer post time must be finite and non-negative");
     if (tr.bytes == Bytes{0} || tr.src == tr.dst) {
       tr.finish_time = tr.post_time;  // local/empty: free, like the
       continue;                       // closed-form model
@@ -59,103 +62,21 @@ void admit_transfers(std::vector<Transfer>& transfers, std::size_t n,
 std::size_t simulate_transfers(std::vector<Transfer>& transfers,
                                const std::vector<MbitsPerSec>& deliverable_mbps,
                                const NetworkModel& net) {
-  const auto n = deliverable_mbps.size();
-  std::vector<BytesPerSec> cap;
-  endpoint_caps(deliverable_mbps, cap);
-
-  EventQueue<std::size_t> starts;
-  std::vector<real_t> remaining(transfers.size(), 0);
-  std::vector<StartEvent> entries;
-  admit_transfers(transfers, n, net, entries);
-  for (const StartEvent& e : entries) {
-    remaining[e.id] = static_cast<real_t>(transfers[e.id].bytes.value());
-    starts.push(e.time, e.id);
-  }
-  std::size_t events = 0;
-
-  // Indices of in-flight transfers, kept sorted ascending so every scan
-  // visits transfers in the same order as the historical all-transfers
-  // sweep: identical FP accumulation and min-ties, so finish times are
-  // bit-identical — but each event step now costs O(active), not O(total).
-  std::vector<std::size_t> active_list;
-  active_list.reserve(transfers.size());
-  // Full-duplex NICs: sends share the tx lane, receives the rx lane.
-  std::vector<int> tx_degree(n, 0);
-  std::vector<int> rx_degree(n, 0);
-  std::vector<BytesPerSec> rate(transfers.size(), BytesPerSec{0});
-  Seconds now{0};
-  constexpr Seconds kInf{std::numeric_limits<real_t>::infinity()};
-
-  while (!active_list.empty() || !starts.empty()) {
-    if (active_list.empty()) now = std::max(now, starts.next_time());
-    // Admit every transfer whose entry time has come.
-    while (!starts.empty() && starts.next_time() <= now) {
-      const std::size_t i = starts.pop().payload;
-      active_list.insert(
-          std::lower_bound(active_list.begin(), active_list.end(), i), i);
-      ++tx_degree[static_cast<std::size_t>(transfers[i].src)];
-      ++rx_degree[static_cast<std::size_t>(transfers[i].dst)];
-      ++events;
-    }
-    // Piecewise-constant rates: each endpoint's capacity is split equally
-    // among its active transfers; a transfer moves at the slower share.
-    Seconds dt_finish = kInf;
-    std::size_t first_done = transfers.size();
-    for (const std::size_t i : active_list) {
-      const auto s = static_cast<std::size_t>(transfers[i].src);
-      const auto d = static_cast<std::size_t>(transfers[i].dst);
-      rate[i] = net.efficiency *
-                std::min(cap[s] / tx_degree[s], cap[d] / rx_degree[d]);
-      const Seconds dt{remaining[i] / rate[i].value()};
-      if (dt < dt_finish) {
-        dt_finish = dt;
-        first_done = i;
-      }
-    }
-    const Seconds dt_start = starts.empty() ? kInf : starts.next_time() - now;
-    const Seconds dt = std::min(dt_finish, dt_start);
-    for (const std::size_t i : active_list)
-      remaining[i] -= drained_bytes(rate[i], dt);
-    now += dt;
-    if (dt_finish <= dt_start) {
-      // Retire everything drained this step (the exact minimum always is,
-      // shielding the loop from round-off stalls).  Stable compaction keeps
-      // the survivors in ascending order.
-      std::size_t keep = 0;
-      for (const std::size_t i : active_list) {
-        if (i == first_done || remaining[i] <= kDrainedBytes) {
-          --tx_degree[static_cast<std::size_t>(transfers[i].src)];
-          --rx_degree[static_cast<std::size_t>(transfers[i].dst)];
-          transfers[i].finish_time = now;
-          ++events;
-        } else {
-          active_list[keep++] = i;
-        }
-      }
-      active_list.resize(keep);
-    }
-  }
-  return events;
-}
-
-std::size_t simulate_transfers_indexed(
-    std::vector<Transfer>& transfers,
-    const std::vector<MbitsPerSec>& deliverable_mbps, const NetworkModel& net) {
   SimWorkspace ws;
-  return simulate_transfers_indexed(transfers, deliverable_mbps, net, ws);
+  return simulate_transfers(transfers, deliverable_mbps, net, ws);
 }
 
-std::size_t simulate_transfers_indexed(
-    std::vector<Transfer>& transfers,
-    const std::vector<MbitsPerSec>& deliverable_mbps, const NetworkModel& net,
-    SimWorkspace& ws) {
+std::size_t simulate_transfers(std::vector<Transfer>& transfers,
+                               const std::vector<MbitsPerSec>& deliverable_mbps,
+                               const NetworkModel& net, SimWorkspace& ws) {
+  net.validate();
   const auto n = deliverable_mbps.size();
   endpoint_caps(deliverable_mbps, ws.cap);
   const std::vector<BytesPerSec>& cap = ws.cap;
 
   // Admissions are known upfront, so they live in a flat list sorted by
-  // entry time (stable: ties stay in transfer order, matching the event
-  // queue the exact simulator uses) and drain through a cursor — no heap.
+  // entry time (stable: ties are admitted in transfer order) and drain
+  // through a cursor — no heap.
   admit_transfers(transfers, n, net, ws.starts);
   std::vector<StartEvent>& starts = ws.starts;
   std::stable_sort(starts.begin(), starts.end(),

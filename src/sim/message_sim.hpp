@@ -16,12 +16,13 @@
 /// node's sends contend with each other and its receives with each other,
 /// but the two directions ride independent lanes — a symmetric ghost
 /// exchange costs the same as its one-way half, not double.
-/// Rates are re-evaluated at every transfer start/finish (driven by a
-/// deterministic EventQueue), so the result is exact for piecewise-
-/// constant sharing and bit-reproducible.  One `latency_s` is charged per
-/// message, exactly once, by delaying its network entry.  A transfer of
-/// zero bytes completes at its post time, mirroring
-/// NetworkModel::transfer_time.
+/// Rates are re-evaluated at every transfer start/finish, so the result
+/// is exact for piecewise-constant sharing.  Admissions drain from a
+/// stable-sorted list and completions from a RetimableEventQueue whose
+/// (time, sequence) order breaks every tie, so it is also
+/// bit-reproducible.  One `latency_s` is charged per message, exactly
+/// once, by delaying its network entry.  A transfer of zero bytes
+/// completes at its post time, mirroring NetworkModel::transfer_time.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,7 +36,7 @@
 
 namespace ssamr::sim {
 
-/// Reusable scratch for simulate_transfers_indexed.  One simulation of
+/// Reusable scratch for simulate_transfers.  One simulation of
 /// 400k transfers across 16k endpoints touches ~40 MB of working state
 /// and tens of thousands of per-lane vectors; a caller that simulates
 /// every iteration (the event executor) keeps one workspace alive so each
@@ -73,39 +74,30 @@ struct SimWorkspace {
 
 /// Resolve `transfers` (post_time/bytes/src/dst set) against per-endpoint
 /// deliverable bandwidths `deliverable_mbps`, filling every finish_time.
-/// Endpoint indices must lie in [0, deliverable_mbps.size()).
+/// Endpoint indices must lie in [0, deliverable_mbps.size()), post times
+/// must be finite and non-negative, and `net` must have a finite
+/// efficiency in (0, 1] and a finite latency >= 0 (NetworkModel::validate).
 /// Returns the discrete events processed (one admission + one completion
 /// per transfer that actually enters the network; zero-byte and self
 /// transfers complete at their post time without events).
 ///
-/// Every event re-evaluates the rate of *every* in-flight transfer, so a
-/// step costs O(active) — exact for ties and the historical bit-pattern,
-/// but quadratic in the concurrent transfer count.
+/// Indexed: per-endpoint incident lists localize each event to the
+/// transfers sharing an endpoint with it, completions live in a retimable
+/// heap, and in-flight residuals settle lazily (`remaining -= rate · Δt`)
+/// when one of their endpoints changes degree.  A step costs
+/// O(deg · log E), not the O(active) of a sweep over every in-flight
+/// transfer, which is what lets the event model reach P = 16384 ranks
+/// (DESIGN.md §11).  That sweep is the test oracle (tests/oracle.hpp):
+/// finish times agree with it to rounding, not bit for bit, since
+/// residuals accumulate in a different grouping.
 std::size_t simulate_transfers(std::vector<Transfer>& transfers,
                                const std::vector<MbitsPerSec>& deliverable_mbps,
                                const NetworkModel& net);
 
-/// Same fluid model, indexed: per-endpoint incident lists localize each
-/// event to the transfers sharing an endpoint with it, completions live in
-/// a lazily-invalidated retimable heap, and in-flight residuals settle
-/// lazily (`remaining -= rate · Δt`) when one of their endpoints changes
-/// degree.  A step costs O(deg · log E) instead of O(active), which is
-/// what lets the event model reach P = 16384 ranks (DESIGN.md §11).
-///
-/// The piecewise-constant fluid solution is the same as
-/// simulate_transfers(); finish times agree to rounding (≈1e-9 s) but are
-/// NOT bit-identical — residuals accumulate in a different grouping.  The
-/// event executor therefore switches to this path only above its
-/// rank-count threshold, keeping small-P goldens byte-stable.
-std::size_t simulate_transfers_indexed(
-    std::vector<Transfer>& transfers,
-    const std::vector<MbitsPerSec>& deliverable_mbps, const NetworkModel& net);
-
 /// As above, reusing `ws` for every internal buffer.  Results are
 /// identical to the workspace-free form; only allocation traffic differs.
-std::size_t simulate_transfers_indexed(
-    std::vector<Transfer>& transfers,
-    const std::vector<MbitsPerSec>& deliverable_mbps, const NetworkModel& net,
-    SimWorkspace& ws);
+std::size_t simulate_transfers(std::vector<Transfer>& transfers,
+                               const std::vector<MbitsPerSec>& deliverable_mbps,
+                               const NetworkModel& net, SimWorkspace& ws);
 
 }  // namespace ssamr::sim

@@ -11,10 +11,9 @@
 /// compiles to nothing, so hot paths pay nothing.
 ///
 /// This seam lives in util/ — the bottom layer — so every subsystem can
-/// hook its own invariant audits without reaching up into the audit/
-/// aggregation layer.  The per-subsystem validators live next to the data
-/// they check (e.g. capacity/capacity_audit.hpp); audit/validator.hpp
-/// re-aggregates them behind the historical Validator facade.
+/// hook its own invariant audits.  The validators are audit::validate_*
+/// free functions living next to the data they check (e.g.
+/// capacity/capacity_audit.hpp); callers include those headers directly.
 
 #include "util/audit_report.hpp"
 #include "util/types.hpp"

@@ -2,13 +2,13 @@
 /// \file report.hpp
 /// Structured results of an invariant audit.
 ///
-/// Validators (validator.hpp) never throw on violated invariants — they
-/// collect every violation into an AuditReport so that callers (tests, the
-/// experiment driver, the SSAMR_AUDIT hook) can decide what to do: print,
-/// count, assert, or escalate.  Severity::Error marks a broken structural
-/// invariant (the computation is wrong); Severity::Warning marks a soft
-/// violation (quality degradation, tolerance exceeded) that does not fail
-/// AuditReport::ok().
+/// Validators (the audit::validate_* functions) never throw on violated
+/// invariants — they collect every violation into an AuditReport so that
+/// callers (tests, the experiment driver, the SSAMR_AUDIT hook) can decide
+/// what to do: print, count, assert, or escalate.  Severity::Error marks a
+/// broken structural invariant (the computation is wrong);
+/// Severity::Warning marks a soft violation (quality degradation,
+/// tolerance exceeded) that does not fail AuditReport::ok().
 
 #include <cstddef>
 #include <iosfwd>

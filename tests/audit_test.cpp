@@ -13,12 +13,17 @@
 #include <gtest/gtest.h>
 
 #include "amr/hierarchy.hpp"
+#include "amr/hierarchy_audit.hpp"
 #include "amr/workload.hpp"
-#include "audit/audit.hpp"
-#include "util/audit_report.hpp"
-#include "audit/validator.hpp"
+#include "capacity/capacity_audit.hpp"
 #include "cluster/cluster.hpp"
+#include "cluster/cluster_audit.hpp"
+#include "monitor/monitor_audit.hpp"
 #include "partition/heterogeneous.hpp"
+#include "partition/partition_audit.hpp"
+#include "sim/executor_audit.hpp"
+#include "util/audit.hpp"
+#include "util/audit_report.hpp"
 #include "util/error.hpp"
 
 namespace ssamr {
@@ -26,7 +31,6 @@ namespace {
 
 using audit::AuditReport;
 using audit::Severity;
-using audit::Validator;
 
 // ---- AuditReport mechanics -------------------------------------------------
 
@@ -64,34 +68,29 @@ TEST(AuditReport, ErrorsFailOkAndMergeAccumulates) {
 // ---- capacities ------------------------------------------------------------
 
 TEST(ValidateCapacities, AcceptsNormalizedVector) {
-  const Validator v;
-  EXPECT_TRUE(v.validate_capacities({0.16, 0.19, 0.31, 0.34}).clean());
+  EXPECT_TRUE(audit::validate_capacities({0.16, 0.19, 0.31, 0.34}).clean());
 }
 
 TEST(ValidateCapacities, FlagsSumNotOne) {
-  const Validator v;
-  const AuditReport r = v.validate_capacities({0.3, 0.3, 0.3});
+  const AuditReport r = audit::validate_capacities({0.3, 0.3, 0.3});
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has("capacity.normalization"));
 }
 
 TEST(ValidateCapacities, FlagsNegativeAndOversizedEntries) {
-  const Validator v;
-  const AuditReport r = v.validate_capacities({-0.2, 1.2});
+  const AuditReport r = audit::validate_capacities({-0.2, 1.2});
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.of_check("capacity.range").size(), 2u);
 }
 
 TEST(ValidateCapacities, FlagsEmptyVector) {
-  const Validator v;
-  EXPECT_TRUE(v.validate_capacities({}).has("capacity.size"));
+  EXPECT_TRUE(audit::validate_capacities({}).has("capacity.size"));
 }
 
 TEST(ValidateCapacities, FlagsInvalidWeights) {
-  const Validator v;
   CapacityWeights w;
   w.cpu = 0.9;  // sum now 0.9 + 1/3 + 1/3 != 1
-  const AuditReport r = v.validate_capacities({0.5, 0.5}, w);
+  const AuditReport r = audit::validate_capacities({0.5, 0.5}, w);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has("capacity.weights"));
 }
@@ -107,34 +106,30 @@ BoxList sample_workload() {
 }
 
 TEST(ValidatePartition, AcceptsRealPartitionerOutput) {
-  const Validator v;
   const HeterogeneousPartitioner p;
   const WorkModel work;
   const std::vector<real_t> caps{0.16, 0.19, 0.31, 0.34};
   const PartitionResult r =
       p.partition(sample_workload(), caps, work);
-  const AuditReport report =
-      v.validate_partition(sample_workload(), r, caps, work,
-                           p.constraints());
+  const AuditReport report = audit::validate_partition(
+      sample_workload(), r, caps, work, p.constraints());
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(ValidatePartition, FlagsOverlappingAssignments) {
-  const Validator v;
   const WorkModel work;
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0);
   PartitionResult r;
   r.assignments = {{b, 0}, {b, 1}};  // the same box handed to two ranks
   r.assigned_work = {box_work(b, work), box_work(b, work)};
   r.target_work = {box_work(b, work), 0.0};
-  const AuditReport report = v.validate_partition(
+  const AuditReport report = audit::validate_partition(
       BoxList({std::vector<Box>{b}}), r, {0.5, 0.5}, work);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("partition.overlap"));
 }
 
 TEST(ValidatePartition, FlagsUncoveredInput) {
-  const Validator v;
   const WorkModel work;
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0);
   const auto halves = b.halved();
@@ -142,28 +137,26 @@ TEST(ValidatePartition, FlagsUncoveredInput) {
   r.assignments = {{halves.first, 0}};  // second half never assigned
   r.assigned_work = {box_work(halves.first, work), 0.0};
   r.target_work = {box_work(b, work) / 2, box_work(b, work) / 2};
-  const AuditReport report = v.validate_partition(
+  const AuditReport report = audit::validate_partition(
       BoxList({std::vector<Box>{b}}), r, {0.5, 0.5}, work);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("partition.coverage"));
 }
 
 TEST(ValidatePartition, FlagsOwnerOutOfRange) {
-  const Validator v;
   const WorkModel work;
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0);
   PartitionResult r;
   r.assignments = {{b, 7}};
   r.assigned_work = {box_work(b, work), 0.0};
   r.target_work = {box_work(b, work), 0.0};
-  const AuditReport report = v.validate_partition(
+  const AuditReport report = audit::validate_partition(
       BoxList({std::vector<Box>{b}}), r, {0.5, 0.5}, work);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("partition.ranks"));
 }
 
 TEST(ValidatePartition, FlagsPieceOutsideEveryInputBox) {
-  const Validator v;
   const WorkModel work;
   const Box in = Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0);
   const Box stray = Box::from_extent(IntVec(100, 0, 0), IntVec(8, 8, 8), 0);
@@ -171,14 +164,13 @@ TEST(ValidatePartition, FlagsPieceOutsideEveryInputBox) {
   r.assignments = {{in, 0}, {stray, 1}};
   r.assigned_work = {box_work(in, work), box_work(stray, work)};
   r.target_work = {box_work(in, work), box_work(stray, work)};
-  const AuditReport report = v.validate_partition(
+  const AuditReport report = audit::validate_partition(
       BoxList({std::vector<Box>{in}}), r, {0.5, 0.5}, work);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("partition.containment"));
 }
 
 TEST(ValidatePartition, FlagsMinBoxSizeViolation) {
-  const Validator v;
   const WorkModel work;
   const Box in = Box::from_extent(IntVec(0, 0, 0), IntVec(32, 8, 8), 0);
   // A 2-plane sliver along x: legal splits may not go below min_box_size 4.
@@ -188,7 +180,7 @@ TEST(ValidatePartition, FlagsMinBoxSizeViolation) {
   r.assigned_work = {box_work(pieces.first, work),
                      box_work(pieces.second, work)};
   r.target_work = r.assigned_work;
-  const AuditReport report = v.validate_partition(
+  const AuditReport report = audit::validate_partition(
       BoxList({std::vector<Box>{in}}), r, {0.1, 0.9}, work);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("partition.min_box"));
@@ -196,7 +188,6 @@ TEST(ValidatePartition, FlagsMinBoxSizeViolation) {
 }
 
 TEST(ValidatePartition, FlagsAspectRatioViolation) {
-  const Validator v;
   const WorkModel work;
   const Box in = Box::from_extent(IntVec(0, 0, 0), IntVec(64, 8, 8), 0);
   // A one-cell-thick slab of aspect ratio 64 — far beyond the bound 16
@@ -207,21 +198,20 @@ TEST(ValidatePartition, FlagsAspectRatioViolation) {
   r.assigned_work = {box_work(pieces.first, work),
                      box_work(pieces.second, work)};
   r.target_work = r.assigned_work;
-  const AuditReport report = v.validate_partition(
+  const AuditReport report = audit::validate_partition(
       BoxList({std::vector<Box>{in}}), r, {0.5, 0.5}, work);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("partition.aspect_ratio"));
 }
 
 TEST(ValidatePartition, FlagsCorruptedWorkBookkeeping) {
-  const Validator v;
   const WorkModel work;
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0);
   PartitionResult r;
   r.assignments = {{b, 0}};
   r.assigned_work = {2 * box_work(b, work), 0.0};  // inflated
   r.target_work = {box_work(b, work), 0.0};
-  const AuditReport report = v.validate_partition(
+  const AuditReport report = audit::validate_partition(
       BoxList({std::vector<Box>{b}}), r, {0.5, 0.5}, work);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("partition.work_bookkeeping"));
@@ -229,7 +219,6 @@ TEST(ValidatePartition, FlagsCorruptedWorkBookkeeping) {
 }
 
 TEST(ValidatePartition, WarnsOnLoadFarFromTarget) {
-  const Validator v;
   const WorkModel work;
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0);
   PartitionResult r;
@@ -237,7 +226,7 @@ TEST(ValidatePartition, WarnsOnLoadFarFromTarget) {
   r.assigned_work = {box_work(b, work), 0.0};
   // Targets claim an even split, but rank 0 got everything.
   r.target_work = {box_work(b, work) / 2, box_work(b, work) / 2};
-  const AuditReport report = v.validate_partition(
+  const AuditReport report = audit::validate_partition(
       BoxList({std::vector<Box>{b}}), r, {0.5, 0.5}, work);
   EXPECT_TRUE(report.ok());  // warnings only
   EXPECT_TRUE(report.has("partition.load_tracking"));
@@ -264,8 +253,7 @@ TEST(ValidateHierarchy, AcceptsWellFormedHierarchy) {
   h.set_level_boxes(
       2, BoxList({std::vector<Box>{
              Box::from_extent(IntVec(20, 20, 20), IntVec(8, 8, 8), 2)}}));
-  const Validator v;
-  const AuditReport r = v.validate_hierarchy(h);
+  const AuditReport r = audit::validate_hierarchy(h);
   EXPECT_TRUE(r.clean()) << r.summary();
 }
 
@@ -278,8 +266,7 @@ TEST(ValidateHierarchy, FlagsOverlappingPatches) {
   // already-covered region.
   h.level(1).add_patch(
       Box::from_extent(IntVec(8, 8, 8), IntVec(8, 8, 8), 1));
-  const Validator v;
-  const AuditReport r = v.validate_hierarchy(h);
+  const AuditReport r = audit::validate_hierarchy(h);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has("hierarchy.overlap"));
 }
@@ -288,8 +275,7 @@ TEST(ValidateHierarchy, WarnsOnUndersizedBoxes) {
   GridHierarchy h(small_hierarchy_config());
   h.set_level_boxes(1, BoxList({std::vector<Box>{Box::from_extent(
                            IntVec(0, 0, 0), IntVec(2, 2, 2), 1)}}));
-  const Validator v;
-  const AuditReport r = v.validate_hierarchy(h);
+  const AuditReport r = audit::validate_hierarchy(h);
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.has("hierarchy.min_box"));
 }
@@ -298,8 +284,7 @@ TEST(ValidateHierarchy, WarnsOnRatioMisalignment) {
   GridHierarchy h(small_hierarchy_config());
   h.set_level_boxes(1, BoxList({std::vector<Box>{Box::from_extent(
                            IntVec(1, 0, 0), IntVec(8, 8, 8), 1)}}));
-  const Validator v;
-  const AuditReport r = v.validate_hierarchy(h);
+  const AuditReport r = audit::validate_hierarchy(h);
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.has("hierarchy.alignment"));
 }
@@ -310,8 +295,7 @@ TEST(ValidateHierarchy, FlagsGhostStorageMismatch) {
   // Replace the base patch's field with one of the wrong ghost width.
   h.level(0).patch(0).data() =
       GridFunction(cfg.domain, cfg.ncomp, cfg.ghost + 1);
-  const Validator v;
-  const AuditReport r = v.validate_hierarchy(h);
+  const AuditReport r = audit::validate_hierarchy(h);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has("hierarchy.ghost"));
 }
@@ -327,47 +311,42 @@ TEST(ValidateCluster, AcceptsLoadedClusterOverTime) {
   ramp.memory_mb = MegaBytes{100.0};
   ramp.traffic_mbps = MbitsPerSec{40.0};
   c.add_load(0, ramp);
-  const Validator v;
   for (real_t t : {0.0, 15.0, 60.0, 600.0})
-    EXPECT_TRUE(v.validate_cluster(c, Seconds{t}).clean())
-        << v.validate_cluster(c, Seconds{t}).summary();
+    EXPECT_TRUE(audit::validate_cluster(c, Seconds{t}).clean())
+        << audit::validate_cluster(c, Seconds{t}).summary();
 }
 
 TEST(ValidateNodeState, FlagsAvailabilityOutsideUnitInterval) {
-  const Validator v;
   NodeState s;
   s.cpu_available = Fraction{1.5};
-  const AuditReport r = v.validate_node_state(NodeSpec{}, s, "rank 0");
+  const AuditReport r = audit::validate_node_state(NodeSpec{}, s, "rank 0");
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has("cluster.availability"));
 }
 
 TEST(ValidateNodeState, FlagsMemoryBeyondSpec) {
-  const Validator v;
   NodeSpec spec;
   spec.memory_mb = MegaBytes{256.0};
   NodeState s;
   s.memory_free_mb = MegaBytes{512.0};
-  const AuditReport r = v.validate_node_state(spec, s, "rank 0");
+  const AuditReport r = audit::validate_node_state(spec, s, "rank 0");
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has("cluster.memory"));
 }
 
 TEST(ValidateNodeState, FlagsDeadLink) {
-  const Validator v;
   NodeState s;
   s.bandwidth_mbps = MbitsPerSec{0.0};
-  const AuditReport r = v.validate_node_state(NodeSpec{}, s, "rank 0");
+  const AuditReport r = audit::validate_node_state(NodeSpec{}, s, "rank 0");
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has("cluster.bandwidth"));
 }
 
 TEST(ValidateNodeState, FlagsBrokenSpec) {
-  const Validator v;
   NodeSpec spec;
   spec.peak_rate = WorkRate{0.0};
   const AuditReport r =
-      v.validate_node_state(spec, NodeState{}, "rank 0");
+      audit::validate_node_state(spec, NodeState{}, "rank 0");
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has("cluster.spec"));
 }
@@ -375,51 +354,50 @@ TEST(ValidateNodeState, FlagsBrokenSpec) {
 // ---- config validators -----------------------------------------------------
 
 TEST(ValidateExecutorConfig, AcceptsDefaults) {
-  EXPECT_TRUE(Validator{}.validate_executor_config(ExecutorConfig{}).ok());
+  EXPECT_TRUE(audit::validate_executor_config(ExecutorConfig{}).ok());
 }
 
 TEST(ValidateExecutorConfig, RejectsNegativeCosts) {
-  const Validator v;
   ExecutorConfig cfg;
   cfg.regrid_cost_base_s = Seconds{-0.1};
-  EXPECT_TRUE(v.validate_executor_config(cfg).has("executor.regrid_cost"));
+  EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.regrid_cost"));
   cfg = ExecutorConfig{};
   cfg.partition_cost_per_box_s = Seconds{-1e-6};
   EXPECT_TRUE(
-      v.validate_executor_config(cfg).has("executor.partition_cost"));
+      audit::validate_executor_config(cfg).has("executor.partition_cost"));
   cfg = ExecutorConfig{};
   cfg.app_base_memory_mb = MegaBytes{std::nan("")};  // NaN must not pass a >= 0 gate
-  EXPECT_TRUE(v.validate_executor_config(cfg).has("executor.app_memory"));
+  EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.app_memory"));
 }
 
 TEST(ValidateExecutorConfig, RejectsDegenerateFieldShape) {
-  const Validator v;
   ExecutorConfig cfg;
   cfg.ncomp = 0;
-  EXPECT_TRUE(v.validate_executor_config(cfg).has("executor.ncomp"));
+  EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.ncomp"));
   cfg = ExecutorConfig{};
   cfg.ghost = -1;
-  EXPECT_TRUE(v.validate_executor_config(cfg).has("executor.ghost"));
+  EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.ghost"));
   cfg = ExecutorConfig{};
   cfg.bytes_per_value = 0;
   EXPECT_TRUE(
-      v.validate_executor_config(cfg).has("executor.bytes_per_value"));
+      audit::validate_executor_config(cfg).has("executor.bytes_per_value"));
   cfg = ExecutorConfig{};
   cfg.time_levels = 0;
-  EXPECT_TRUE(v.validate_executor_config(cfg).has("executor.time_levels"));
+  EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.time_levels"));
 }
 
 TEST(ValidateExecutorConfig, RejectsOutOfRangeFractions) {
-  const Validator v;
   ExecutorConfig cfg;
   cfg.comm_overlap = Fraction{1.5};
-  EXPECT_TRUE(v.validate_executor_config(cfg).has("executor.comm_overlap"));
+  EXPECT_TRUE(
+      audit::validate_executor_config(cfg).has("executor.comm_overlap"));
   cfg.comm_overlap = Fraction{-0.1};
-  EXPECT_TRUE(v.validate_executor_config(cfg).has("executor.comm_overlap"));
+  EXPECT_TRUE(
+      audit::validate_executor_config(cfg).has("executor.comm_overlap"));
   cfg = ExecutorConfig{};
   cfg.monitor_intrusion_cpu = Fraction{1.0};  // would zero every rate
   EXPECT_TRUE(
-      v.validate_executor_config(cfg).has("executor.monitor_intrusion"));
+      audit::validate_executor_config(cfg).has("executor.monitor_intrusion"));
 }
 
 TEST(ValidateExecutorConfig, VirtualExecutorEnforcesAtConstruction) {
@@ -430,24 +408,23 @@ TEST(ValidateExecutorConfig, VirtualExecutorEnforcesAtConstruction) {
 }
 
 TEST(ValidateMonitorConfig, AcceptsDefaults) {
-  EXPECT_TRUE(Validator{}.validate_monitor_config(MonitorConfig{}).ok());
+  EXPECT_TRUE(audit::validate_monitor_config(MonitorConfig{}).ok());
 }
 
 TEST(ValidateMonitorConfig, RejectsBadKnobs) {
-  const Validator v;
   MonitorConfig cfg;
   cfg.probe_cost_s = Seconds{-0.5};
-  EXPECT_TRUE(v.validate_monitor_config(cfg).has("monitor.probe_cost"));
+  EXPECT_TRUE(audit::validate_monitor_config(cfg).has("monitor.probe_cost"));
   cfg = MonitorConfig{};
   cfg.intrusion_cpu = Fraction{1.0};
-  EXPECT_TRUE(v.validate_monitor_config(cfg).has("monitor.intrusion_cpu"));
+  EXPECT_TRUE(audit::validate_monitor_config(cfg).has("monitor.intrusion_cpu"));
   cfg = MonitorConfig{};
   cfg.intrusion_memory_mb = MegaBytes{-1.0};
   EXPECT_TRUE(
-      v.validate_monitor_config(cfg).has("monitor.intrusion_memory"));
+      audit::validate_monitor_config(cfg).has("monitor.intrusion_memory"));
   cfg = MonitorConfig{};
   cfg.noise.cpu_sigma = -0.01;
-  EXPECT_TRUE(v.validate_monitor_config(cfg).has("monitor.noise"));
+  EXPECT_TRUE(audit::validate_monitor_config(cfg).has("monitor.noise"));
 }
 
 TEST(ValidateMonitorConfig, ResourceMonitorEnforcesAtConstruction) {

@@ -1,6 +1,8 @@
 // Tests for the simulated heterogeneous cluster: load generation, node
 // state, network model.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
@@ -108,6 +110,28 @@ TEST(Cluster, RejectsBadSpecs) {
   Cluster c = Cluster::homogeneous(2);
   EXPECT_THROW(c.spec(5), Error);
   EXPECT_THROW(c.add_load(-1, LoadRamp{}), Error);
+}
+
+TEST(Cluster, RejectsDegenerateNetworkModel) {
+  // Every model the event executor would stall on (a rate that never
+  // drains, an entry time never reached) is refused up front.
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const std::vector<NodeSpec> nodes(2);
+  for (const real_t eff : {0.0, -0.5, 1.5, nan, inf}) {
+    NetworkModel net;
+    net.efficiency = Fraction{eff};
+    EXPECT_THROW(Cluster(nodes, net), Error) << eff;
+  }
+  for (const real_t latency : {-1e-4, nan, inf}) {
+    NetworkModel net;
+    net.latency_s = Seconds{latency};
+    EXPECT_THROW(Cluster(nodes, net), Error) << latency;
+  }
+  NetworkModel edge;
+  edge.efficiency = Fraction{1.0};
+  edge.latency_s = Seconds{0};
+  EXPECT_NO_THROW(Cluster(nodes, edge));
 }
 
 TEST(Cluster, StateReflectsLoads) {

@@ -12,19 +12,27 @@
 ///     two transcendental calls per row, and clustering with the oracle
 ///     above;
 ///   - gaussian_cloud / count_in: the particle cloud drawn in the
-///     library's order and counted by testing every particle.
+///     library's order and counted by testing every particle;
+///   - simulate_transfers: the fluid network model stepped event by event,
+///     re-rating and draining every in-flight transfer at each step.  The
+///     library's indexed simulator groups the same arithmetic differently,
+///     so the two agree to rounding, not bit for bit.
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "amr/cluster_br.hpp"
 #include "amr/particles.hpp"
 #include "amr/trace_generator.hpp"
+#include "cluster/network.hpp"
 #include "geom/box.hpp"
 #include "geom/box_list.hpp"
 #include "geom/point.hpp"
+#include "sim/event.hpp"
 #include "util/rng.hpp"
 
 namespace ssamr::oracle {
@@ -351,6 +359,104 @@ inline std::int64_t count_in(const ParticleCloud& cloud, const Box& b,
     ++count;
   }
   return count;
+}
+
+// ---------------------------------------------------------------------------
+// Fluid network simulation, O(T) per event
+
+/// Same contract as sim::simulate_transfers (finish times filled in, events
+/// returned; no input validation).  Every event step scans ALL transfers:
+/// each active one is re-rated at its current equal share, the step runs to
+/// the earliest finish or admission, every active residual drains, and the
+/// earliest finisher plus everything drained below 1e-6 bytes retires.
+/// Admissions drain from a list stable-sorted by entry time, so ties are
+/// admitted in transfer order.
+inline std::size_t simulate_transfers(
+    std::vector<sim::Transfer>& transfers,
+    const std::vector<MbitsPerSec>& deliverable_mbps,
+    const NetworkModel& net) {
+  const std::size_t n = deliverable_mbps.size();
+  std::vector<real_t> cap(n, 0);
+  for (std::size_t k = 0; k < n; ++k)
+    cap[k] =
+        std::max(NetworkModel::kMinBandwidthMbps, deliverable_mbps[k]).value() *
+        1.0e6 / 8.0;
+
+  struct Start {
+    real_t time;
+    std::size_t id;
+  };
+  std::vector<Start> starts;
+  std::vector<real_t> remaining(transfers.size(), 0);
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    sim::Transfer& tr = transfers[i];
+    if (tr.bytes == Bytes{0} || tr.src == tr.dst) {
+      tr.finish_time = tr.post_time;
+      continue;
+    }
+    remaining[i] = static_cast<real_t>(tr.bytes.value());
+    starts.push_back({(tr.post_time + net.latency_s).value(), i});
+  }
+  std::stable_sort(starts.begin(), starts.end(),
+                   [](const Start& a, const Start& b) {
+                     return a.time < b.time;
+                   });
+
+  std::vector<char> active(transfers.size(), 0);
+  std::vector<int> tx_degree(n, 0);
+  std::vector<int> rx_degree(n, 0);
+  std::vector<real_t> rate(transfers.size(), 0);
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  real_t now = 0;
+  std::size_t next_start = 0;
+  std::size_t n_active = 0;
+  std::size_t events = 0;
+
+  while (n_active > 0 || next_start < starts.size()) {
+    if (n_active == 0) now = std::max(now, starts[next_start].time);
+    while (next_start < starts.size() && starts[next_start].time <= now) {
+      const std::size_t i = starts[next_start++].id;
+      active[i] = 1;
+      ++n_active;
+      ++tx_degree[static_cast<std::size_t>(transfers[i].src)];
+      ++rx_degree[static_cast<std::size_t>(transfers[i].dst)];
+      ++events;
+    }
+    real_t dt_finish = inf;
+    std::size_t first_done = transfers.size();
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+      if (active[i] == 0) continue;
+      const auto s = static_cast<std::size_t>(transfers[i].src);
+      const auto d = static_cast<std::size_t>(transfers[i].dst);
+      rate[i] = net.efficiency.value() *
+                std::min(cap[s] / tx_degree[s], cap[d] / rx_degree[d]);
+      const real_t dt = remaining[i] / rate[i];
+      if (dt < dt_finish) {
+        dt_finish = dt;
+        first_done = i;
+      }
+    }
+    const real_t dt_start =
+        next_start < starts.size() ? starts[next_start].time - now : inf;
+    const real_t dt = std::min(dt_finish, dt_start);
+    for (std::size_t i = 0; i < transfers.size(); ++i)
+      if (active[i] != 0) remaining[i] -= rate[i] * dt;
+    now += dt;
+    if (dt_finish <= dt_start) {
+      for (std::size_t i = 0; i < transfers.size(); ++i) {
+        if (active[i] == 0) continue;
+        if (i == first_done || remaining[i] <= 1e-6) {
+          active[i] = 0;
+          --n_active;
+          --tx_degree[static_cast<std::size_t>(transfers[i].src)];
+          --rx_degree[static_cast<std::size_t>(transfers[i].dst)];
+          transfers[i].finish_time = Seconds{now};
+          ++events;
+        }
+      }
+    }
+  }
+  return events;
 }
 
 }  // namespace ssamr::oracle

@@ -9,8 +9,9 @@
 #include <numeric>
 #include <string>
 
-#include "audit/validator.hpp"
+#include "capacity/capacity_audit.hpp"
 #include "geom/box_algebra.hpp"
+#include "partition/partition_audit.hpp"
 #include "partition/zoo.hpp"
 #include "util/rng.hpp"
 
@@ -129,13 +130,12 @@ TEST_P(PartitionerFuzzTest, OutputsPassTheInvariantAudit) {
   auto partitioner = make();
   Rng rng(0xbead + std::hash<std::string>{}(GetParam()));
   const WorkModel work;
-  const audit::Validator validator;
   for (int trial = 0; trial < 50; ++trial) {
     const BoxList boxes = random_workload(rng, trial);
     const auto caps = random_capacities(rng, trial);
-    ASSERT_TRUE(validator.validate_capacities(caps).ok());
+    ASSERT_TRUE(audit::validate_capacities(caps).ok());
     const PartitionResult r = partitioner->partition(boxes, caps, work);
-    const audit::AuditReport report = validator.validate_partition(
+    const audit::AuditReport report = audit::validate_partition(
         boxes, r, caps, work, partitioner->constraints());
     ASSERT_TRUE(report.ok())
         << "trial " << trial << ": " << report.summary();

@@ -153,37 +153,6 @@ TEST(AdaptiveRuntime, ValidatesConfig) {
   EXPECT_THROW(AdaptiveRuntime(cluster, source, part, cfg), Error);
 }
 
-TEST(AdaptiveRuntime, RegistryTracksTheCurrentDistribution) {
-  Cluster cluster = Cluster::homogeneous(4);
-  TraceWorkloadSource source(small_trace());
-  HeterogeneousPartitioner part;
-  RuntimeConfig cfg = small_runtime(10, 0);
-  AdaptiveRuntime rt(cluster, source, part, cfg);
-  const RunTrace t = rt.run();
-  const Hdda& reg = rt.registry();
-  EXPECT_GT(reg.size(), 0u);
-  // Registry payload equals the last assignment's footprint, owner by
-  // owner.
-  std::int64_t total_bytes = 0;
-  for (rank_t k = 0; k < 4; ++k) total_bytes += reg.bytes_on(k);
-  std::int64_t expect = 0;
-  const std::int64_t cell_bytes =
-      static_cast<std::int64_t>(cfg.executor.ncomp) *
-      cfg.executor.bytes_per_value * cfg.executor.time_levels;
-  // Recompute from the recorded work: every cell of the composite list is
-  // owned exactly once.
-  TraceWorkloadSource source2(small_trace());
-  const BoxList last = source2.boxes_for_regrid(
-      static_cast<int>(t.regrids.size()) - 1);
-  expect = last.total_cells() * cell_bytes;
-  EXPECT_EQ(total_bytes, expect);
-  // Every registered owner is a valid rank.
-  for (const HddaEntry& e : reg.ordered_entries()) {
-    EXPECT_GE(e.owner, 0);
-    EXPECT_LT(e.owner, 4);
-  }
-}
-
 TEST(AdaptiveRuntime, HysteresisFreezesCapacitiesUnderNoise) {
   auto senses_with = [](real_t threshold) {
     Cluster cluster = Cluster::homogeneous(2);

@@ -1,49 +1,28 @@
-// Unit tests of the discrete-event simulation core (src/sim): event-queue
-// ordering, per-rank timelines, the fluid contention simulation and the
-// directed traffic decompositions it consumes.
+// Unit tests of the discrete-event simulation core (src/sim): deadline-
+// queue ordering, per-rank timelines, the fluid contention simulation
+// (closed forms, and a seeded corpus diffed against the full-sweep oracle
+// in oracle.hpp) and the directed traffic decompositions it consumes.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "oracle.hpp"
 #include "partition/metrics.hpp"
 #include "sim/executor.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/message_sim.hpp"
 #include "sim/timeline.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ssamr::sim {
 namespace {
-
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue<int> q;
-  q.push(Seconds{3.0}, 30);
-  q.push(Seconds{1.0}, 10);
-  q.push(Seconds{2.0}, 20);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_DOUBLE_EQ(q.next_time().value(), 1.0);
-  EXPECT_EQ(q.pop().payload, 10);
-  EXPECT_EQ(q.pop().payload, 20);
-  EXPECT_EQ(q.pop().payload, 30);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, TiesPopInPushOrder) {
-  EventQueue<int> q;
-  for (int i = 0; i < 8; ++i) q.push(Seconds{1.5}, i);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(q.pop().payload, i);
-}
-
-TEST(EventQueue, EmptyQueueRejectsAccess) {
-  EventQueue<int> q;
-  EXPECT_THROW(q.next_time(), Error);
-  EXPECT_THROW(q.pop(), Error);
-}
-
 
 // ---------------------------------------------------------------------------
 // RetimableEventQueue: the indexed decrease-key heap under the fluid
@@ -292,119 +271,9 @@ TEST(MessageSim, LatencyDelaysNetworkEntryOncePerMessage) {
   EXPECT_NEAR(ts[0].finish_time.value(), 0.01 + 0.1, 1e-9);
 }
 
-/// The historical O(T²) fluid loop: every event step scans ALL transfers,
-/// skipping inactive ones.  The production simulator keeps an active-index
-/// list instead; since that list stays sorted ascending, both visit
-/// in-flight transfers in the same order and must produce bit-identical
-/// finish times.
-void reference_simulate(std::vector<Transfer>& transfers,
-                        const std::vector<MbitsPerSec>& deliverable_mbps,
-                        const NetworkModel& net) {
-  const auto n = deliverable_mbps.size();
-  std::vector<real_t> cap(n, 0);
-  for (std::size_t k = 0; k < n; ++k)
-    cap[k] =
-        std::max(NetworkModel::kMinBandwidthMbps, deliverable_mbps[k]).value() *
-        1.0e6 / 8.0;
-
-  EventQueue<std::size_t> starts;
-  std::vector<real_t> remaining(transfers.size(), 0);
-  std::vector<char> active(transfers.size(), 0);
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    Transfer& tr = transfers[i];
-    if (tr.bytes == Bytes{0} || tr.src == tr.dst) {
-      tr.finish_time = tr.post_time;
-      continue;
-    }
-    remaining[i] = static_cast<real_t>(tr.bytes.value());
-    starts.push(tr.post_time + net.latency_s, i);
-  }
-
-  std::vector<int> tx_degree(n, 0);
-  std::vector<int> rx_degree(n, 0);
-  std::vector<real_t> rate(transfers.size(), 0);
-  Seconds now{0};
-  std::size_t n_active = 0;
-  constexpr Seconds kInf{std::numeric_limits<real_t>::infinity()};
-
-  while (n_active > 0 || !starts.empty()) {
-    if (n_active == 0) now = std::max(now, starts.next_time());
-    while (!starts.empty() && starts.next_time() <= now) {
-      const std::size_t i = starts.pop().payload;
-      active[i] = 1;
-      ++n_active;
-      ++tx_degree[static_cast<std::size_t>(transfers[i].src)];
-      ++rx_degree[static_cast<std::size_t>(transfers[i].dst)];
-    }
-    Seconds dt_finish = kInf;
-    std::size_t first_done = transfers.size();
-    for (std::size_t i = 0; i < transfers.size(); ++i) {
-      if (active[i] == 0) continue;
-      const auto s = static_cast<std::size_t>(transfers[i].src);
-      const auto d = static_cast<std::size_t>(transfers[i].dst);
-      rate[i] = net.efficiency.value() *
-                std::min(cap[s] / tx_degree[s], cap[d] / rx_degree[d]);
-      const Seconds dt{remaining[i] / rate[i]};
-      if (dt < dt_finish) {
-        dt_finish = dt;
-        first_done = i;
-      }
-    }
-    const Seconds dt_start = starts.empty() ? kInf : starts.next_time() - now;
-    const Seconds dt = std::min(dt_finish, dt_start);
-    for (std::size_t i = 0; i < transfers.size(); ++i)
-      if (active[i] != 0) remaining[i] -= rate[i] * dt.value();
-    now += dt;
-    if (dt_finish <= dt_start) {
-      for (std::size_t i = 0; i < transfers.size(); ++i) {
-        if (active[i] == 0) continue;
-        if (i == first_done || remaining[i] <= 1e-6) {
-          active[i] = 0;
-          --n_active;
-          --tx_degree[static_cast<std::size_t>(transfers[i].src)];
-          --rx_degree[static_cast<std::size_t>(transfers[i].dst)];
-          transfers[i].finish_time = now;
-        }
-      }
-    }
-  }
-}
-
-TEST(MessageSim, ActiveListMatchesFullScanReferenceBitExactly) {
-  NetworkModel net;  // default latency and efficiency: realistic case
-  const int nodes = 6;
-  const std::vector<MbitsPerSec> bw = {MbitsPerSec{100.0}, MbitsPerSec{80.0},
-                                       MbitsPerSec{120.0}, MbitsPerSec{60.0},
-                                       MbitsPerSec{100.0}, MbitsPerSec{90.0}};
-  // A deterministic pseudo-random mix: fan-outs, fan-ins, self/zero-byte
-  // messages, staggered posts — enough churn that the active set turns
-  // over many times.
-  std::vector<Transfer> ts;
-  std::uint64_t s = 12345;
-  const auto next = [&s] {
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-    return s >> 33;
-  };
-  for (int i = 0; i < 200; ++i) {
-    Transfer t;
-    t.src = static_cast<rank_t>(next() % nodes);
-    t.dst = static_cast<rank_t>(next() % nodes);
-    t.bytes = (next() % 5 == 0)
-                  ? Bytes{0}
-                  : Bytes{static_cast<std::int64_t>(1 + next() % 2000000)};
-    t.post_time = Seconds{static_cast<real_t>(next() % 1000) * 0.01};
-    ts.push_back(t);
-  }
-  std::vector<Transfer> fast = ts;
-  std::vector<Transfer> slow = ts;
-  simulate_transfers(fast, bw, net);
-  reference_simulate(slow, bw, net);
-  for (std::size_t i = 0; i < ts.size(); ++i)
-    EXPECT_EQ(fast[i].finish_time, slow[i].finish_time) << "transfer " << i;
-}
-
-/// The 200-transfer churn mix from the reference test above, reused for
-/// the indexed-simulator comparisons.
+/// A deterministic 200-transfer churn mix: fan-outs, fan-ins, self and
+/// zero-byte messages, staggered posts — enough churn that the active set
+/// turns over many times.
 std::vector<Transfer> churn_mix(int nodes) {
   std::vector<Transfer> ts;
   std::uint64_t s = 12345;
@@ -427,17 +296,17 @@ std::vector<Transfer> churn_mix(int nodes) {
 
 TEST(MessageSimIndexed, AgreesWithExactSimulatorToRounding) {
   // Same fluid model, different FP grouping: the indexed simulator settles
-  // residuals lazily per lane instead of sweeping all active transfers, so
-  // finish times agree to rounding but not bit-for-bit.
+  // residuals lazily per lane where the oracle sweeps all active
+  // transfers, so finish times agree to rounding but not bit-for-bit.
   NetworkModel net;
   const std::vector<MbitsPerSec> bw = {MbitsPerSec{100.0}, MbitsPerSec{80.0},
                                        MbitsPerSec{120.0}, MbitsPerSec{60.0},
                                        MbitsPerSec{100.0}, MbitsPerSec{90.0}};
   std::vector<Transfer> exact = churn_mix(6);
   std::vector<Transfer> indexed = exact;
-  const std::size_t exact_events = simulate_transfers(exact, bw, net);
-  const std::size_t indexed_events = simulate_transfers_indexed(indexed, bw,
-                                                                net);
+  const std::size_t exact_events =
+      oracle::simulate_transfers(exact, bw, net);
+  const std::size_t indexed_events = simulate_transfers(indexed, bw, net);
   EXPECT_EQ(exact_events, indexed_events);
   for (std::size_t i = 0; i < exact.size(); ++i)
     EXPECT_NEAR(indexed[i].finish_time.value(), exact[i].finish_time.value(),
@@ -450,16 +319,15 @@ TEST(MessageSimIndexed, IsDeterministic) {
   const std::vector<MbitsPerSec> bw(6, MbitsPerSec{100.0});
   std::vector<Transfer> a = churn_mix(6);
   std::vector<Transfer> b = a;
-  EXPECT_EQ(simulate_transfers_indexed(a, bw, net),
-            simulate_transfers_indexed(b, bw, net));
+  EXPECT_EQ(simulate_transfers(a, bw, net), simulate_transfers(b, bw, net));
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_EQ(a[i].finish_time, b[i].finish_time) << "transfer " << i;
 }
 
 TEST(MessageSimIndexed, CountsTwoEventsPerNetworkTransfer) {
   // One admission + one completion per transfer that actually enters the
-  // network; zero-byte and self transfers are free and uncounted.  Both
-  // simulators must agree on the count.
+  // network; zero-byte and self transfers are free and uncounted.  The
+  // simulator and the oracle must agree on the count.
   NetworkModel net;
   const std::vector<MbitsPerSec> bw(3, MbitsPerSec{100.0});
   std::vector<Transfer> ts = {
@@ -468,14 +336,15 @@ TEST(MessageSimIndexed, CountsTwoEventsPerNetworkTransfer) {
       Transfer{0, 0, Bytes{1 << 20}, Seconds{0}, Seconds{0}},  // self
       Transfer{2, 1, Bytes{0}, Seconds{0}, Seconds{0}}};       // empty
   std::vector<Transfer> ts2 = ts;
-  EXPECT_EQ(simulate_transfers(ts, bw, net), 4u);
-  EXPECT_EQ(simulate_transfers_indexed(ts2, bw, net), 4u);
+  EXPECT_EQ(oracle::simulate_transfers(ts, bw, net), 4u);
+  EXPECT_EQ(simulate_transfers(ts2, bw, net), 4u);
 }
 
 TEST(MessageSimIndexed, FanOutContentionMatchesClosedForm) {
   // Two concurrent sends from one source: each sees half the tx lane, so
-  // both finish in twice the solo time (plus latency) — same closed form
-  // the exact path pins in ConcurrentSendsShareTheSourceNic.
+  // both finish in twice the solo time (plus latency).  The oracle must
+  // meet the closed form the simulator meets in
+  // ConcurrentSendsShareTheSourceNic, or agreeing with it proves nothing.
   NetworkModel net;
   net.latency_s = Seconds{0};
   net.efficiency = Fraction{1.0};
@@ -483,16 +352,16 @@ TEST(MessageSimIndexed, FanOutContentionMatchesClosedForm) {
   const Bytes bytes{1250000};  // 0.1 s solo at 100 Mbit/s
   std::vector<Transfer> ts = {Transfer{0, 1, bytes, Seconds{0}, Seconds{0}},
                               Transfer{0, 2, bytes, Seconds{0}, Seconds{0}}};
-  simulate_transfers_indexed(ts, bw, net);
+  oracle::simulate_transfers(ts, bw, net);
   EXPECT_NEAR(ts[0].finish_time.value(), 0.2, 1e-9);
   EXPECT_NEAR(ts[1].finish_time.value(), 0.2, 1e-9);
 }
 
 /// Transfers whose residual, after a slowdown, drains in less than half an
 /// ulp of the virtual clock.  Past 1024 s the re-armed deadline
-/// `now + remaining / rate` rounds back to `now`; the indexed simulator
-/// must finish such a transfer instead of re-arming it forever (CMake
-/// gives this binary a hard timeout, so a regression fails, not hangs).
+/// `now + remaining / rate` rounds back to `now`; the simulator must
+/// finish such a transfer instead of re-arming it forever (CMake gives
+/// this binary a hard timeout, so a regression fails, not hangs).
 std::vector<Transfer> late_slowdown_mix(real_t t0) {
   return {Transfer{0, 1, Bytes{1000}, Seconds{t0}, Seconds{0}},
           Transfer{0, 2, Bytes{1007}, Seconds{t0}, Seconds{0}},
@@ -505,11 +374,139 @@ TEST(MessageSimIndexed, SubUlpResidualFinishesLateInVirtualTime) {
   for (real_t t0 : {512.0, 2048.0, 65536.0}) {
     std::vector<Transfer> exact = late_slowdown_mix(t0);
     std::vector<Transfer> indexed = exact;
-    EXPECT_EQ(simulate_transfers(exact, bw, net),
-              simulate_transfers_indexed(indexed, bw, net));
+    EXPECT_EQ(oracle::simulate_transfers(exact, bw, net),
+              simulate_transfers(indexed, bw, net));
     for (std::size_t i = 0; i < exact.size(); ++i)
       EXPECT_EQ(indexed[i].finish_time, exact[i].finish_time)
           << "t0 " << t0 << " transfer " << i;
+  }
+}
+
+TEST(MessageSim, RejectsDegenerateNetworkParameters) {
+  // Each of these would hang the simulator: a zero, negative or NaN
+  // efficiency gives contended transfers a rate that never drains them,
+  // and a NaN or infinite latency an entry time the clock never reaches.
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const std::vector<MbitsPerSec> bw(3, MbitsPerSec{100.0});
+  const std::vector<Transfer> fan_out = {
+      Transfer{0, 1, Bytes{1000}, Seconds{0}, Seconds{0}},
+      Transfer{0, 2, Bytes{1000}, Seconds{0}, Seconds{0}}};
+  for (const real_t eff : {0.0, -0.5, 1.5, nan, inf}) {
+    NetworkModel net;
+    net.efficiency = Fraction{eff};
+    std::vector<Transfer> ts = fan_out;
+    EXPECT_THROW(simulate_transfers(ts, bw, net), Error) << eff;
+  }
+  for (const real_t latency : {-1e-4, nan, inf}) {
+    NetworkModel net;
+    net.latency_s = Seconds{latency};
+    std::vector<Transfer> ts = fan_out;
+    EXPECT_THROW(simulate_transfers(ts, bw, net), Error) << latency;
+  }
+}
+
+TEST(MessageSim, RejectsNonFiniteOrNegativePostTimes) {
+  // A NaN or infinite post time is never admitted, and a negative one
+  // precedes the clock origin the simulation starts from.
+  NetworkModel net;
+  net.latency_s = Seconds{0};
+  net.efficiency = Fraction{1.0};
+  const std::vector<MbitsPerSec> bw(2, MbitsPerSec{100.0});
+  for (const real_t post : {-1.0, std::numeric_limits<real_t>::quiet_NaN(),
+                            std::numeric_limits<real_t>::infinity()}) {
+    std::vector<Transfer> ts = {
+        Transfer{0, 1, Bytes{1250000}, Seconds{post}, Seconds{0}}};
+    EXPECT_THROW(simulate_transfers(ts, bw, net), Error) << post;
+  }
+}
+
+/// One scenario of the oracle corpus.
+struct NetCase {
+  NetworkModel net;
+  std::vector<MbitsPerSec> bw;
+  std::vector<Transfer> transfers;
+};
+
+/// A seeded corpus of 240 transfer mixes: 2–64 endpoints and 1–400
+/// transfers, zero-byte and self transfers, post times on a 5 ms lattice
+/// (so many tie exactly), clock offsets from 0 to 2^17 s (past 1024 s a
+/// residual can drain in under half an ulp), endpoint bandwidths below the
+/// NetworkModel::kMinBandwidthMbps floor, and latency 0 or the default.
+std::vector<NetCase> oracle_corpus() {
+  constexpr int kCases = 240;
+  std::vector<NetCase> corpus(kCases);
+  Rng rng(0xf1e1dULL);
+  for (int c = 0; c < kCases; ++c) {
+    NetCase& nc = corpus[static_cast<std::size_t>(c)];
+    if (rng.uniform_int(0, 1) == 0) nc.net.latency_s = Seconds{0};
+    if (rng.uniform_int(0, 2) == 0) nc.net.efficiency = Fraction{1.0};
+    // Even cases sit on 0 or a power of two up to 2^17 s, odd ones anywhere
+    // in [0, 2^17).
+    const real_t t0 = c % 2 == 1    ? rng.uniform(0, 131072.0)
+                      : c % 36 == 0 ? 0.0
+                                    : std::ldexp(1.0, (c / 2) % 18);
+    const auto nodes = rng.uniform_int(2, 64);
+    for (std::int64_t k = 0; k < nodes; ++k)
+      nc.bw.push_back(MbitsPerSec{rng.uniform_int(0, 7) == 0
+                                      ? rng.uniform(0, 0.1)
+                                      : rng.uniform(10, 1000)});
+    const auto count = rng.uniform_int(1, 400);
+    for (std::int64_t i = 0; i < count; ++i) {
+      Transfer t;
+      t.src = static_cast<rank_t>(rng.uniform_int(0, nodes - 1));
+      t.dst = rng.uniform_int(0, 9) == 0
+                  ? t.src
+                  : static_cast<rank_t>(rng.uniform_int(0, nodes - 1));
+      t.bytes = rng.uniform_int(0, 7) == 0
+                    ? Bytes{0}
+                    : Bytes{rng.uniform_int(1, std::int64_t{1} << 21)};
+      t.post_time = Seconds{t0 + 0.005 * static_cast<real_t>(
+                                           rng.uniform_int(0, 40))};
+      nc.transfers.push_back(t);
+    }
+  }
+  return corpus;
+}
+
+TEST(MessageSimIndexed, MatchesOracleAcrossSeededCorpus) {
+  real_t max_delta = 0;
+  const std::vector<NetCase> corpus = oracle_corpus();
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    const NetCase& nc = corpus[c];
+    std::vector<Transfer> sim = nc.transfers;
+    std::vector<Transfer> ref = nc.transfers;
+    ASSERT_EQ(simulate_transfers(sim, nc.bw, nc.net),
+              oracle::simulate_transfers(ref, nc.bw, nc.net))
+        << "case " << c;
+    for (std::size_t i = 0; i < sim.size(); ++i) {
+      const real_t delta = std::abs(sim[i].finish_time.value() -
+                                    ref[i].finish_time.value());
+      max_delta = std::max(max_delta, delta);
+      ASSERT_LE(delta, 1e-8) << "case " << c << " transfer " << i;
+    }
+  }
+  std::ostringstream worst;
+  worst << max_delta;
+  RecordProperty("max_abs_delta_s", worst.str());
+}
+
+TEST(MessageSimIndexed, ReusedWorkspaceMatchesFreshAcrossCorpus) {
+  // SimWorkspace re-initializes every buffer per call, so reuse must never
+  // change a result.  One workspace carries the whole corpus, through
+  // endpoint and transfer counts that grow and shrink from case to case.
+  SimWorkspace shared;
+  const std::vector<NetCase> corpus = oracle_corpus();
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    const NetCase& nc = corpus[c];
+    std::vector<Transfer> reused = nc.transfers;
+    std::vector<Transfer> fresh = nc.transfers;
+    ASSERT_EQ(simulate_transfers(reused, nc.bw, nc.net, shared),
+              simulate_transfers(fresh, nc.bw, nc.net))
+        << "case " << c;
+    for (std::size_t i = 0; i < reused.size(); ++i)
+      ASSERT_EQ(reused[i].finish_time, fresh[i].finish_time)
+          << "case " << c << " transfer " << i;
   }
 }
 

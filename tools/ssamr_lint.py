@@ -99,7 +99,9 @@ Architecture conformance (tools/layering.toml):
       (a) include cycles, (b) edges not declared in [edges],
       (c) declared or actual edges that point upward in the [layers]
       order, (d) include hygiene (non-src-relative quoted includes,
-      includes of .cpp files or nonexistent files).
+      includes of .cpp files or nonexistent files), (e) declared edges
+      no include uses — a stale declaration would let the edge come
+      back unreviewed.
       --emit-graph PATH writes the graph as Graphviz DOT (and renders
       an SVG next to it when `dot` is installed); --drop-edge A:B
       removes a declared edge first, which is how the negative ctest
@@ -1784,9 +1786,9 @@ def run_layering(args):
     if cyc:
         problems.append("include cycle: " + " -> ".join(cyc))
 
-    unused = sorted(declared - set(edges))
-    for a, b in unused:
-        print(f"note: declared edge {a} -> {b} currently unused")
+    for a, b in sorted(declared - set(edges)):
+        problems.append(f"declared edge {a} -> {b} is unused — remove it "
+                        f"from [edges] of {args.config}")
 
     if args.emit_graph:
         emit_dot(args.emit_graph, order, edges)

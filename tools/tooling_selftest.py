@@ -15,11 +15,15 @@ every regression through.  This suite pins:
   bench_check.gate         — threshold edges and the new-benchmark
       (no-baseline-entry) path;
   bench_check.merge_baseline — refreshing some binaries keeps the
-      others' entries.
+      others' entries;
+  ssamr_lint.run_layering  — a declared [edges] entry that no include
+      uses fails the gate.
 
 Run directly or via ctest (PyTooling.SelfTest).  Stdlib only.
 """
 
+import argparse
+import contextlib
 import importlib.util
 import io
 import os
@@ -40,6 +44,7 @@ def _load(name):
 
 golden_check = _load("golden_check")
 bench_check = _load("bench_check")
+ssamr_lint = _load("ssamr_lint")
 
 
 class DiffTablesTest(unittest.TestCase):
@@ -191,6 +196,36 @@ class MergeBaselineTest(unittest.TestCase):
         merged = bench_check.merge_baseline(
             {}, {"binaries": {"bench_amr": {"normalized": {"BM_Step": 1.0}}}})
         self.assertEqual(merged, {"bench_amr": {"BM_Step": 1.0}})
+
+
+class LayeringTest(unittest.TestCase):
+    def _run(self, config_text):
+        f = tempfile.NamedTemporaryFile(
+            "w", suffix=".toml", delete=False)
+        self.addCleanup(os.unlink, f.name)
+        f.write(config_text)
+        f.close()
+        args = argparse.Namespace(config=f.name, drop_edge=None,
+                                  emit_graph=None, timing_out=None)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = ssamr_lint.run_layering(args)
+        return rc, out.getvalue()
+
+    def test_unused_declared_edge_fails(self):
+        with open(ssamr_lint.DEFAULT_CONFIG) as fh:
+            config = fh.read()
+        rc, out = self._run(config)
+        self.assertEqual(rc, 0, out)
+        # cluster/ includes only util/; declaring a downward cluster -> geom
+        # edge is legal by the layer order but used by no include.
+        stale = config.replace('cluster = ["util"]',
+                               'cluster = ["geom", "util"]')
+        self.assertNotEqual(stale, config)
+        rc, out = self._run(stale)
+        self.assertEqual(rc, 1)
+        self.assertIn("declared edge cluster -> geom is unused", out)
 
 
 if __name__ == "__main__":

@@ -77,7 +77,7 @@ BENCHMARK(BM_DistributedSfcPartition)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GhostFlowDiscovery(benchmark::State& state) {
-  // pairwise_comm_bytes drives the SFC-keyed local-view build: the
+  // pairwise_comm_bytes drives the key-indexed local-view build: the
   // per-partition neighbor-discovery cost of the event model.
   const int nprocs = static_cast<int>(state.range(0));
   const BoxList& boxes = scale_boxes(nprocs);

@@ -8,12 +8,22 @@
 /// local problem stays fixed.  The sweep drives the EventExecutor directly
 /// (partition → iterate → periodic regrid/repartition with a rotated
 /// capacity pattern → migrate), exercising every scale-path layer at once:
-/// the distributed prefix-sum partitioner, SFC-keyed neighbor discovery
-/// behind the comm metrics, and the indexed fluid network simulator.
+/// the distributed prefix-sum partitioner, key-indexed neighbor discovery
+/// behind the comm metrics and the migration diff, and the indexed fluid
+/// network simulator.
+///
+/// Capacities follow the nodes' peak-rate multipliers with a fixed-seed
+/// ±10 % per-rank jitter, normalized, and each repartition rotates them by
+/// one rank.  The t = 0 Eq. 1 capacities would not do: the nodes differ
+/// only in peak rate, which Eq. 1 does not sense, so they are uniform and
+/// rotating them never moves a box.  Without the jitter the 4-periodic
+/// pattern's cuts land on box boundaries and the first partition splits
+/// no box.
 ///
 /// The CSV (results/exp_scale.csv, golden-pinned) holds only deterministic
-/// quantities: box/assignment/flow/event counts, local-view halo sizes,
-/// key-index query statistics and the final virtual time.  Wall-clock
+/// quantities: box/assignment/flow/event counts, the migration flows summed
+/// over the run's repartitions, local-view halo sizes, key-index query
+/// statistics and the final virtual time.  Wall-clock
 /// figures — partition seconds and network events processed per second —
 /// go to stdout only, and the microbench twin (bench_scale.cpp) gates them
 /// in CI via tools/bench_check.py.
@@ -41,12 +51,12 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "capacity/capacity.hpp"
 #include "core/experiment.hpp"
 #include "hdda/local_view.hpp"
 #include "partition/distributed_sfc.hpp"
@@ -54,6 +64,7 @@
 #include "sfc/key_index.hpp"
 #include "sim/event_executor.hpp"
 #include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "util/wallclock.hpp"
 
 using namespace ssamr;
@@ -81,16 +92,21 @@ BoxList scale_workload(int nprocs) {
   return boxes;
 }
 
-/// Relative capacities of the cluster's t = 0 state (Eq. 1, equal weights).
-std::vector<real_t> capacities_at_start(const Cluster& cluster) {
-  std::vector<ResourceEstimate> est;
-  est.reserve(static_cast<std::size_t>(cluster.size()));
-  for (rank_t k = 0; k < cluster.size(); ++k) {
-    const NodeState s = cluster.state_at(k, Seconds{0});
-    est.push_back(
-        ResourceEstimate{s.cpu_available, s.memory_free_mb, s.bandwidth_mbps});
+constexpr real_t kMultipliers[] = {1.0, 0.75, 1.5, 1.25};
+constexpr std::uint64_t kCapacitySeed = 0x5ca1e;
+
+/// Relative capacities: each node's peak-rate multiplier with a ±10 %
+/// jitter from a fixed seed, normalized.
+std::vector<real_t> rate_capacities(int nprocs) {
+  Rng rng(kCapacitySeed);
+  std::vector<real_t> caps(static_cast<std::size_t>(nprocs));
+  real_t sum = 0;
+  for (std::size_t k = 0; k < caps.size(); ++k) {
+    caps[k] = kMultipliers[k % 4] * rng.uniform(0.9, 1.1);
+    sum += caps[k];
   }
-  return CapacityCalculator().relative_capacities(est);
+  for (real_t& c : caps) c /= sum;
+  return caps;
 }
 
 struct ScaleRow {
@@ -99,6 +115,7 @@ struct ScaleRow {
   std::int64_t assignments = 0;
   std::int64_t splits = 0;
   std::int64_t ghost_flows = 0;
+  std::int64_t migration_flows = 0;
   std::int64_t events = 0;
   std::int64_t halo_links = 0;
   std::int64_t halo_max = 0;
@@ -114,13 +131,14 @@ ScaleRow run_scale(int nprocs, int iterations) {
   ScaleRow row;
   row.nprocs = nprocs;
 
-  Cluster cluster = Cluster::heterogeneous(nprocs, {1.0, 0.75, 1.5, 1.25});
+  Cluster cluster = Cluster::heterogeneous(
+      nprocs, {std::begin(kMultipliers), std::end(kMultipliers)});
   const ExecutorConfig ecfg;
   sim::EventExecutor exec(cluster, ecfg);
 
   const BoxList boxes = scale_workload(nprocs);
   row.boxes = static_cast<std::int64_t>(boxes.size());
-  std::vector<real_t> caps = capacities_at_start(cluster);
+  std::vector<real_t> caps = rate_capacities(nprocs);
   const DistributedSfcPartitioner partitioner(SfcConfig{}, /*shards=*/64);
   const WorkModel work;
 
@@ -156,6 +174,8 @@ ScaleRow run_scale(int nprocs, int iterations) {
       // change owners, and the migration path runs at full scale.
       std::rotate(caps.begin(), caps.begin() + 1, caps.end());
       PartitionResult next = partition_now(caps);
+      row.migration_flows += static_cast<std::int64_t>(
+          exec.costs().migration_flows(current, next).size());
       t += exec.migrate(current, next, t);
       current = std::move(next);
     }
@@ -214,16 +234,18 @@ int main() {
 
   CsvWriter csv(exp::results_path("exp_scale.csv"),
                 {"p", "boxes", "assignments", "splits", "ghost_flows",
-                 "events", "halo_links", "halo_max", "index_candidates",
-                 "index_hits", "virtual_time_s"});
+                 "migration_flows", "events", "halo_links", "halo_max",
+                 "index_candidates", "index_hits", "virtual_time_s"});
 
   std::vector<ScaleRow> rows;
   for (const int p : sweep) {
     ScaleRow row = run_scale(p, iterations);
     csv.add_row({std::to_string(row.nprocs), std::to_string(row.boxes),
                  std::to_string(row.assignments), std::to_string(row.splits),
-                 std::to_string(row.ghost_flows), std::to_string(row.events),
-                 std::to_string(row.halo_links), std::to_string(row.halo_max),
+                 std::to_string(row.ghost_flows),
+                 std::to_string(row.migration_flows),
+                 std::to_string(row.events), std::to_string(row.halo_links),
+                 std::to_string(row.halo_max),
                  std::to_string(row.index_candidates),
                  std::to_string(row.index_hits),
                  fmt_seconds(row.virtual_time)});

@@ -22,45 +22,30 @@ std::vector<IntVec> periodic_shifts(const Box& domain) {
       }
   return shifts;
 }
-
-/// Below this patch count the all-pairs scan is cheaper than building an
-/// SFC key index (and is what the plan historically did).
-constexpr std::size_t kIndexedBuildPatches = 64;
 }  // namespace
 
 GhostPlan::GhostPlan(const GridLevel& lvl, const Box& domain, BoundaryKind bc)
     : domain_(domain), bc_(bc), ncomp_(lvl.ncomp()) {
   const auto& patches = lvl.patches();
   const int g = lvl.ghost();
-  // Large levels discover interior neighbors through an SFC key index
-  // (O(N log N)) instead of the quadratic scan.  Query results come back
-  // ascending, so the op order — (dst-major, src-minor) — is identical to
-  // the scan's and the plan stays deterministic either way.  The periodic
-  // image pass keeps the direct scan: shifted source frames leave the key
-  // cube, and boundary patch counts don't grow with the interior.
-  const bool indexed = patches.size() >= kIndexedBuildPatches;
+  // Interior neighbors come from the key index, not an all-pairs scan.
+  // Query results come back in ascending id order, so the op order —
+  // (dst-major, src-minor) — is the historical scan's and the plan stays
+  // deterministic.  The periodic image pass keeps the direct scan: shifted
+  // source frames fall outside the indexed domain, and boundary patch
+  // counts don't grow with the interior.
   std::vector<Box> patch_boxes;
-  if (indexed) {
-    patch_boxes.reserve(patches.size());
-    for (const auto& p : patches) patch_boxes.push_back(p.box());
-  }
+  patch_boxes.reserve(patches.size());
+  for (const auto& p : patches) patch_boxes.push_back(p.box());
   const SfcKeyIndex index(patch_boxes);
   std::vector<std::uint32_t> candidates;
   for (std::size_t d = 0; d < patches.size(); ++d) {
     const Box dst_ghost = patches[d].box().grown(g);
-    if (indexed) {
-      index.query(dst_ghost, candidates);
-      for (const std::uint32_t c : candidates) {
-        const auto s = static_cast<std::size_t>(c);
-        if (s == d) continue;
-        ops_.push_back({s, d, dst_ghost.intersection(patches[s].box())});
-      }
-    } else {
-      for (std::size_t s = 0; s < patches.size(); ++s) {
-        if (s == d) continue;
-        const Box overlap = dst_ghost.intersection(patches[s].box());
-        if (!overlap.empty()) ops_.push_back({s, d, overlap});
-      }
+    index.query(dst_ghost, candidates);
+    for (const std::uint32_t c : candidates) {
+      const auto s = static_cast<std::size_t>(c);
+      if (s == d) continue;
+      ops_.push_back({s, d, dst_ghost.intersection(patches[s].box())});
     }
     if (bc_ == BoundaryKind::Periodic) {
       // Ghost cells beyond the domain are images of patches shifted by the

@@ -13,7 +13,7 @@
 /// debug/audit construct (GridHierarchy::composite_box_list, the partition
 /// audits).
 ///
-/// Views are built with SFC interval queries against SfcKeyIndex — one
+/// Views are built with anchor-window queries against SfcKeyIndex — one
 /// query per owned box — so construction is O(N · (log N + k)) for k-bounded
 /// neighborhoods instead of the historical all-to-all O(N²) scan, and the
 /// per-rank footprint is O(owned + halo), independent of the global box

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <tuple>
 
 #include "hdda/local_view.hpp"
 #include "sfc/key_index.hpp"
@@ -55,16 +54,27 @@ std::int64_t shell_overlap_cells(const Box& a, const Box& b, coord_t ghost) {
   return overlap.cells() - inner.cells();
 }
 
-/// (src, dst) -> cells, sorted ascending by pair.
-using FlowCells = std::vector<std::pair<std::pair<rank_t, rank_t>, std::int64_t>>;
+/// Cells one rank pair exchanges per ghost fill.
+struct PairCells {
+  rank_t src = 0;
+  rank_t dst = 0;
+  std::int64_t cells = 0;
+};
 
-/// Directed cross-owner ghost-shell cells keyed by (src, dst), discovered
-/// through rank-local box views (each view links its owned boxes to the
-/// remote same-level boxes within `ghost` cells) instead of the historical
+/// Directed cross-owner ghost-shell cells, one entry per (src, dst) pair
+/// with a positive count, sorted by (src, dst).  Adjacencies come from
+/// rank-local box views (each view links its owned boxes to the remote
+/// same-level boxes within `ghost` cells) instead of the historical
 /// all-pairs scan.  Every cross-owner pair with a non-empty shell overlap
 /// appears in exactly one view's link list, and the per-pair counts are
-/// integers, so the accumulated totals are identical to the O(N²) loop.
-FlowCells ghost_flow_cells(const PartitionResult& r, coord_t ghost) {
+/// integers, so the totals are identical to the O(N²) loop.
+///
+/// Contributions merge before anything sorts: views arrive in destination
+/// order, each view sums its links per source rank in a dense row, and a
+/// stable counting sort by source then yields (src, dst) order.  Only one
+/// entry per rank pair is ever stored, never one per link.
+std::vector<PairCells> ghost_flow_cells(const PartitionResult& r,
+                                        coord_t ghost) {
   const auto& as = r.assignments;
   std::vector<Box> boxes;
   std::vector<rank_t> owners;
@@ -76,34 +86,36 @@ FlowCells ghost_flow_cells(const PartitionResult& r, coord_t ghost) {
     owners.push_back(a.owner);
     max_owner = std::max(max_owner, a.owner);
   }
-  // Per-link contributions, then a sort-and-merge: far cheaper than an
-  // ordered-map upsert per link, and the merged output is sorted by
-  // (src, dst) exactly as the map iteration was.
-  FlowCells cells;
+  const auto nranks = static_cast<std::size_t>(max_owner) + 1;
+  std::vector<PairCells> by_dst;
+  std::vector<std::int64_t> row(nranks, 0);
+  std::vector<rank_t> touched;
+  std::vector<std::size_t> start(nranks + 1, 0);
   const SfcKeyIndex index(boxes);
   for (const LocalBoxView& view :
        build_local_views(boxes, owners, max_owner + 1, ghost, index,
-                         HaloPolicy::kLinksOnly))
+                         HaloPolicy::kLinksOnly)) {
     for (const NeighborLink& l : view.links) {
       // Box l.owned's ghost shell filled from box l.neighbor: data flows
       // owner(neighbor) -> view.rank.
       const std::int64_t c =
           shell_overlap_cells(boxes[l.owned], boxes[l.neighbor], ghost);
-      if (c > 0) cells.push_back({{owners[l.neighbor], view.rank}, c});
+      if (c <= 0) continue;
+      const rank_t src = owners[l.neighbor];
+      if (row[static_cast<std::size_t>(src)] == 0) touched.push_back(src);
+      row[static_cast<std::size_t>(src)] += c;
     }
-  std::sort(cells.begin(), cells.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < cells.size();) {
-    std::size_t j = i + 1;
-    while (j < cells.size() && cells[j].first == cells[i].first) {
-      cells[i].second += cells[j].second;
-      ++j;
+    for (const rank_t src : touched) {
+      by_dst.push_back({src, view.rank, row[static_cast<std::size_t>(src)]});
+      ++start[static_cast<std::size_t>(src) + 1];
+      row[static_cast<std::size_t>(src)] = 0;
     }
-    cells[out++] = cells[i];
-    i = j;
+    touched.clear();
   }
-  cells.resize(out);
+  for (std::size_t k = 0; k < nranks; ++k) start[k + 1] += start[k];
+  std::vector<PairCells> cells(by_dst.size());
+  for (const PairCells& p : by_dst)
+    cells[start[static_cast<std::size_t>(p.src)]++] = p;
   return cells;
 }
 
@@ -112,7 +124,7 @@ FlowCells ghost_flow_cells(const PartitionResult& r, coord_t ghost) {
 std::int64_t partition_comm_cells(const PartitionResult& r, coord_t ghost) {
   SSAMR_REQUIRE(ghost >= 0, "ghost width must be non-negative");
   std::int64_t total = 0;
-  for (const auto& [pair, cells] : ghost_flow_cells(r, ghost)) total += cells;
+  for (const PairCells& p : ghost_flow_cells(r, ghost)) total += p.cells;
   return total;
 }
 
@@ -120,8 +132,8 @@ std::int64_t rank_comm_bytes(const PartitionResult& r, rank_t rank,
                              coord_t ghost, int ncomp) {
   SSAMR_REQUIRE(ncomp >= 1, "ncomp must be >= 1");
   std::int64_t cells = 0;
-  for (const auto& [pair, c] : ghost_flow_cells(r, ghost))
-    if (pair.first == rank || pair.second == rank) cells += c;
+  for (const PairCells& p : ghost_flow_cells(r, ghost))
+    if (p.src == rank || p.dst == rank) cells += p.cells;
   return cells * ncomp * static_cast<std::int64_t>(sizeof(real_t));
 }
 
@@ -143,10 +155,11 @@ std::vector<RankFlow> pairwise_comm_bytes(const PartitionResult& r,
   const std::int64_t cell_bytes =
       static_cast<std::int64_t>(ncomp) *
       static_cast<std::int64_t>(sizeof(real_t));
+  const std::vector<PairCells> cells = ghost_flow_cells(r, ghost);
   std::vector<RankFlow> flows;
-  for (const auto& [pair, cells] : ghost_flow_cells(r, ghost))
-    if (cells > 0) flows.push_back({pair.first, pair.second,
-                                    cells * cell_bytes});
+  flows.reserve(cells.size());
+  for (const PairCells& p : cells)
+    flows.push_back({p.src, p.dst, p.cells * cell_bytes});
   return flows;
 }
 
@@ -154,12 +167,14 @@ std::vector<RankFlow> ownership_transfer_flows(const PartitionResult& previous,
                                                const PartitionResult& next,
                                                std::int64_t cell_bytes) {
   SSAMR_REQUIRE(cell_bytes > 0, "cell_bytes must be positive");
-  std::map<std::pair<rank_t, rank_t>, std::int64_t> bytes;
+  // One entry per moving overlap, then a single sort-and-merge by
+  // (src, dst).  Contributions are positive, so no merged flow is zero.
+  std::vector<RankFlow> flows;
   if (previous.assignments.empty()) {
     // Initial scatter from rank 0.
     for (const BoxAssignment& a : next.assignments)
-      if (a.owner != 0)
-        bytes[{rank_t{0}, a.owner}] += a.box.cells() * cell_bytes;
+      if (a.owner != 0 && a.box.cells() > 0)
+        flows.push_back({0, a.owner, a.box.cells() * cell_bytes});
   } else {
     std::vector<Box> prev_boxes;
     prev_boxes.reserve(previous.assignments.size());
@@ -172,15 +187,24 @@ std::vector<RankFlow> ownership_transfer_flows(const PartitionResult& previous,
       for (std::uint32_t j : cand) {
         const BoxAssignment& ob = previous.assignments[j];
         if (nb.owner == ob.owner) continue;
-        const Box overlap = nb.box.intersection(ob.box);
         // Cells in the overlap move from the old owner to the new one.
-        bytes[{ob.owner, nb.owner}] += overlap.cells() * cell_bytes;
+        flows.push_back({ob.owner, nb.owner,
+                         nb.box.intersection(ob.box).cells() * cell_bytes});
       }
     }
   }
-  std::vector<RankFlow> flows;
-  for (const auto& [pair, b] : bytes)
-    if (b > 0) flows.push_back({pair.first, pair.second, b});
+  std::sort(flows.begin(), flows.end(),
+            [](const RankFlow& x, const RankFlow& y) {
+              return std::tie(x.src, x.dst) < std::tie(y.src, y.dst);
+            });
+  std::size_t out = 0;
+  for (const RankFlow& f : flows) {
+    if (out > 0 && flows[out - 1].src == f.src && flows[out - 1].dst == f.dst)
+      flows[out - 1].bytes += f.bytes;
+    else
+      flows[out++] = f;
+  }
+  flows.resize(out);
   return flows;
 }
 

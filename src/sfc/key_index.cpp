@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <tuple>
 
 #include "util/error.hpp"
 
@@ -11,8 +13,7 @@ namespace {
 constexpr coord_t kCoordLimit = coord_t{1} << kMortonBitsPerDim;
 }  // namespace
 
-SfcKeyIndex::SfcKeyIndex(const std::vector<Box>& boxes, int max_intervals)
-    : boxes_(boxes), max_intervals_(std::max(max_intervals, 1)) {
+SfcKeyIndex::SfcKeyIndex(const std::vector<Box>& boxes) : boxes_(boxes) {
   level_t max_level = -1;
   for (const Box& b : boxes_)
     if (!b.empty()) max_level = std::max(max_level, b.level());
@@ -39,17 +40,41 @@ SfcKeyIndex::SfcKeyIndex(const std::vector<Box>& boxes, int max_intervals)
     }
   }
 
-  // Pass 2: anchor keys, sorted per level.
+  // Pass 2: anchors sorted by (level, z, y, x, id), cut into rows of equal
+  // (z, y).  Every level's rows end in a sentinel marking its last run's end.
+  std::vector<std::uint32_t> order;
+  order.reserve(boxes_.size());
   for (std::size_t i = 0; i < boxes_.size(); ++i) {
     const Box& b = boxes_[i];
     if (b.empty()) continue;
-    auto& li = levels_[static_cast<std::size_t>(b.level())];
-    const IntVec p = b.lo() - li.bias;
+    const IntVec p = b.lo() - levels_[static_cast<std::size_t>(b.level())].bias;
     SSAMR_REQUIRE(p.x < kCoordLimit && p.y < kCoordLimit && p.z < kCoordLimit,
                   "level domain exceeds the 21-bit Morton cube");
-    li.keys.emplace_back(morton_encode(p), static_cast<std::uint32_t>(i));
+    order.push_back(static_cast<std::uint32_t>(i));
   }
-  for (LevelIndex& li : levels_) std::sort(li.keys.begin(), li.keys.end());
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              const Box& ba = boxes_[a];
+              const Box& bb = boxes_[b];
+              return std::make_tuple(ba.level(), ba.lo().z, ba.lo().y,
+                                     ba.lo().x, a) <
+                     std::make_tuple(bb.level(), bb.lo().z, bb.lo().y,
+                                     bb.lo().x, b);
+            });
+  for (const std::uint32_t id : order) {
+    const Box& b = boxes_[id];
+    LevelIndex& li = levels_[static_cast<std::size_t>(b.level())];
+    const IntVec lo = b.lo();
+    if (li.rows.empty() || li.rows.back().z != lo.z ||
+        li.rows.back().y != lo.y)
+      li.rows.push_back(
+          {lo.z, lo.y, static_cast<std::uint32_t>(li.anchors.size())});
+    li.anchors.push_back({lo.x, id});
+  }
+  constexpr coord_t kPastEnd = std::numeric_limits<coord_t>::max();
+  for (LevelIndex& li : levels_)
+    li.rows.push_back(
+        {kPastEnd, kPastEnd, static_cast<std::uint32_t>(li.anchors.size())});
 }
 
 key_t SfcKeyIndex::anchor_key(std::uint32_t id) const {
@@ -60,76 +85,6 @@ key_t SfcKeyIndex::anchor_key(std::uint32_t id) const {
   return morton_encode(b.lo() - li.bias);
 }
 
-namespace {
-
-/// Key-narrowed octree join behind SfcKeyIndex::query.  The naive scheme —
-/// decompose the query region into Morton intervals, then binary-search
-/// each — pays O(w²) intervals for a width-w region no matter how few keys
-/// it holds; at P = 16384 the decomposition alone cost more than the
-/// candidate scan it saved.  This descent instead carries the sorted key
-/// subrange alongside the octree node: empty nodes prune instantly, child
-/// keys are incremental (no per-node morton_encode), and once a subrange
-/// is small — or the node is certainly inside the query — it is scanned
-/// directly.  Work is O(k · depth) for k keys near the region, independent
-/// of region surface area.
-struct KeyJoin {
-  using Entry = std::pair<key_t, std::uint32_t>;
-  IntVec qlo, qhi;              ///< widened anchor region, biased coords
-  const Box* region;            ///< exact-filter target
-  const std::vector<Box>* boxes;
-  SfcKeyIndexStats* stats;
-  std::vector<std::uint32_t>* out;
-  int budget = 0;  ///< subrange scans left before coarse fallback
-  /// Below this many keys a linear scan beats further descent.
-  static constexpr std::ptrdiff_t kScanThreshold = 8;
-
-  void scan(const Entry* lo, const Entry* hi) {
-    ++stats->intervals;
-    --budget;
-    for (const Entry* e = lo; e != hi; ++e) {
-      ++stats->candidates;
-      if ((*boxes)[e->second].intersects(*region)) {
-        ++stats->hits;
-        out->push_back(e->second);
-      }
-    }
-  }
-
-  /// Visit the node of side 2^bits at `origin` (biased coords) whose keys
-  /// occupy [base, base + 8^bits); [lo, hi) is the key subrange inside it.
-  void visit(IntVec origin, int bits, key_t base, const Entry* lo,
-             const Entry* hi) {
-    if (lo == hi) return;
-    const coord_t side = coord_t{1} << bits;
-    const IntVec node_hi = origin + IntVec::splat(side - 1);
-    if (origin.x > qhi.x || origin.y > qhi.y || origin.z > qhi.z ||
-        node_hi.x < qlo.x || node_hi.y < qlo.y || node_hi.z < qlo.z)
-      return;  // disjoint from the query
-    const bool inside = origin.x >= qlo.x && origin.y >= qlo.y &&
-                        origin.z >= qlo.z && node_hi.x <= qhi.x &&
-                        node_hi.y <= qhi.y && node_hi.z <= qhi.z;
-    if (inside || bits == 0 || hi - lo <= kScanThreshold || budget <= 0) {
-      scan(lo, hi);
-      return;
-    }
-    const coord_t half = side / 2;
-    const key_t child_span = key_t{1} << (3 * (bits - 1));
-    const Entry* it = lo;
-    for (int c = 0; c < 8 && it != hi; ++c) {
-      const key_t child_end = base + child_span * static_cast<key_t>(c + 1);
-      const Entry* end = std::lower_bound(
-          it, hi, std::make_pair(child_end, std::uint32_t{0}));
-      if (it != end)
-        visit(origin + IntVec((c & 1) ? half : 0, (c & 2) ? half : 0,
-                              (c & 4) ? half : 0),
-              bits - 1, child_end - child_span, it, end);
-      it = end;
-    }
-  }
-};
-
-}  // namespace
-
 void SfcKeyIndex::query(const Box& region, std::vector<std::uint32_t>& out,
                         SfcKeyIndexStats& stats) const {
   out.clear();
@@ -137,26 +92,51 @@ void SfcKeyIndex::query(const Box& region, std::vector<std::uint32_t>& out,
   const auto lvl = static_cast<std::size_t>(region.level());
   if (region.level() < 0 || lvl >= levels_.size()) return;
   const LevelIndex& li = levels_[lvl];
-  if (li.keys.empty()) return;
+  if (li.anchors.empty()) return;
   ++stats.queries;
 
-  // A box intersects `region` iff its low corner lies in the region widened
-  // low-side by (max_extent − 1): anchors below that can never reach the
-  // region, anchors above region.hi() start past it.
-  IntVec qlo = region.lo() - (li.max_extent - IntVec::splat(1)) - li.bias;
-  IntVec qhi = region.hi() - li.bias;
-  qlo = IntVec(std::max<coord_t>(qlo.x, 0), std::max<coord_t>(qlo.y, 0),
-               std::max<coord_t>(qlo.z, 0));
-  if (qhi.x < 0 || qhi.y < 0 || qhi.z < 0) return;
-  qhi = IntVec(std::min(qhi.x, kCoordLimit - 1),
-               std::min(qhi.y, kCoordLimit - 1),
-               std::min(qhi.z, kCoordLimit - 1));
-
-  KeyJoin join{qlo, qhi, &region, &boxes_, &stats, &out, max_intervals_};
-  join.visit(IntVec::splat(0), kMortonBitsPerDim, key_t{0}, li.keys.data(),
-             li.keys.data() + li.keys.size());
-  // Subranges are disjoint, so no id appears twice; candidates arrive in
-  // key order — restore the historical ascending-id scan order.
+  // A box intersects `region` iff its anchor lies in the window [wlo, whi]
+  // — anchors below wlo can never reach the region, anchors above whi start
+  // past it — and its high corner reaches the region's low corner.
+  const IntVec rlo = region.lo();
+  const IntVec wlo = rlo - (li.max_extent - IntVec::splat(1));
+  const IntVec whi = region.hi();
+  const auto row_before = [](const Row& r, const Row& key) {
+    return r.z < key.z || (r.z == key.z && r.y < key.y);
+  };
+  const auto anchor_before = [](const Anchor& a, coord_t x) {
+    return a.x < x;
+  };
+  const Row* const rows_end = li.rows.data() + li.rows.size() - 1;
+  const Row* r =
+      std::lower_bound(li.rows.data(), rows_end, Row{wlo.z, wlo.y, 0},
+                       row_before);
+  while (r != rows_end && r->z <= whi.z) {
+    // Rows of one plane below the window's y: jump to its first row in
+    // range; rows past it: jump to the next plane.
+    if (r->y < wlo.y) {
+      r = std::lower_bound(r, rows_end, Row{r->z, wlo.y, 0}, row_before);
+      continue;
+    }
+    if (r->y > whi.y) {
+      r = std::lower_bound(r, rows_end, Row{r->z + 1, wlo.y, 0}, row_before);
+      continue;
+    }
+    const Anchor* const a_end = li.anchors.data() + r[1].begin;
+    for (const Anchor* a = std::lower_bound(li.anchors.data() + r->begin,
+                                            a_end, wlo.x, anchor_before);
+         a != a_end && a->x <= whi.x; ++a) {
+      ++stats.candidates;
+      const IntVec hi = boxes_[a->id].hi();
+      if (hi.x >= rlo.x && hi.y >= rlo.y && hi.z >= rlo.z) {
+        ++stats.hits;
+        out.push_back(a->id);
+      }
+    }
+    ++r;
+  }
+  // Hits arrive in anchor order — restore the historical ascending-id
+  // scan order.
   std::sort(out.begin(), out.end());
 }
 
@@ -173,7 +153,6 @@ std::vector<std::uint32_t> SfcKeyIndex::query(const Box& region) const {
 
 void SfcKeyIndex::merge_stats(const SfcKeyIndexStats& s) const {
   stats_.queries += s.queries;
-  stats_.intervals += s.intervals;
   stats_.candidates += s.candidates;
   stats_.hits += s.hits;
 }

@@ -1,26 +1,31 @@
 #pragma once
 /// \file key_index.hpp
-/// Morton-keyed spatial index for neighbor discovery at scale.
+/// Anchor-row spatial index for neighbor discovery at scale.
 ///
 /// The historical neighbor-discovery paths (ghost planning, comm-volume
 /// metrics, migration overlap) scan every box against every other box —
 /// O(N²) — which caps the virtual cluster far below real machine sizes.
-/// This index realizes the Schornbaum & Rüde design point instead: boxes
-/// are keyed by the Morton code of their (level-biased) low corner and a
-/// range query walks the implicit Morton octree while narrowing the sorted
-/// key array in lockstep — empty nodes prune instantly, small subranges
-/// are scanned directly, and the candidate superset is filtered with an
-/// exact intersection test.  For the quasi-uniform lattices AMR regrids
-/// produce, a query touches O(log N + k) keys for k true neighbors,
-/// independent of the query region's surface area (the fixed-budget
-/// interval decomposition it replaces — morton_covering_intervals — cost
-/// O(w²) intervals for a width-w region, which dominated at P = 16384).
+/// This index realizes the Schornbaum & Rüde design point instead: a box is
+/// found through its *anchor*, its low corner.  Per refinement level the
+/// anchors are sorted by (z, y, x, id) and grouped into rows, one row per
+/// distinct (z, y) pointing at its run of (x, id) entries.
 ///
-/// The index is a per-level structure: each refinement level keeps its own
-/// sorted (key, id) array, its own coordinate bias (so negative or far
-/// offset domains still fit the non-negative 21-bit Morton cube) and its
-/// own maximum box extent (queries are widened by it so that anchor keys —
-/// low corners — cannot miss boxes that start below the query region).
+/// A box at the query's level intersects the region iff its anchor lies in
+/// the *anchor window* [region.lo − (max_extent − 1), region.hi] — the
+/// region widened low-side by the level's largest box extent — and its high
+/// corner reaches region.lo.  A query visits exactly the window: for each
+/// z-plane holding anchors, one binary search finds the first row at the
+/// window's low y and the rows up to its high y follow; in each row, one
+/// binary search finds the first x inside the window and the scan stops
+/// past its high x.  That is O(planes · log rows + rows · log run + k) for
+/// k anchors in the window, and on a level whose boxes all share one
+/// extent every anchor in the window is a true neighbor.
+///
+/// Anchors keep a Morton key (anchor_key): the low corner, shifted by the
+/// level's bias (its minimum low corner, so negative or far offset domains
+/// still fit the non-negative 21-bit Morton cube), interleaved on the
+/// Z-order curve.  It orders nothing here; it gives the local-view halos
+/// their deterministic curve order.
 ///
 /// Determinism: queries return ids in ascending order, so downstream
 /// consumers that iterate candidates reproduce the historical ascending
@@ -32,7 +37,6 @@
 /// of thread count.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "geom/box.hpp"
@@ -41,27 +45,20 @@
 
 namespace ssamr {
 
-/// Query-efficiency counters (exp_scale reports them; tests sanity-check
-/// that interval scans stay near-linear).
+/// Query-efficiency counters (exp_scale reports them; tests pin that the
+/// anchor window is exact on uniform lattices).
 struct SfcKeyIndexStats {
   std::int64_t queries = 0;     ///< range queries served
-  std::int64_t intervals = 0;   ///< covering key intervals decomposed
-  std::int64_t candidates = 0;  ///< keys scanned (superset)
-  std::int64_t hits = 0;        ///< candidates passing the exact filter
+  std::int64_t candidates = 0;  ///< anchors inside the query window
+  std::int64_t hits = 0;        ///< candidates intersecting the region
 };
 
-/// Morton-interval range index over a set of boxes.
+/// Anchor-row range index over a set of boxes.
 class SfcKeyIndex {
  public:
   /// Index `boxes` (ids are positions in the vector; empty boxes are
-  /// skipped).  `max_intervals` bounds the per-query decomposition: the
-  /// key-narrowed octree descent scans at most this many key subranges
-  /// before falling back to coarse whole-subrange scans (still correct —
-  /// the exact filter runs on every candidate — just a wider superset).
-  /// The adaptive join rarely needs more than a few dozen subranges, so
-  /// the default effectively never binds.
-  explicit SfcKeyIndex(const std::vector<Box>& boxes,
-                       int max_intervals = 1024);
+  /// skipped).
+  explicit SfcKeyIndex(const std::vector<Box>& boxes);
 
   /// Ids (ascending) of indexed boxes at region.level() that intersect
   /// `region`.  An empty region matches nothing.
@@ -88,16 +85,27 @@ class SfcKeyIndex {
   const SfcKeyIndexStats& stats() const { return stats_; }
 
  private:
+  /// One anchor in a row: the box's low x and its id.
+  struct Anchor {
+    coord_t x;
+    std::uint32_t id;
+  };
+  /// The anchors sharing one low (z, y); they occupy
+  /// anchors[begin, next row's begin).
+  struct Row {
+    coord_t z;
+    coord_t y;
+    std::uint32_t begin;
+  };
   struct LevelIndex {
     IntVec bias;        ///< minimum low corner over the level's boxes
     IntVec max_extent;  ///< per-dimension maximum box extent
-    /// (anchor key, id), sorted ascending (key ties by id).
-    std::vector<std::pair<key_t, std::uint32_t>> keys;
+    std::vector<Anchor> anchors;  ///< sorted by (z, y, x, id)
+    std::vector<Row> rows;  ///< sorted by (z, y), plus an end sentinel
   };
 
   std::vector<Box> boxes_;
   std::vector<LevelIndex> levels_;  ///< indexed by refinement level
-  int max_intervals_;
   mutable SfcKeyIndexStats stats_;
 };
 

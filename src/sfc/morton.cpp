@@ -1,7 +1,5 @@
 #include "sfc/morton.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace ssamr {
@@ -46,69 +44,6 @@ IntVec morton_decode(key_t key) {
   return IntVec(static_cast<coord_t>(compact3(key)),
                 static_cast<coord_t>(compact3(key >> 1)),
                 static_cast<coord_t>(compact3(key >> 2)));
-}
-
-namespace {
-
-/// Octree descent behind morton_covering_intervals.  Nodes are visited in
-/// ascending Morton order (child c has x in bit 0, y in bit 1, z in bit 2,
-/// matching the key interleave), so emitted intervals arrive sorted and
-/// sibling ranges that are both fully covered merge into one.
-struct IntervalBuilder {
-  IntVec lo, hi;
-  int max_intervals = 0;
-  std::vector<KeyInterval> out;
-
-  void emit(key_t begin, key_t end) {
-    if (!out.empty() && out.back().end == begin)
-      out.back().end = end;
-    else
-      out.push_back({begin, end});
-  }
-
-  /// Visit the node of side 2^bits anchored at `origin` (all multiples of
-  /// the side).  Its cells occupy exactly keys [key(origin),
-  /// key(origin) + 8^bits).
-  void visit(IntVec origin, int bits) {
-    const coord_t side = coord_t{1} << bits;
-    const IntVec node_hi = origin + IntVec::splat(side - 1);
-    if (origin.x > hi.x || origin.y > hi.y || origin.z > hi.z ||
-        node_hi.x < lo.x || node_hi.y < lo.y || node_hi.z < lo.z)
-      return;  // disjoint
-    const key_t base = morton_encode(origin);
-    const key_t span = key_t{1} << (3 * bits);
-    const bool inside = origin.x >= lo.x && origin.y >= lo.y &&
-                        origin.z >= lo.z && node_hi.x <= hi.x &&
-                        node_hi.y <= hi.y && node_hi.z <= hi.z;
-    // Emit whole-node ranges for fully covered nodes, leaves, and — once
-    // the soft budget is spent — partially covered nodes (the superset
-    // escape hatch that bounds the interval count).
-    if (inside || bits == 0 ||
-        static_cast<int>(out.size()) + 1 >= max_intervals) {
-      emit(base, base + span);
-      return;
-    }
-    const coord_t half = side / 2;
-    for (int c = 0; c < 8; ++c)
-      visit(origin + IntVec((c & 1) ? half : 0, (c & 2) ? half : 0,
-                            (c & 4) ? half : 0),
-            bits - 1);
-  }
-};
-
-}  // namespace
-
-std::vector<KeyInterval> morton_covering_intervals(IntVec lo, IntVec hi,
-                                                   int max_intervals) {
-  if (hi.x < lo.x || hi.y < lo.y || hi.z < lo.z) return {};
-  SSAMR_REQUIRE(lo.x >= 0 && lo.y >= 0 && lo.z >= 0,
-                "morton interval coordinates must be non-negative");
-  const coord_t limit = coord_t{1} << kMortonBitsPerDim;
-  SSAMR_REQUIRE(hi.x < limit && hi.y < limit && hi.z < limit,
-                "morton interval coordinate exceeds 21 bits");
-  IntervalBuilder b{lo, hi, std::max(max_intervals, 1), {}};
-  b.visit(IntVec::splat(0), kMortonBitsPerDim);
-  return b.out;
 }
 
 }  // namespace ssamr

@@ -8,7 +8,6 @@
 /// alternative.
 
 #include <cstdint>
-#include <vector>
 
 #include "geom/point.hpp"
 #include "util/types.hpp"
@@ -27,30 +26,5 @@ inline key_t morton_encode(IntVec p) { return morton_encode(p.x, p.y, p.z); }
 
 /// Inverse of morton_encode.
 IntVec morton_decode(key_t key);
-
-/// A half-open interval [begin, end) of Morton keys.
-struct KeyInterval {
-  key_t begin = 0;
-  key_t end = 0;
-
-  bool operator==(const KeyInterval&) const = default;
-};
-
-/// Decompose the axis-aligned cell region [lo, hi] (inclusive bounds, all
-/// coordinates in [0, 2^21)) into disjoint Morton-key intervals, returned
-/// in ascending key order with adjacent intervals merged.
-///
-/// The union of the intervals always covers every cell of the region; it
-/// may additionally cover cells *outside* it (a superset).  That is the
-/// interval-query contract of the distributed key index: curve-interval
-/// scans produce candidate supersets and an exact geometric filter removes
-/// the false positives, so over-approximation trades a few wasted
-/// candidates for a bounded interval count.  The octree descent stops
-/// refining once roughly `max_intervals` intervals have been emitted and
-/// covers the rest with whole subtree ranges (the bound is soft: the
-/// result can exceed it by at most the tree depth).  Returns an empty
-/// vector for an empty region (any hi component < lo).
-std::vector<KeyInterval> morton_covering_intervals(IntVec lo, IntVec hi,
-                                                   int max_intervals = 64);
 
 }  // namespace ssamr

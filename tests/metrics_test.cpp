@@ -1,15 +1,19 @@
-// Tests for partition quality metrics (Eq. 2 imbalance, comm volume).
+// Tests for partition quality metrics (Eq. 2 imbalance, comm volume), and
+// randomized differential tests of the rank-to-rank flow extractors against
+// the all-pairs oracles in oracle.hpp.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
-#include "util/error.hpp"
+#include "lattice.hpp"
+#include "oracle.hpp"
 #include "partition/metrics.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ssamr {
 namespace {
@@ -125,26 +129,6 @@ TEST(Imbalance, MalformedResultRejected) {
   EXPECT_THROW(load_imbalance_pct(r), Error);
 }
 
-/// Brute-force reference for ownership_transfer_flows: all-pairs
-/// same-level overlap between old and new owners, accumulated in sorted
-/// (src, dst) order.
-std::vector<RankFlow> brute_transfer_flows(const PartitionResult& prev,
-                                           const PartitionResult& next,
-                                           std::int64_t cell_bytes) {
-  std::map<std::pair<rank_t, rank_t>, std::int64_t> bytes;
-  for (const auto& nb : next.assignments)
-    for (const auto& ob : prev.assignments) {
-      if (ob.box.level() != nb.box.level() || ob.owner == nb.owner) continue;
-      const Box overlap = ob.box.intersection(nb.box);
-      if (!overlap.empty())
-        bytes[{ob.owner, nb.owner}] += overlap.cells() * cell_bytes;
-    }
-  std::vector<RankFlow> out;
-  for (const auto& [key, b] : bytes)
-    if (b > 0) out.push_back(RankFlow{key.first, key.second, b});
-  return out;
-}
-
 TEST(TransferFlows, MatchBruteForceOverlapScan) {
   // A 3-rank relayout with partial overlaps: rank 0's box splits between
   // ranks 1 and 2, rank 1's moves wholesale, a refined box stays put.
@@ -166,7 +150,7 @@ TEST(TransferFlows, MatchBruteForceOverlapScan) {
       {Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 1), 2});
   const std::int64_t cell_bytes = 40;
   const auto got = ownership_transfer_flows(prev, next, cell_bytes);
-  const auto want = brute_transfer_flows(prev, next, cell_bytes);
+  const auto want = oracle::ownership_transfer_flows(prev, next, cell_bytes);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].src, want[i].src) << i;
@@ -177,9 +161,10 @@ TEST(TransferFlows, MatchBruteForceOverlapScan) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_NE(got[i].src, got[i].dst);
     EXPECT_GT(got[i].bytes, 0);
-    if (i > 0)
+    if (i > 0) {
       EXPECT_TRUE(std::make_pair(got[i - 1].src, got[i - 1].dst) <
                   std::make_pair(got[i].src, got[i].dst));
+    }
   }
 }
 
@@ -195,6 +180,104 @@ TEST(TransferFlows, EmptyPreviousScattersFromRankZero) {
   EXPECT_EQ(flows[0].dst, 2);
   EXPECT_EQ(flows[0].bytes, 64 * 8);
   EXPECT_THROW(ownership_transfer_flows(PartitionResult{}, next, 0), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Flow extractors against the all-pairs oracles
+
+/// `boxes` with about half of them split in two along a random axis.
+std::vector<Box> resplit(Rng& rng, const std::vector<Box>& boxes) {
+  std::vector<Box> out;
+  for (const Box& b : boxes) {
+    const auto axis = static_cast<int>(rng.uniform_int(0, 2));
+    const coord_t e = b.extent()[axis];
+    if (e < 2 || rng.uniform() < 0.5) {
+      out.push_back(b);
+      continue;
+    }
+    const auto [first, second] = b.split(axis, rng.uniform_int(1, e - 1));
+    out.push_back(first);
+    out.push_back(second);
+  }
+  return out;
+}
+
+/// Random owners over `nranks` ranks.  Every fourth draw hands all boxes
+/// to one rank; every fourth, offset by two, leaves one rank with nothing.
+PartitionResult random_partition(Rng& rng, const std::vector<Box>& boxes,
+                                 int nranks, int draw) {
+  PartitionResult r;
+  r.assigned_work.assign(static_cast<std::size_t>(nranks), 0);
+  r.target_work.assign(static_cast<std::size_t>(nranks), 0);
+  const auto pick = [&] {
+    return static_cast<rank_t>(rng.uniform_int(0, nranks - 1));
+  };
+  const rank_t single = draw % 4 == 0 ? pick() : -1;
+  const rank_t idle = draw % 4 == 2 && nranks > 1 ? pick() : -1;
+  for (const Box& b : boxes) {
+    rank_t owner = single >= 0 ? single : pick();
+    if (owner == idle) owner = (owner + 1) % nranks;
+    r.assignments.push_back({b, owner});
+  }
+  return r;
+}
+
+IntVec trial_origin(int trial) {
+  return IntVec(trial % 3 == 1 ? -600 : 0, trial % 4 == 2 ? -250 : 0,
+                trial % 5 == 3 ? -37 : 0);
+}
+
+TEST(FlowOracle, GhostFlowsMatchAllPairsScan) {
+  Rng rng(0xf10'9);
+  std::size_t flows = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::vector<Box> boxes =
+        fuzz::touching_lattice(rng, trial_origin(trial));
+    const auto nranks = static_cast<int>(rng.uniform_int(1, 8));
+    const PartitionResult r = random_partition(rng, boxes, nranks, trial);
+    for (const coord_t ghost : {0, 1, 2})
+      for (const int ncomp : {1, 5}) {
+        const auto got = pairwise_comm_bytes(r, ghost, ncomp);
+        EXPECT_EQ(got, oracle::pairwise_comm_bytes(r, ghost, ncomp))
+            << "trial " << trial << " ghost " << ghost << " ncomp " << ncomp;
+        flows += got.size();
+      }
+  }
+  // The lattices must actually exchange ghosts, or the test is vacuous.
+  EXPECT_GT(flows, 1000u);
+}
+
+TEST(FlowOracle, MigrationFlowsMatchAllPairsScan) {
+  Rng rng(0x319'7a);
+  std::size_t flows = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::vector<Box> boxes =
+        fuzz::touching_lattice(rng, trial_origin(trial));
+    const auto nranks = static_cast<int>(rng.uniform_int(1, 8));
+    const PartitionResult prev = random_partition(rng, boxes, nranks, trial);
+    // An owner re-map of the same boxes, a re-split box set, and the
+    // reverse of the re-split.
+    const PartitionResult remap =
+        random_partition(rng, boxes, nranks, trial + 1);
+    const PartitionResult split =
+        random_partition(rng, resplit(rng, boxes), nranks, trial + 3);
+    const std::pair<const PartitionResult*, const PartitionResult*> cases[] = {
+        {&prev, &remap}, {&prev, &split}, {&split, &prev}};
+    for (const std::int64_t cell_bytes : {8, 40}) {
+      for (const auto& [from, to] : cases) {
+        const auto got = ownership_transfer_flows(*from, *to, cell_bytes);
+        EXPECT_EQ(got, oracle::ownership_transfer_flows(*from, *to, cell_bytes))
+            << "trial " << trial << " cell_bytes " << cell_bytes;
+        flows += got.size();
+      }
+      // An empty previous partition: initial scatter from rank 0.
+      EXPECT_EQ(ownership_transfer_flows(PartitionResult{}, remap, cell_bytes),
+                oracle::ownership_transfer_flows(PartitionResult{}, remap,
+                                                 cell_bytes))
+          << "trial " << trial << " (initial placement)";
+    }
+  }
+  EXPECT_GT(flows, 1000u);
 }
 
 }  // namespace

@@ -13,6 +13,9 @@
 ///     above;
 ///   - gaussian_cloud / count_in: the particle cloud drawn in the
 ///     library's order and counted by testing every particle;
+///   - pairwise_comm_bytes / ownership_transfer_flows: the rank-to-rank
+///     ghost and migration flows from an all-pairs box scan, merged in an
+///     ordered map;
 ///   - simulate_transfers: the fluid network model stepped event by event,
 ///     re-rating and draining every in-flight transfer at each step.  The
 ///     library's indexed simulator groups the same arithmetic differently,
@@ -23,6 +26,8 @@
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "amr/cluster_br.hpp"
@@ -32,6 +37,7 @@
 #include "geom/box.hpp"
 #include "geom/box_list.hpp"
 #include "geom/point.hpp"
+#include "partition/metrics.hpp"
 #include "sim/event.hpp"
 #include "util/rng.hpp"
 
@@ -359,6 +365,62 @@ inline std::int64_t count_in(const ParticleCloud& cloud, const Box& b,
     ++count;
   }
   return count;
+}
+
+// ---------------------------------------------------------------------------
+// Rank-to-rank flows, all pairs
+
+namespace detail {
+inline std::vector<RankFlow> flows_of(
+    const std::map<std::pair<rank_t, rank_t>, std::int64_t>& bytes) {
+  std::vector<RankFlow> out;
+  for (const auto& [pair, b] : bytes)
+    if (b > 0) out.push_back(RankFlow{pair.first, pair.second, b});
+  return out;
+}
+}  // namespace detail
+
+/// Same contract as ssamr::pairwise_comm_bytes (no input validation): for
+/// every ordered pair of non-empty same-level boxes with different owners,
+/// the cells of the first box's `ghost`-wide shell that the second covers
+/// flow from the second's owner to the first's.
+inline std::vector<RankFlow> pairwise_comm_bytes(const PartitionResult& r,
+                                                 coord_t ghost, int ncomp) {
+  const std::int64_t cell_bytes =
+      ncomp * static_cast<std::int64_t>(sizeof(real_t));
+  std::map<std::pair<rank_t, rank_t>, std::int64_t> bytes;
+  for (const BoxAssignment& dst : r.assignments)
+    for (const BoxAssignment& src : r.assignments) {
+      if (dst.owner == src.owner || dst.box.empty() || src.box.empty() ||
+          dst.box.level() != src.box.level())
+        continue;
+      const std::int64_t shell =
+          dst.box.grown(ghost).intersection(src.box).cells() -
+          dst.box.intersection(src.box).cells();
+      if (shell > 0) bytes[{src.owner, dst.owner}] += shell * cell_bytes;
+    }
+  return detail::flows_of(bytes);
+}
+
+/// Same contract as ssamr::ownership_transfer_flows (no input validation):
+/// every same-level overlap of a previous and a next box with different
+/// owners moves old owner → new owner; an empty `previous` scatters every
+/// box not owned by rank 0 from rank 0.
+inline std::vector<RankFlow> ownership_transfer_flows(
+    const PartitionResult& previous, const PartitionResult& next,
+    std::int64_t cell_bytes) {
+  std::map<std::pair<rank_t, rank_t>, std::int64_t> bytes;
+  for (const BoxAssignment& nb : next.assignments) {
+    if (previous.assignments.empty() && nb.owner != 0)
+      bytes[{rank_t{0}, nb.owner}] += nb.box.cells() * cell_bytes;
+    for (const BoxAssignment& ob : previous.assignments) {
+      if (ob.box.level() != nb.box.level() || ob.owner == nb.owner) continue;
+      const Box overlap = ob.box.intersection(nb.box);
+      if (!overlap.empty())
+        bytes[{ob.owner, nb.owner}] += overlap.cells() * cell_bytes;
+    }
+  }
+  return detail::flows_of(bytes);
 }
 
 // ---------------------------------------------------------------------------

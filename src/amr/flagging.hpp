@@ -4,10 +4,9 @@
 ///
 /// Regridding step (1) of the paper's Berger–Oliger description: "flagging
 /// regions needing refinement based on an application specific error
-/// criterion".  The library ships a gradient detector (used by both solver
-/// kernels) behind a small interface so applications can plug their own.
+/// criterion".  The library's criterion is a gradient detector, used by
+/// both solver kernels.
 
-#include <memory>
 #include <vector>
 
 #include "amr/level.hpp"
@@ -16,28 +15,18 @@
 
 namespace ssamr {
 
-/// Application-specific error criterion.
-class ErrorFlagger {
- public:
-  virtual ~ErrorFlagger() = default;
-
-  /// Append the flagged cells (global coordinates at lvl's level) of every
-  /// patch on the level.
-  virtual void flag_level(const GridLevel& lvl,
-                          std::vector<IntVec>& flags) const = 0;
-};
-
 /// Flags cells where the undivided gradient of one component exceeds a
 /// threshold: max_d |u(i+e_d) - u(i-e_d)| / 2 > tol.  Differences use only
 /// interior neighbours at the patch boundary (one-sided).
-class GradientFlagger final : public ErrorFlagger {
+class GradientFlagger {
  public:
   /// \param component which field component to inspect
   /// \param tol absolute threshold on the undivided difference
   GradientFlagger(int component, real_t tol);
 
-  void flag_level(const GridLevel& lvl,
-                  std::vector<IntVec>& flags) const override;
+  /// Append the flagged cells (global coordinates at lvl's level) of every
+  /// patch on the level.
+  void flag_level(const GridLevel& lvl, std::vector<IntVec>& flags) const;
 
  private:
   int component_;

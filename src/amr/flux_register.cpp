@@ -92,16 +92,6 @@ FluxRegister::FluxRegister(const GridLevel& coarse, const GridLevel& fine,
   }
 }
 
-const FluxRegister::Record* FluxRegister::find(IntVec cell, int axis) const {
-  const auto idx = index_.find(face_key(cell, axis));
-  return idx ? &records_[*idx] : nullptr;
-}
-
-FluxRegister::Record* FluxRegister::find(IntVec cell, int axis) {
-  auto* idx = index_.find_ptr(face_key(cell, axis));
-  return idx != nullptr ? &records_[*idx] : nullptr;
-}
-
 void FluxRegister::add_coarse(const std::vector<FaceFluxes>& fluxes,
                               real_t dt_c) {
   for (Record& rec : records_) {

@@ -64,8 +64,6 @@ class FluxRegister {
   };
 
   static key_t face_key(IntVec cell, int axis);
-  const Record* find(IntVec cell, int axis) const;
-  Record* find(IntVec cell, int axis);
 
   coord_t ratio_;
   int ncomp_;

@@ -124,29 +124,4 @@ void GhostPlan::fill_physical(GridLevel& lvl) const {
   }
 }
 
-std::int64_t GhostPlan::remote_bytes(const GridLevel& lvl) const {
-  std::int64_t total = 0;
-  const auto& patches = lvl.patches();
-  for (const CopyOp& op : ops_) {
-    if (patches[op.src].owner() != patches[op.dst].owner())
-      total += op.region.cells() * ncomp_ *
-               static_cast<std::int64_t>(sizeof(real_t));
-  }
-  return total;
-}
-
-std::int64_t GhostPlan::remote_bytes_touching(const GridLevel& lvl,
-                                              rank_t rank) const {
-  std::int64_t total = 0;
-  const auto& patches = lvl.patches();
-  for (const CopyOp& op : ops_) {
-    const rank_t so = patches[op.src].owner();
-    const rank_t dok = patches[op.dst].owner();
-    if (so != dok && (so == rank || dok == rank))
-      total += op.region.cells() * ncomp_ *
-               static_cast<std::int64_t>(sizeof(real_t));
-  }
-  return total;
-}
-
 }  // namespace ssamr

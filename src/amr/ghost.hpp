@@ -49,13 +49,6 @@ class GhostPlan {
   /// outflow extrapolation.)
   void fill_physical(GridLevel& lvl) const;
 
-  /// Bytes that cross ownership boundaries given each patch's owner
-  /// (CopyOps between patches on the same rank are free).
-  std::int64_t remote_bytes(const GridLevel& lvl) const;
-
-  /// Bytes sent or received by one rank under the current ownership.
-  std::int64_t remote_bytes_touching(const GridLevel& lvl, rank_t rank) const;
-
  private:
   Box domain_;
   BoundaryKind bc_;

@@ -13,7 +13,7 @@
 namespace ssamr {
 
 BergerOliger::BergerOliger(GridHierarchy& hierarchy, const PatchOperator& op,
-                           const ErrorFlagger& flagger, IntegratorConfig cfg)
+                           const GradientFlagger& flagger, IntegratorConfig cfg)
     : hier_(hierarchy), op_(op), flagger_(flagger), cfg_(cfg) {
   SSAMR_REQUIRE(cfg.cfl > 0 && cfg.cfl < 1, "CFL must be in (0,1)");
   SSAMR_REQUIRE(cfg.regrid_interval >= 1, "regrid interval must be >= 1");

@@ -74,7 +74,7 @@ class BergerOliger {
  public:
   /// All referenced objects must outlive the integrator.
   BergerOliger(GridHierarchy& hierarchy, const PatchOperator& op,
-               const ErrorFlagger& flagger, IntegratorConfig cfg);
+               const GradientFlagger& flagger, IntegratorConfig cfg);
 
   /// Set initial conditions and build the initial refined levels (repeated
   /// flag/cluster passes until the hierarchy is stable or max depth).
@@ -108,7 +108,7 @@ class BergerOliger {
 
   GridHierarchy& hier_;
   const PatchOperator& op_;
-  const ErrorFlagger& flagger_;
+  const GradientFlagger& flagger_;
   IntegratorConfig cfg_;
   int step_ = 0;
   int regrid_count_ = 0;

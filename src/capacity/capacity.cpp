@@ -19,12 +19,6 @@ CapacityCalculator::CapacityCalculator(CapacityWeights weights)
                 "capacity weights must be non-negative and sum to 1");
 }
 
-void CapacityCalculator::set_weights(CapacityWeights w) {
-  SSAMR_REQUIRE(w.valid(),
-                "capacity weights must be non-negative and sum to 1");
-  weights_ = w;
-}
-
 std::vector<real_t> CapacityCalculator::relative_capacities(
     const std::vector<ResourceEstimate>& estimates) const {
   SSAMR_REQUIRE(!estimates.empty(), "need at least one node estimate");
@@ -68,18 +62,6 @@ std::vector<real_t> CapacityCalculator::relative_capacities(
   for (auto& c : cap) c /= sum;
   SSAMR_AUDIT(audit::validate_capacities(cap, weights_));
   return cap;
-}
-
-std::vector<Work> CapacityCalculator::work_allocation(
-    const std::vector<real_t>& capacities, Work total_work) {
-  SSAMR_REQUIRE(total_work >= Work{0}, "total work must be non-negative");
-  std::vector<Work> out;
-  out.reserve(capacities.size());
-  for (real_t c : capacities) {
-    SSAMR_REQUIRE(c >= 0, "capacities must be non-negative");
-    out.push_back(c * total_work);
-  }
-  return out;
 }
 
 }  // namespace ssamr

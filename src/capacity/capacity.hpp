@@ -44,16 +44,11 @@ class CapacityCalculator {
   explicit CapacityCalculator(CapacityWeights weights = {});
 
   const CapacityWeights& weights() const { return weights_; }
-  void set_weights(CapacityWeights w);
 
   /// Relative capacities C_k (Eq. 1) from per-node resource estimates.
   /// The result sums to 1 (all-zero estimates fall back to uniform).
   std::vector<real_t> relative_capacities(
       const std::vector<ResourceEstimate>& estimates) const;
-
-  /// Work allocation L_k = C_k · L.
-  static std::vector<Work> work_allocation(
-      const std::vector<real_t>& capacities, Work total_work);
 
  private:
   CapacityWeights weights_;

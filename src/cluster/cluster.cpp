@@ -35,23 +35,8 @@ void Cluster::add_load(rank_t rank, const LoadRamp& ramp) {
   loads_[static_cast<std::size_t>(rank)].add(ramp);
 }
 
-void Cluster::set_load_script(rank_t rank, LoadScript script) {
-  check_rank(rank);
-  loads_[static_cast<std::size_t>(rank)] = std::move(script);
-}
-
-const LoadScript& Cluster::load_script(rank_t rank) const {
-  check_rank(rank);
-  return loads_[static_cast<std::size_t>(rank)];
-}
-
 void Cluster::set_fault_plan(FaultPlan plan) {
   fault_plan_ = std::make_shared<const FaultPlan>(std::move(plan));
-}
-
-bool Cluster::node_down(rank_t rank, Seconds t) const {
-  check_rank(rank);
-  return fault_plan_ != nullptr && fault_plan_->node_down(rank, t);
 }
 
 Seconds Cluster::resume_time(rank_t rank, Seconds t) const {

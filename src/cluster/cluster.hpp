@@ -36,11 +36,6 @@ class Cluster {
   /// Attach (append) a load generator to one node.
   void add_load(rank_t rank, const LoadRamp& ramp);
 
-  /// Replace a node's load script.
-  void set_load_script(rank_t rank, LoadScript script);
-
-  const LoadScript& load_script(rank_t rank) const;
-
   /// Attach a fault plan (probe faults, stale windows, crash episodes).
   /// With no plan attached — the default — the cluster is fault-free and
   /// behaves bit-identically to a cluster built before fault injection
@@ -49,9 +44,6 @@ class Cluster {
 
   /// The attached fault plan, or nullptr when the cluster is fault-free.
   const FaultPlan* fault_plan() const { return fault_plan_.get(); }
-
-  /// True while a crash episode of the fault plan covers (rank, t).
-  bool node_down(rank_t rank, Seconds t) const;
 
   /// The virtual time at which the node is next up: t itself when the node
   /// is up (always, without a fault plan), else the rejoin time of the

@@ -23,16 +23,6 @@ real_t hash_uniform(std::uint64_t seed, rank_t rank, std::uint64_t attempt) {
 
 }  // namespace
 
-const char* probe_fault_name(ProbeFault f) {
-  switch (f) {
-    case ProbeFault::kNone: return "ok";
-    case ProbeFault::kTimeout: return "timeout";
-    case ProbeFault::kDrop: return "drop";
-    case ProbeFault::kStale: return "stale";
-  }
-  return "?";
-}
-
 void FaultPlan::add(const FaultEpisode& e) {
   SSAMR_REQUIRE(e.rank >= 0, "fault episode rank must be non-negative");
   SSAMR_REQUIRE(e.t0 < e.t1, "fault episode window must be non-empty");

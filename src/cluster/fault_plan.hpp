@@ -32,9 +32,6 @@ enum class ProbeFault : std::uint8_t {
   kStale,    ///< an answer arrives but reflects an earlier system state
 };
 
-/// Human-readable name of a probe fault ("ok", "timeout", ...).
-const char* probe_fault_name(ProbeFault f);
-
 /// Kinds of scripted fault episodes.
 enum class FaultKind : std::uint8_t {
   kProbeTimeout,  ///< probes of the node time out during the window

@@ -44,12 +44,7 @@ std::string results_path(const std::string& filename) {
 }
 
 int run_iterations(int default_iters) {
-  if (const char* env = std::getenv("SSAMR_EXP_ITERS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<int>(v);
-  }
-  return default_iters;
+  return env_int("SSAMR_EXP_ITERS", default_iters, 1);
 }
 
 TraceConfig paper_trace_config() {

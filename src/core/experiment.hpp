@@ -34,9 +34,9 @@ real_t env_real(const char* name, real_t fallback, real_t min_value,
 /// SSAMR_RESULTS_DIR at a scratch directory.
 std::string results_path(const std::string& filename);
 
-/// Iteration count for an experiment driver: `$SSAMR_EXP_ITERS` when set
-/// (the golden regression tests run the drivers at a small trial count),
-/// otherwise `default_iters` (the paper-scale run).
+/// Iteration count for an experiment driver: `$SSAMR_EXP_ITERS` when it
+/// is a positive int (the golden regression tests run the drivers at a
+/// small trial count), otherwise `default_iters` (the paper-scale run).
 int run_iterations(int default_iters);
 
 /// The paper's application scale: 128×32×32 base mesh, 3 levels of

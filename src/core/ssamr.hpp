@@ -21,7 +21,6 @@
 #include "amr/hierarchy_audit.hpp"  // IWYU pragma: export
 #include "amr/integrator.hpp"       // IWYU pragma: export
 #include "amr/particles.hpp"        // IWYU pragma: export
-#include "amr/richardson.hpp"       // IWYU pragma: export
 #include "amr/trace_generator.hpp"  // IWYU pragma: export
 #include "amr/workload.hpp"         // IWYU pragma: export
 #include "capacity/capacity.hpp"    // IWYU pragma: export
@@ -30,7 +29,6 @@
 #include "cluster/cluster_audit.hpp"    // IWYU pragma: export
 #include "geom/box.hpp"             // IWYU pragma: export
 #include "geom/box_list.hpp"        // IWYU pragma: export
-#include "hdda/hdda.hpp"            // IWYU pragma: export
 #include "monitor/monitor_audit.hpp"    // IWYU pragma: export
 #include "monitor/monitor_service.hpp"  // IWYU pragma: export
 #include "partition/grace_default.hpp"  // IWYU pragma: export

@@ -126,11 +126,6 @@ std::pair<Box, Box> Box::split(int axis, coord_t offset) const {
   return {Box(lo_, left_hi, level_), Box(right_lo, hi_, level_)};
 }
 
-std::pair<Box, Box> Box::halved() const {
-  const int axis = longest_axis();
-  return split(axis, extent()[axis] / 2);
-}
-
 bool operator==(const Box& a, const Box& b) {
   if (a.empty() && b.empty()) return true;
   return a.lo_ == b.lo_ && a.hi_ == b.hi_ && a.level_ == b.level_;

@@ -88,9 +88,6 @@ class Box {
   /// 0 < offset < extent()[axis].
   std::pair<Box, Box> split(int axis, coord_t offset) const;
 
-  /// Split in half along the longest axis.
-  std::pair<Box, Box> halved() const;
-
   friend bool operator==(const Box& a, const Box& b);
   friend bool operator!=(const Box& a, const Box& b) { return !(a == b); }
 

@@ -54,18 +54,6 @@ std::vector<Box> box_difference(const Box& a,
   return remaining;
 }
 
-std::int64_t union_cells(const std::vector<Box>& boxes) {
-  // Incremental sweep: add each box's cells not covered by earlier boxes.
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    std::vector<Box> earlier(boxes.begin(),
-                             boxes.begin() + static_cast<std::ptrdiff_t>(i));
-    for (const Box& piece : box_difference(boxes[i], earlier))
-      total += piece.cells();
-  }
-  return total;
-}
-
 namespace {
 /// True when a and b can merge into one box (equal bounds in all directions
 /// except one, where they are exactly adjacent).
@@ -117,16 +105,6 @@ std::vector<Box> coalesce(std::vector<Box> boxes) {
     }
   }
   return boxes;
-}
-
-std::vector<Box> clip_all(const std::vector<Box>& list, const Box& clip) {
-  std::vector<Box> out;
-  out.reserve(list.size());
-  for (const Box& b : list) {
-    const Box c = b.intersection(clip);
-    if (!c.empty()) out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace ssamr

@@ -1,8 +1,8 @@
 #pragma once
 /// \file box_algebra.hpp
-/// Set-like operations on boxes and box lists: difference, coverage,
-/// union volume, and simple coalescing.  These underpin ghost-region
-/// planning and regridding (computing newly refined / de-refined regions).
+/// Set-like operations on boxes and box lists: difference and simple
+/// coalescing.  These underpin ghost-region planning and regridding
+/// (computing newly refined / de-refined regions).
 
 #include <vector>
 
@@ -20,14 +20,8 @@ std::vector<Box> box_difference(const Box& a, const Box& b);
 std::vector<Box> box_difference(const Box& a,
                                 const std::vector<Box>& subtrahends);
 
-/// Number of distinct cells covered by the (possibly overlapping) boxes.
-std::int64_t union_cells(const std::vector<Box>& boxes);
-
 /// Merge adjacent boxes that form a rectilinear union (simple pairwise
 /// face-merge until a fixed point).  Input boxes must be disjoint.
 std::vector<Box> coalesce(std::vector<Box> boxes);
-
-/// Intersect every box in `list` with `clip`, dropping empties.
-std::vector<Box> clip_all(const std::vector<Box>& list, const Box& clip);
 
 }  // namespace ssamr

@@ -1,7 +1,5 @@
 #include "geom/box_list.hpp"
 
-#include <algorithm>
-
 #include "geom/box_algebra.hpp"
 
 namespace ssamr {
@@ -34,12 +32,6 @@ bool BoxList::covers(const Box& probe) const {
     if (remaining.empty()) return true;
   }
   return remaining.empty();
-}
-
-void BoxList::prune_empty() {
-  boxes_.erase(std::remove_if(boxes_.begin(), boxes_.end(),
-                              [](const Box& b) { return b.empty(); }),
-               boxes_.end());
 }
 
 }  // namespace ssamr

@@ -51,9 +51,6 @@ class BoxList {
   /// (all boxes must share probe's level).
   bool covers(const Box& probe) const;
 
-  /// Remove empty boxes.
-  void prune_empty();
-
  private:
   std::vector<Box> boxes_;
 };

@@ -92,11 +92,4 @@ std::vector<LocalBoxView> build_local_views(const std::vector<Box>& boxes,
   return views;
 }
 
-std::vector<LocalBoxView> build_local_views(const std::vector<Box>& boxes,
-                                            const std::vector<rank_t>& owners,
-                                            int nranks, coord_t ghost) {
-  const SfcKeyIndex index(boxes);
-  return build_local_views(boxes, owners, nranks, ghost, index);
-}
-
 }  // namespace ssamr

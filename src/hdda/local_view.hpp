@@ -78,9 +78,4 @@ std::vector<LocalBoxView> build_local_views(
     int nranks, coord_t ghost, const SfcKeyIndex& index,
     HaloPolicy halos = HaloPolicy::kBuildHalos);
 
-/// Convenience overload that builds the key index internally.
-std::vector<LocalBoxView> build_local_views(const std::vector<Box>& boxes,
-                                            const std::vector<rank_t>& owners,
-                                            int nranks, coord_t ghost);
-
 }  // namespace ssamr

@@ -64,12 +64,6 @@ AdaptiveForecaster::AdaptiveForecaster() {
   members_.push_back(std::make_unique<SlidingMedianForecaster>(10));
 }
 
-AdaptiveForecaster::AdaptiveForecaster(
-    std::vector<std::unique_ptr<Forecaster>> members)
-    : members_(std::move(members)) {
-  SSAMR_REQUIRE(!members_.empty(), "adaptive forecaster needs members");
-}
-
 std::size_t AdaptiveForecaster::best_index(
     const std::vector<real_t>& history) const {
   const std::size_t n = history.size();

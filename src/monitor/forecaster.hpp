@@ -75,9 +75,6 @@ class AdaptiveForecaster final : public Forecaster {
   /// Build with the standard family (last, mean, sliding mean/median of 5
   /// and 10).
   AdaptiveForecaster();
-  /// Build with a custom family (takes ownership; must be non-empty).
-  explicit AdaptiveForecaster(
-      std::vector<std::unique_ptr<Forecaster>> members);
 
   real_t forecast(const std::vector<real_t>& history) const override;
   std::string name() const override { return "adaptive"; }

@@ -29,16 +29,6 @@ ProbeHealth HealthLedger::snapshot() const {
   return totals_;
 }
 
-const char* probe_status_name(ProbeStatus s) {
-  switch (s) {
-    case ProbeStatus::kOk: return "ok";
-    case ProbeStatus::kStale: return "stale";
-    case ProbeStatus::kTimeout: return "timeout";
-    case ProbeStatus::kFailed: return "failed";
-  }
-  return "?";
-}
-
 ResourceEstimate StalenessPolicy::degrade(
     const ResourceEstimate& last_good, Seconds age,
     const ResourceEstimate& cluster_mean) const {

@@ -44,9 +44,6 @@ enum class ProbeStatus : std::uint8_t {
   kFailed,   ///< every attempt failed fast; estimate is a decayed fallback
 };
 
-/// Human-readable name of a probe status ("ok", "stale", ...).
-const char* probe_status_name(ProbeStatus s);
-
 /// Fallback policy for nodes the monitor cannot reach: report the
 /// last-known-good reading, decayed exponentially toward the cluster mean
 /// as it ages (an unreachable node's state is unknown, so the best

@@ -128,15 +128,6 @@ std::int64_t partition_comm_cells(const PartitionResult& r, coord_t ghost) {
   return total;
 }
 
-std::int64_t rank_comm_bytes(const PartitionResult& r, rank_t rank,
-                             coord_t ghost, int ncomp) {
-  SSAMR_REQUIRE(ncomp >= 1, "ncomp must be >= 1");
-  std::int64_t cells = 0;
-  for (const PairCells& p : ghost_flow_cells(r, ghost))
-    if (p.src == rank || p.dst == rank) cells += p.cells;
-  return cells * ncomp * static_cast<std::int64_t>(sizeof(real_t));
-}
-
 std::vector<RankFlow> pairwise_comm_bytes(const PartitionResult& r,
                                           coord_t ghost, int ncomp) {
   SSAMR_REQUIRE(ghost >= 0, "ghost width must be non-negative");

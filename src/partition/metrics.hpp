@@ -29,11 +29,6 @@ real_t effective_imbalance_pct(const PartitionResult& r);
 /// *other* ranks (counted once per (src,dst) direction).
 std::int64_t partition_comm_cells(const PartitionResult& r, coord_t ghost);
 
-/// Bytes a given rank exchanges per coarse step under the assignment
-/// (remote shell cells × ncomp × sizeof(real), both directions).
-std::int64_t rank_comm_bytes(const PartitionResult& r, rank_t rank,
-                             coord_t ghost, int ncomp);
-
 /// One directed rank-to-rank traffic aggregate.
 struct RankFlow {
   rank_t src = 0;
@@ -46,8 +41,8 @@ struct RankFlow {
 /// Directed point-to-point ghost traffic of one coarse step: for every
 /// ordered rank pair (src → dst), the bytes dst's ghost shells receive
 /// from boxes owned by src.  Sorted by (src, dst), zero flows omitted.
-/// Summing the flows incident to a rank (either side) reproduces
-/// rank_comm_bytes for that rank.
+/// Summing the flows incident to a rank (either side) gives the bytes that
+/// rank exchanges per coarse step.
 ///
 /// The comm metrics discover adjacencies through rank-local box views
 /// (hdda/local_view.hpp) rather than the historical all-pairs scan; the

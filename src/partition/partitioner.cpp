@@ -12,13 +12,6 @@
 
 namespace ssamr {
 
-BoxList PartitionResult::boxes_of(rank_t rank) const {
-  BoxList out;
-  for (const BoxAssignment& a : assignments)
-    if (a.owner == rank) out.push_back(a.box);
-  return out;
-}
-
 namespace {
 
 /// Work of one index-space plane of `b` perpendicular to `axis`, cells

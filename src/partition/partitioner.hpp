@@ -40,9 +40,6 @@ struct PartitionResult {
   /// Number of box splits performed.
   int splits = 0;
 
-  /// Boxes owned by one rank.
-  BoxList boxes_of(rank_t rank) const;
-
   /// Bit-exact comparison (the determinism tests diff whole results).
   bool operator==(const PartitionResult&) const = default;
 };

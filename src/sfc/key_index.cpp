@@ -145,12 +145,6 @@ void SfcKeyIndex::query(const Box& region,
   query(region, out, stats_);
 }
 
-std::vector<std::uint32_t> SfcKeyIndex::query(const Box& region) const {
-  std::vector<std::uint32_t> out;
-  query(region, out);
-  return out;
-}
-
 void SfcKeyIndex::merge_stats(const SfcKeyIndexStats& s) const {
   stats_.queries += s.queries;
   stats_.candidates += s.candidates;

@@ -61,11 +61,8 @@ class SfcKeyIndex {
   explicit SfcKeyIndex(const std::vector<Box>& boxes);
 
   /// Ids (ascending) of indexed boxes at region.level() that intersect
-  /// `region`.  An empty region matches nothing.
-  std::vector<std::uint32_t> query(const Box& region) const;
-
-  /// As above, appending into `out` (cleared first) to reuse capacity in
-  /// hot loops.
+  /// `region`, written into `out` (cleared first, so hot loops reuse its
+  /// capacity).  An empty region matches nothing.
   void query(const Box& region, std::vector<std::uint32_t>& out) const;
 
   /// As above, accumulating counters into `stats` instead of the index's

@@ -1,19 +1,15 @@
 #pragma once
 /// \file event.hpp
-/// Typed events of the virtual-cluster simulation.
+/// The point-to-point transfer of the virtual-cluster simulation.
 ///
-/// The event model decomposes a run into four event families: compute
-/// spans (a rank updating its patches), point-to-point transfers (ghost
-/// exchange and data migration), probe sweeps (the resource monitor
-/// querying every node), and regrid/repartition barriers.  Compute spans,
+/// The event model decomposes a run into compute spans (a rank updating
+/// its patches), point-to-point transfers (ghost exchange and data
+/// migration), probe sweeps and regrid/repartition barriers.  Spans,
 /// sweeps and barriers are recorded directly on the per-rank timelines
 /// (timeline.hpp); transfers additionally flow through the fluid network
 /// simulation (message_sim.hpp) which resolves endpoint bandwidth
 /// contention before their completion times are known.
 
-#include <cstdint>
-
-#include "util/types.hpp"
 #include "util/units.hpp"
 
 namespace ssamr::sim {
@@ -27,30 +23,6 @@ struct Transfer {
   Seconds post_time{0};
   /// Completion time, filled in by simulate_transfers().
   Seconds finish_time{0};
-};
-
-/// A rank executing its assigned patches for one coarse iteration.
-struct ComputeSpan {
-  int rank = 0;
-  int iteration = 0;
-  Seconds begin{0};
-  Seconds duration{0};
-};
-
-/// One full probe sweep of the resource monitor (runs on the monitor lane,
-/// overlapping rank execution in the event model).
-struct ProbeSweep {
-  int iteration = 0;
-  Seconds begin{0};
-  Seconds duration{0};
-};
-
-/// A regrid/repartition barrier: every rank synchronizes, then performs
-/// flagging + clustering + partitioning work of the given duration.
-struct RegridBarrier {
-  int iteration = 0;
-  Seconds begin{0};     ///< barrier release time (max over rank clocks)
-  Seconds duration{0};  ///< regrid + partition work charged to every rank
 };
 
 }  // namespace ssamr::sim

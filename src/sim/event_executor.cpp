@@ -16,11 +16,6 @@ EventExecutor::EventExecutor(const Cluster& cluster,
   for (int k = 0; k <= n; ++k) lanes_.emplace_back(k);
 }
 
-Seconds EventExecutor::rank_time(rank_t rank) const {
-  SSAMR_REQUIRE(rank >= 0 && rank < cluster_.size(), "rank out of range");
-  return lanes_[static_cast<std::size_t>(rank)].now();
-}
-
 std::vector<MbitsPerSec> EventExecutor::bandwidths_at(Seconds t) const {
   const auto n = static_cast<std::size_t>(cluster_.size());
   std::vector<MbitsPerSec> bw(n, MbitsPerSec{0});

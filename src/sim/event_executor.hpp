@@ -44,9 +44,6 @@ class EventExecutor final : public ExecutionModel {
   void finish(RunTrace& trace, Seconds t_end) override;
   const VirtualExecutor& costs() const override { return exec_; }
 
-  /// Local clock of one rank (test access).
-  Seconds rank_time(rank_t rank) const;
-
   /// Discrete network events processed so far (one admission + one
   /// completion per transfer that entered the fluid simulation).
   std::size_t events_processed() const { return events_; }

@@ -22,14 +22,6 @@ MegaBytes VirtualExecutor::memory_from_cells(std::int64_t cells) const {
   return cfg_.app_base_memory_mb + MegaBytes{bytes / 1.0e6};
 }
 
-MegaBytes VirtualExecutor::memory_demand_mb(const PartitionResult& r,
-                                            rank_t rank) const {
-  std::int64_t cells = 0;
-  for (const BoxAssignment& a : r.assignments)
-    if (a.owner == rank) cells += a.box.cells();
-  return memory_from_cells(cells);
-}
-
 std::vector<Seconds> VirtualExecutor::compute_times(const PartitionResult& r,
                                                     Seconds t) const {
   const auto n = static_cast<std::size_t>(cluster_.size());
@@ -37,8 +29,7 @@ std::vector<Seconds> VirtualExecutor::compute_times(const PartitionResult& r,
                 "partition arity must match cluster size");
   // One O(|assignments|) pass scatters the resident cells to their ranks
   // (the historical per-rank rescans were O(N·P)); integer accumulation,
-  // so the per-rank totals — and the memory model fed from them — match
-  // memory_demand_mb bit for bit.
+  // so the per-rank totals do not depend on assignment order.
   std::vector<std::int64_t> cells(n, 0);
   for (const BoxAssignment& a : r.assignments)
     if (a.owner >= 0 && static_cast<std::size_t>(a.owner) < n)
@@ -64,8 +55,8 @@ std::vector<Seconds> VirtualExecutor::comm_times(const PartitionResult& r,
                                                  Seconds t) const {
   const auto n = static_cast<std::size_t>(cluster_.size());
   // One flow extraction (local-view neighbor discovery, O(N log N)) and an
-  // integer incident-sum per rank reproduce every rank_comm_bytes value —
-  // flow bytes are cells × cell_bytes, so the incident sums factor exactly.
+  // integer incident-sum per rank give every rank's ghost bytes — flow
+  // bytes are cells × cell_bytes, so the incident sums factor exactly.
   // The historical per-rank rescans were O(N²·P).
   std::vector<std::int64_t> incident(n, 0);
   for (const RankFlow& f : pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp)) {
@@ -95,16 +86,6 @@ std::vector<Seconds> VirtualExecutor::effective_comm_times(
   return comm;
 }
 
-Seconds VirtualExecutor::iteration_time(const PartitionResult& r,
-                                        Seconds t) const {
-  const auto comp = compute_times(r, t);
-  const auto comm = effective_comm_times(r, t);
-  Seconds worst{0};
-  for (std::size_t k = 0; k < comp.size(); ++k)
-    worst = std::max(worst, comp[k] + comm[k]);
-  return worst;
-}
-
 Seconds VirtualExecutor::regrid_time(std::size_t boxes) const {
   return cfg_.regrid_cost_base_s +
          cfg_.regrid_cost_per_box_s * static_cast<real_t>(boxes);
@@ -112,20 +93,6 @@ Seconds VirtualExecutor::regrid_time(std::size_t boxes) const {
 
 Seconds VirtualExecutor::partition_time(std::size_t boxes) const {
   return cfg_.partition_cost_per_box_s * static_cast<real_t>(boxes);
-}
-
-Bytes VirtualExecutor::migration_bytes(const PartitionResult& previous,
-                                       const PartitionResult& next,
-                                       rank_t rank) const {
-  // Cells moving between owners touch both endpoints but are counted once
-  // per flow, so the rank's volume is its incident flow sum.
-  const std::int64_t cell_bytes =
-      static_cast<std::int64_t>(cfg_.ncomp) * cfg_.bytes_per_value;
-  std::int64_t total = 0;
-  for (const RankFlow& f :
-       ownership_transfer_flows(previous, next, cell_bytes))
-    if (f.src == rank || f.dst == rank) total += f.bytes;
-  return Bytes{total};
 }
 
 std::vector<RankFlow> VirtualExecutor::migration_flows(
@@ -146,8 +113,8 @@ Seconds VirtualExecutor::migration_time(const PartitionResult& previous,
                                         const PartitionResult& next,
                                         Seconds t) const {
   // One flow extraction, integer incident sums per rank (identical to the
-  // historical per-rank migration_bytes rescans), then the max over ranks
-  // combined in fixed rank order (bit-identical to the serial loop).
+  // historical per-rank rescans), then the max over ranks combined in
+  // fixed rank order (bit-identical to the serial loop).
   const auto n = static_cast<std::size_t>(cluster_.size());
   std::vector<std::int64_t> incident(n, 0);
   for (const RankFlow& f : migration_flows(previous, next)) {

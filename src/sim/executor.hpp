@@ -83,12 +83,6 @@ class VirtualExecutor {
  public:
   VirtualExecutor(const Cluster& cluster, ExecutorConfig cfg);
 
-  /// Memory demand of a rank under an assignment.
-  MegaBytes memory_demand_mb(const PartitionResult& r, rank_t rank) const;
-
-  /// Time of one coarse iteration starting at virtual time t.
-  Seconds iteration_time(const PartitionResult& r, Seconds t) const;
-
   /// Per-rank compute time of one iteration at time t (test access).
   std::vector<Seconds> compute_times(const PartitionResult& r,
                                      Seconds t) const;
@@ -114,24 +108,18 @@ class VirtualExecutor {
   Seconds migration_time(const PartitionResult& previous,
                          const PartitionResult& next, Seconds t) const;
 
-  /// Bytes rank `rank` sends+receives when moving from `previous` to
-  /// `next`.
-  Bytes migration_bytes(const PartitionResult& previous,
-                        const PartitionResult& next, rank_t rank) const;
-
   /// Directed per-pair migration traffic from `previous` to `next`
   /// ownership, sorted by (src, dst) with zero flows omitted (`previous`
   /// empty = initial scatter from rank 0).  The flows incident to a rank
-  /// sum to migration_bytes for that rank.
+  /// sum to the bytes it sends and receives.
   std::vector<RankFlow> migration_flows(const PartitionResult& previous,
                                         const PartitionResult& next) const;
 
   const ExecutorConfig& config() const { return cfg_; }
 
  private:
-  /// The memory model of memory_demand_mb for a known resident cell count
-  /// (one shared expression so the batched and per-rank paths stay
-  /// bit-identical).
+  /// Memory demand of a rank holding `cells` resident cells: the
+  /// application base plus every component at every time level.
   MegaBytes memory_from_cells(std::int64_t cells) const;
 
   const Cluster& cluster_;

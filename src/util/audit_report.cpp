@@ -72,8 +72,4 @@ std::string AuditReport::summary() const {
   return os.str();
 }
 
-std::ostream& operator<<(std::ostream& os, const AuditReport& r) {
-  return os << r.summary();
-}
-
 }  // namespace ssamr::audit

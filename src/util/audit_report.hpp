@@ -80,6 +80,4 @@ class AuditReport {
   std::vector<Violation> violations_;
 };
 
-std::ostream& operator<<(std::ostream& os, const AuditReport& r);
-
 }  // namespace ssamr::audit

@@ -31,8 +31,6 @@ bool timestamps_enabled() {
 }
 }  // namespace
 
-LogLevel Log::level() { return g_level.load(std::memory_order_relaxed); }
-
 void Log::set_level(LogLevel lvl) {
   g_level.store(lvl, std::memory_order_relaxed);
 }

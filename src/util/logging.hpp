@@ -17,8 +17,6 @@ enum class LogLevel { Trace = 0, Debug, Info, Warn, Error, Off };
 /// Process-wide logger configuration and sink.
 class Log {
  public:
-  /// Current minimum level that will be emitted.
-  static LogLevel level();
   /// Set the minimum level to emit.
   static void set_level(LogLevel lvl);
   /// Redirect output (default: std::cerr).  Pass nullptr to restore default.

@@ -1,48 +1,14 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "util/error.hpp"
 
 namespace ssamr {
-
-RunningStats::RunningStats()
-    : min_(std::numeric_limits<real_t>::infinity()),
-      max_(-std::numeric_limits<real_t>::infinity()) {}
-
-void RunningStats::push(real_t x) {
-  ++n_;
-  const real_t delta = x - mean_;
-  mean_ += delta / static_cast<real_t>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-real_t RunningStats::variance() const {
-  if (n_ < 2) return 0;
-  return m2_ / static_cast<real_t>(n_ - 1);
-}
-
-real_t RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::reset() { *this = RunningStats(); }
 
 real_t mean_of(const std::vector<real_t>& v) {
   if (v.empty()) return 0;
   real_t s = 0;
   for (real_t x : v) s += x;
   return s / static_cast<real_t>(v.size());
-}
-
-real_t stddev_of(const std::vector<real_t>& v) {
-  if (v.size() < 2) return 0;
-  const real_t m = mean_of(v);
-  real_t s = 0;
-  for (real_t x : v) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<real_t>(v.size() - 1));
 }
 
 real_t median_of(std::vector<real_t> v) {
@@ -55,30 +21,6 @@ real_t median_of(std::vector<real_t> v) {
   const real_t lo = *std::max_element(
       v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
   return 0.5 * (lo + hi);
-}
-
-real_t quantile_of(std::vector<real_t> v, real_t q) {
-  SSAMR_REQUIRE(q >= 0 && q <= 1, "quantile must be in [0,1]");
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const real_t pos = q * static_cast<real_t>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const real_t frac = pos - static_cast<real_t>(lo);
-  return v[lo] * (1 - frac) + v[hi] * frac;
-}
-
-real_t mse_of(const std::vector<real_t>& actual,
-              const std::vector<real_t>& predicted) {
-  SSAMR_REQUIRE(actual.size() == predicted.size(),
-                "mse_of requires equally sized series");
-  if (actual.empty()) return 0;
-  real_t s = 0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    const real_t d = actual[i] - predicted[i];
-    s += d * d;
-  }
-  return s / static_cast<real_t>(actual.size());
 }
 
 }  // namespace ssamr

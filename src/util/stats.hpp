@@ -1,61 +1,18 @@
 #pragma once
 /// \file stats.hpp
-/// Small statistics helpers used by the NWS-style forecasters and by
-/// experiment reporting: running moments, order statistics, and simple
-/// aggregate summaries over vectors.
+/// Small statistics helpers used by the NWS-style forecasters: the mean
+/// and the median of a vector.
 
-#include <cstddef>
 #include <vector>
 
 #include "util/types.hpp"
 
 namespace ssamr {
 
-/// Incrementally maintained mean / variance (Welford's algorithm).
-class RunningStats {
- public:
-  /// Add one observation.
-  void push(real_t x);
-  /// Number of observations so far.
-  std::size_t count() const { return n_; }
-  /// Mean of observations (0 when empty).
-  real_t mean() const { return mean_; }
-  /// Unbiased sample variance (0 when fewer than two observations).
-  real_t variance() const;
-  /// Sample standard deviation.
-  real_t stddev() const;
-  /// Smallest observation (+inf when empty).
-  real_t min() const { return min_; }
-  /// Largest observation (-inf when empty).
-  real_t max() const { return max_; }
-  /// Reset to the empty state.
-  void reset();
-
- private:
-  std::size_t n_ = 0;
-  real_t mean_ = 0;
-  real_t m2_ = 0;
-  real_t min_;
-  real_t max_;
-
- public:
-  RunningStats();
-};
-
 /// Mean of a vector (0 when empty).
 real_t mean_of(const std::vector<real_t>& v);
 
-/// Sample standard deviation of a vector (0 when size < 2).
-real_t stddev_of(const std::vector<real_t>& v);
-
 /// Median of a vector (0 when empty).  Copies its argument.
 real_t median_of(std::vector<real_t> v);
-
-/// q-quantile via linear interpolation on the sorted sample, q in [0, 1].
-real_t quantile_of(std::vector<real_t> v, real_t q);
-
-/// Mean squared error between two equally sized series.
-real_t mse_of(const std::vector<real_t>& actual,
-              const std::vector<real_t>& predicted);
 
 }  // namespace ssamr

@@ -132,7 +132,7 @@ TEST(ValidatePartition, FlagsOverlappingAssignments) {
 TEST(ValidatePartition, FlagsUncoveredInput) {
   const WorkModel work;
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0);
-  const auto halves = b.halved();
+  const auto halves = b.split(0, 8);
   PartitionResult r;
   r.assignments = {{halves.first, 0}};  // second half never assigned
   r.assigned_work = {box_work(halves.first, work), 0.0};

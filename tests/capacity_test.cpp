@@ -89,24 +89,5 @@ TEST(Capacity, RejectsBadInput) {
   EXPECT_THROW(calc.relative_capacities({est(-0.1, 0, 0)}), Error);
 }
 
-TEST(Capacity, WorkAllocationIsProportional) {
-  const auto alloc =
-      CapacityCalculator::work_allocation({0.25, 0.75}, Work{1000.0});
-  EXPECT_DOUBLE_EQ(alloc[0].value(), 250.0);
-  EXPECT_DOUBLE_EQ(alloc[1].value(), 750.0);
-  EXPECT_THROW(CapacityCalculator::work_allocation({0.5}, Work{-1.0}), Error);
-  EXPECT_THROW(CapacityCalculator::work_allocation({-0.5}, Work{1.0}), Error);
-}
-
-TEST(Capacity, SetWeightsValidates) {
-  CapacityCalculator calc;
-  EXPECT_THROW(calc.set_weights(CapacityWeights{2, 0, 0}), Error);
-  calc.set_weights(CapacityWeights{1.0, 0.0, 0.0});
-  const auto caps =
-      calc.relative_capacities({est(0.2, 999, 999), est(0.8, 1, 1)});
-  EXPECT_NEAR(caps[0], 0.2, 1e-12);
-  EXPECT_NEAR(caps[1], 0.8, 1e-12);
-}
-
 }  // namespace
 }  // namespace ssamr

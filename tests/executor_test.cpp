@@ -30,11 +30,17 @@ ExecutorConfig test_config() {
 }
 
 TEST(Executor, MemoryDemandCountsOwnedCells) {
-  Cluster c = Cluster::homogeneous(2);
-  VirtualExecutor ex(c, test_config());
-  const auto r = simple_partition();
-  // 512 cells x 1 comp x 8 bytes x 2 time levels = 8192 bytes.
-  EXPECT_NEAR(ex.memory_demand_mb(r, 0).value(), 8192.0 / 1e6, 1e-12);
+  NodeSpec spec;
+  spec.peak_rate = WorkRate{512.0};  // one second per patch
+  spec.memory_mb = MegaBytes{2.0};
+  Cluster c = Cluster::homogeneous(2, spec);
+  ExecutorConfig cfg = test_config();
+  cfg.app_base_memory_mb = MegaBytes{2.0};  // fills the node exactly
+  VirtualExecutor ex(c, cfg);
+  // 512 owned cells x 1 comp x 8 bytes x 2 time levels = 8192 bytes over
+  // the 2 MB free, so paging slows the rank by 4 x (overcommit - 1).
+  const auto times = ex.compute_times(simple_partition(), Seconds{0.0});
+  EXPECT_NEAR(times[0].value(), 1.0 + 4.0 * (8192.0 / 1e6) / 2.0, 1e-9);
 }
 
 TEST(Executor, ComputeTimeIsWorkOverRate) {
@@ -59,8 +65,6 @@ TEST(Executor, LoadedNodeComputesSlower) {
   const auto times = ex.compute_times(simple_partition(), Seconds{0.0});
   EXPECT_NEAR(times[0].value(), 2.0, 1e-9);
   EXPECT_NEAR(times[1].value(), 1.0, 1e-9);
-  EXPECT_NEAR(ex.iteration_time(simple_partition(), Seconds{0.0}).value(), 2.0,
-              0.1);
 }
 
 TEST(Executor, MonitorIntrusionShavesRate) {
@@ -107,13 +111,24 @@ TEST(Executor, RegridAndPartitionCostsScaleWithBoxes) {
   EXPECT_NEAR(ex.partition_time(10).value(), 0.02, 1e-12);
 }
 
+/// Bytes a rank sends plus receives: the sum of its incident flows.
+std::int64_t incident_bytes(const std::vector<RankFlow>& flows, rank_t rank) {
+  std::int64_t total = 0;
+  for (const RankFlow& f : flows)
+    if (f.src == rank || f.dst == rank) total += f.bytes;
+  return total;
+}
+
 TEST(Executor, InitialMigrationIsAScatterFromRankZero) {
   Cluster c = Cluster::homogeneous(2);
   VirtualExecutor ex(c, test_config());
   const auto next = simple_partition();
   // Rank 1's box must move from rank 0: 512 cells * 8 bytes.
-  EXPECT_EQ(ex.migration_bytes({}, next, 1), Bytes{512 * 8});
-  EXPECT_EQ(ex.migration_bytes({}, next, 0), Bytes{512 * 8});  // sender side
+  const auto flows = ex.migration_flows({}, next);
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0], (RankFlow{0, 1, 512 * 8}));
+  EXPECT_EQ(incident_bytes(flows, 1), 512 * 8);
+  EXPECT_EQ(incident_bytes(flows, 0), 512 * 8);  // sender side
   EXPECT_GT(ex.migration_time({}, next, Seconds{0.0}), Seconds{0.0});
 }
 
@@ -121,12 +136,13 @@ TEST(Executor, MigrationCountsOnlyChangedOwnership) {
   Cluster c = Cluster::homogeneous(2);
   VirtualExecutor ex(c, test_config());
   const auto prev = simple_partition();
-  EXPECT_EQ(ex.migration_bytes(prev, prev, 0), Bytes{0});
+  EXPECT_TRUE(ex.migration_flows(prev, prev).empty());
   // Swap owners: everything moves.
   PartitionResult swapped = prev;
   swapped.assignments[0].owner = 1;
   swapped.assignments[1].owner = 0;
-  EXPECT_EQ(ex.migration_bytes(prev, swapped, 0), Bytes{2 * 512 * 8});
+  EXPECT_EQ(incident_bytes(ex.migration_flows(prev, swapped), 0),
+            2 * 512 * 8);
 }
 
 TEST(Executor, MigrationUsesBoxOverlapNotIdentity) {
@@ -141,7 +157,8 @@ TEST(Executor, MigrationUsesBoxOverlapNotIdentity) {
       {Box::from_extent(IntVec(4, 0, 0), IntVec(12, 8, 8), 0), 1});
   next.assigned_work = {256, 768};
   next.target_work = {256, 768};
-  EXPECT_EQ(ex.migration_bytes(prev, next, 1), Bytes{4 * 8 * 8 * 8});
+  EXPECT_EQ(incident_bytes(ex.migration_flows(prev, next), 1),
+            4 * 8 * 8 * 8);
 }
 
 TEST(Executor, PagingDegradesLoadedNodeThroughput) {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <numeric>
+#include <ostream>
+#include <string>
 
 #include "util/error.hpp"
 #include "core/experiment.hpp"
@@ -36,6 +39,45 @@ TEST(Experiment, EnvIntValidatesRangeAndGarbage) {
   EXPECT_EQ(with("99999999999999999999", 7, 1, 100), 7);  // overflow-ish
   EXPECT_THROW(exp::env_int("SSAMR_TEST_ENV_INT", 7, 5, 4), Error);
 }
+
+// SSAMR_EXP_ITERS goes through env_int: a positive int is the count, and
+// anything else, a value past INT_MAX included, falls back instead of
+// wrapping to 1 or to a negative count.
+struct ItersCase {
+  const char* name;   ///< printed as the test's parameter
+  const char* value;  ///< SSAMR_EXP_ITERS, or nullptr for unset
+  int expected;       ///< run_iterations(7)
+};
+
+void PrintTo(const ItersCase& c, std::ostream* os) { *os << c.name; }
+
+class RunIterationsTest : public ::testing::TestWithParam<ItersCase> {};
+
+TEST_P(RunIterationsTest, ParsesOrFallsBack) {
+  const char* saved = std::getenv("SSAMR_EXP_ITERS");
+  const std::string restore = saved != nullptr ? saved : "";
+  if (GetParam().value != nullptr)
+    ::setenv("SSAMR_EXP_ITERS", GetParam().value, 1);
+  else
+    ::unsetenv("SSAMR_EXP_ITERS");
+  EXPECT_EQ(exp::run_iterations(7), GetParam().expected);
+  if (saved != nullptr)
+    ::setenv("SSAMR_EXP_ITERS", restore.c_str(), 1);
+  else
+    ::unsetenv("SSAMR_EXP_ITERS");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SsamrExpIters, RunIterationsTest,
+    ::testing::Values(
+        ItersCase{"Unset", nullptr, 7}, ItersCase{"Fifty", "50", 50},
+        ItersCase{"One", "1", 1}, ItersCase{"Zero", "0", 7},
+        ItersCase{"Garbage", "abc", 7},
+        // 2^32 + 1 used to run 1 iteration.
+        ItersCase{"TwoPow32Plus1", "4294967297", 7},
+        // INT_MAX + 1 used to return INT_MIN; INT_MAX itself is valid.
+        ItersCase{"IntMaxPlus1", "2147483648", 7},
+        ItersCase{"IntMax", "2147483647", std::numeric_limits<int>::max()}));
 
 TEST(Experiment, EnvRealValidatesRangeAndGarbage) {
   ASSERT_EQ(::unsetenv("SSAMR_TEST_ENV_REAL"), 0);

@@ -138,8 +138,6 @@ TEST(Cluster, CrashEpisodeZeroesStateAndFloorsBandwidth) {
   FaultPlan plan;
   plan.add(episode(0, FaultKind::kCrash, 10.0, 20.0));
   c.set_fault_plan(plan);
-  EXPECT_TRUE(c.node_down(0, Seconds{15.0}));
-  EXPECT_FALSE(c.node_down(1, Seconds{15.0}));
   const NodeState down = c.state_at(0, Seconds{15.0});
   EXPECT_DOUBLE_EQ(down.cpu_available.value(), 0.0);
   EXPECT_DOUBLE_EQ(down.memory_free_mb.value(), 0.0);

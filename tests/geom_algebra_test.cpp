@@ -83,14 +83,6 @@ TEST(BoxDifference, EmptyMinuend) {
                   .empty());
 }
 
-TEST(UnionCells, CountsOverlapsOnce) {
-  const Box a(IntVec(0, 0, 0), IntVec(3, 3, 3));
-  const Box b(IntVec(2, 0, 0), IntVec(5, 3, 3));
-  EXPECT_EQ(union_cells({a, b}), 6 * 4 * 4);
-  EXPECT_EQ(union_cells({a, a, a}), a.cells());
-  EXPECT_EQ(union_cells({}), 0);
-}
-
 TEST(Coalesce, MergesAdjacentPair) {
   const Box a(IntVec(0, 0, 0), IntVec(3, 3, 3));
   const Box b(IntVec(4, 0, 0), IntVec(7, 3, 3));
@@ -160,15 +152,6 @@ TEST(Coalesce, MatchesRestartingScanOracle) {
       ASSERT_EQ(got[i], want[i]) << "trial " << trial << " box " << i;
     EXPECT_EQ(total_cells(got), total_cells(boxes));
   }
-}
-
-TEST(ClipAll, IntersectsAndDropsEmpties) {
-  const std::vector<Box> list{Box(IntVec(0, 0, 0), IntVec(3, 3, 3)),
-                              Box(IntVec(10, 10, 10), IntVec(12, 12, 12))};
-  const Box clip(IntVec(2, 2, 2), IntVec(8, 8, 8));
-  const auto c = clip_all(list, clip);
-  ASSERT_EQ(c.size(), 1u);
-  EXPECT_EQ(c[0], Box(IntVec(2, 2, 2), IntVec(3, 3, 3)));
 }
 
 TEST(BoxList, TotalCellsAndPrune) {

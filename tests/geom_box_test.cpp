@@ -155,6 +155,12 @@ struct SplitCase {
   coord_t offset;
 };
 
+// Names the instances by value; gtest's default byte dump would print the
+// struct's uninitialized padding.
+void PrintTo(const SplitCase& c, std::ostream* os) {
+  *os << "axis" << c.axis << "_offset" << c.offset;
+}
+
 class BoxSplitTest : public ::testing::TestWithParam<SplitCase> {};
 
 TEST_P(BoxSplitTest, PiecesPartitionTheBox) {
@@ -180,13 +186,6 @@ TEST(Box, SplitRejectsDegenerateOffsets) {
   EXPECT_THROW(b.split(0, 0), Error);
   EXPECT_THROW(b.split(0, 4), Error);
   EXPECT_THROW(b.split(3, 1), Error);
-}
-
-TEST(Box, HalvedSplitsLongestAxis) {
-  const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(4, 16, 8));
-  const auto [a, c] = b.halved();
-  EXPECT_EQ(a.extent().y, 8);
-  EXPECT_EQ(c.extent().y, 8);
 }
 
 TEST(Box, EqualityTreatsAllEmptyAsEqual) {

@@ -94,21 +94,6 @@ TEST(GhostPlan, PeriodicSelfWrapUsesInteriorData) {
   EXPECT_EQ(p.data()(0, 4, 1, 1), 0.0);   // wrap of x=0
 }
 
-TEST(GhostPlan, RemoteBytesCountOnlyCrossOwnerCopies) {
-  GridLevel lvl = two_patch_level();
-  GhostPlan plan(lvl, kDomain);
-  lvl.patch(0).set_owner(0);
-  lvl.patch(1).set_owner(0);
-  EXPECT_EQ(plan.remote_bytes(lvl), 0);
-  lvl.patch(1).set_owner(1);
-  const std::int64_t expected =
-      2 * 16 * static_cast<std::int64_t>(sizeof(real_t));
-  EXPECT_EQ(plan.remote_bytes(lvl), expected);
-  EXPECT_EQ(plan.remote_bytes_touching(lvl, 0), expected);
-  EXPECT_EQ(plan.remote_bytes_touching(lvl, 1), expected);
-  EXPECT_EQ(plan.remote_bytes_touching(lvl, 2), 0);
-}
-
 // ---- interpolation -------------------------------------------------------
 
 GridLevel coarse_level_with_linear_field() {

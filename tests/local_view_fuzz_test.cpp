@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "hdda/hdda.hpp"
 #include "hdda/local_view.hpp"
 #include "lattice.hpp"
 #include "sfc/key_index.hpp"
@@ -189,33 +188,6 @@ TEST(LocalViewFuzz, LinksAndHaloMatchBruteForceAdjacency) {
   }
   // The touching lattices must actually link boxes, or the test is vacuous.
   EXPECT_GT(links, 100u);
-}
-
-TEST(LocalViewFuzz, HddaLocalViewMatchesDirectBuild) {
-  Rng rng(0x4dda'44);
-  const std::vector<Box> boxes = random_lattice(rng, IntVec(0, 0, 0));
-  Hdda hdda;
-  std::vector<rank_t> owners(boxes.size());
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    owners[i] = static_cast<rank_t>(i % 3);
-    hdda.insert(boxes[i], owners[i], boxes[i].cells());
-  }
-  // Ids in Hdda views refer to ordered_entries() positions.
-  const auto entries = hdda.ordered_entries();
-  std::vector<Box> ordered_boxes;
-  std::vector<rank_t> ordered_owners;
-  for (const auto& e : entries) {
-    ordered_boxes.push_back(e.box);
-    ordered_owners.push_back(e.owner);
-  }
-  const auto expect = build_local_views(ordered_boxes, ordered_owners, 3, 2);
-  for (rank_t r = 0; r < 3; ++r) {
-    const LocalBoxView view = hdda.local_view(r, 2);
-    EXPECT_EQ(view.rank, r);
-    EXPECT_EQ(view.owned, expect[static_cast<std::size_t>(r)].owned);
-    EXPECT_EQ(view.halo, expect[static_cast<std::size_t>(r)].halo);
-    EXPECT_TRUE(view.links == expect[static_cast<std::size_t>(r)].links);
-  }
 }
 
 }  // namespace

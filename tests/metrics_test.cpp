@@ -95,31 +95,21 @@ TEST(CommCells, DistantBoxesDoNotExchange) {
   EXPECT_EQ(partition_comm_cells(r, 2), 0);
 }
 
-TEST(RankCommBytes, CountsBothDirectionsForOneRank) {
+TEST(PairwiseComm, CountsBothDirectionsForOneRank) {
   PartitionResult r;
   r.assignments.push_back(
       {Box::from_extent(IntVec(0, 0, 0), IntVec(4, 4, 4), 0), 0});
   r.assignments.push_back(
       {Box::from_extent(IntVec(4, 0, 0), IntVec(4, 4, 4), 0), 1});
-  const std::int64_t expected =
-      2 * 16 * 5 * static_cast<std::int64_t>(sizeof(real_t));
-  EXPECT_EQ(rank_comm_bytes(r, 0, 1, 5), expected);
-  EXPECT_EQ(rank_comm_bytes(r, 1, 1, 5), expected);
-  EXPECT_EQ(rank_comm_bytes(r, 2, 1, 5), 0);
-  EXPECT_THROW(rank_comm_bytes(r, 0, 1, 0), Error);
-}
-
-TEST(PartitionResultHelper, BoxesOfFiltersByOwner) {
-  PartitionResult r;
-  r.assignments.push_back(
-      {Box::from_extent(IntVec(0, 0, 0), IntVec(2, 2, 2), 0), 0});
-  r.assignments.push_back(
-      {Box::from_extent(IntVec(4, 0, 0), IntVec(2, 2, 2), 0), 1});
-  r.assignments.push_back(
-      {Box::from_extent(IntVec(8, 0, 0), IntVec(2, 2, 2), 0), 0});
-  EXPECT_EQ(r.boxes_of(0).size(), 2u);
-  EXPECT_EQ(r.boxes_of(1).size(), 1u);
-  EXPECT_EQ(r.boxes_of(7).size(), 0u);
+  r.assigned_work = {64, 64};
+  // One 4x4 face each way: 16 cells x 5 comps x sizeof(real).
+  const std::int64_t one_way =
+      16 * 5 * static_cast<std::int64_t>(sizeof(real_t));
+  const auto flows = pairwise_comm_bytes(r, 1, 5);
+  ASSERT_EQ(flows.size(), 2u);
+  EXPECT_EQ(flows[0], (RankFlow{0, 1, one_way}));
+  EXPECT_EQ(flows[1], (RankFlow{1, 0, one_way}));
+  EXPECT_THROW(pairwise_comm_bytes(r, 1, 0), Error);
 }
 
 TEST(Imbalance, MalformedResultRejected) {

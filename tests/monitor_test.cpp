@@ -126,11 +126,6 @@ TEST(Forecaster, BoundedSelectorMatchesUnboundedOnShortHistories) {
   }
 }
 
-TEST(Forecaster, AdaptiveCustomFamilyValidated) {
-  EXPECT_THROW(AdaptiveForecaster(std::vector<std::unique_ptr<Forecaster>>{}),
-               Error);
-}
-
 TEST(Monitor, ProbeAllReturnsPerNodeEstimates) {
   Cluster c = Cluster::homogeneous(3);
   MonitorConfig cfg;
@@ -181,11 +176,7 @@ TEST(Monitor, RawModeSkipsForecasting) {
   LoadRamp r;
   r.rate = 0;
   r.target_level = 3.0;
-  c.set_load_script(0, [&] {
-    LoadScript s;
-    s.add(r);
-    return s;
-  }());
+  c.add_load(0, r);
   const auto e = m.probe(0, Seconds{0.0});
   EXPECT_DOUBLE_EQ(e.cpu_available.value(), 0.25);
 }

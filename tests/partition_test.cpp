@@ -196,6 +196,8 @@ struct PartitionerCase {
   std::shared_ptr<const Partitioner> partitioner;
   std::vector<real_t> capacities;
   const char* label;
+  /// GrACE's default targets equal shares, ignoring capacities.
+  bool equal_shares = false;
 };
 
 std::ostream& operator<<(std::ostream& os, const PartitionerCase& c) {
@@ -257,6 +259,27 @@ TEST_P(PartitionerInvariantTest, WorkBookkeepingConsistent) {
               total_work(boxes, kWork), 1e-6);
 }
 
+// The capacity-proportional work allocation happens inside each
+// partitioner: rank k's target is its capacity share of the total work.
+TEST_P(PartitionerInvariantTest, TargetsAreCapacitySharesOfTotalWork) {
+  const auto& param = GetParam();
+  const BoxList boxes = uniform_grid_boxes(4, 8);
+  const PartitionResult r =
+      param.partitioner->partition(boxes, param.capacities, kWork);
+  const std::size_t n = param.capacities.size();
+  ASSERT_EQ(r.target_work.size(), n);
+  const real_t total = total_work(boxes, kWork);
+  const real_t cap_sum = std::accumulate(
+      param.capacities.begin(), param.capacities.end(), real_t{0});
+  for (std::size_t k = 0; k < n; ++k) {
+    const real_t share = param.equal_shares
+                             ? real_t{1} / static_cast<real_t>(n)
+                             : param.capacities[k] / cap_sum;
+    EXPECT_NEAR(r.target_work[k], share * total, 1e-12 * total)
+        << "rank " << k;
+  }
+}
+
 TEST_P(PartitionerInvariantTest, Deterministic) {
   const auto& param = GetParam();
   const BoxList boxes = uniform_grid_boxes(3, 8);
@@ -279,7 +302,7 @@ std::vector<PartitionerCase> make_cases() {
       {1.0}};
   for (const auto& caps : capsets) {
     cases.push_back({std::make_shared<GraceDefaultPartitioner>(), caps,
-                     "default"});
+                     "default", /*equal_shares=*/true});
     cases.push_back({std::make_shared<HeterogeneousPartitioner>(), caps,
                      "heterogeneous"});
     cases.push_back({std::make_shared<MultiAxisPartitioner>(), caps,
@@ -319,7 +342,9 @@ TEST(GraceDefault, ContiguousChunksPreserveLocality) {
         Box::from_extent(IntVec(i * 4, 0, 0), IntVec(4, 4, 4), 0));
   const auto r = p.partition(boxes, {0.25, 0.25, 0.25, 0.25}, kWork);
   for (rank_t k = 0; k < 4; ++k) {
-    const BoxList mine = r.boxes_of(k);
+    std::vector<Box> mine;
+    for (const BoxAssignment& a : r.assignments)
+      if (a.owner == k) mine.push_back(a.box);
     ASSERT_EQ(mine.size(), 2u);
     // The two boxes of each rank are adjacent along x.
     const coord_t gap =

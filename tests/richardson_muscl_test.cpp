@@ -1,94 +1,15 @@
-// Tests for the Richardson-extrapolation error estimator and the MUSCL
-// second-order reconstruction option of the Euler kernel.
+// Tests for the MUSCL second-order reconstruction option of the Euler
+// kernel.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
-#include "amr/richardson.hpp"
-#include "solver/advection.hpp"
 #include "solver/euler.hpp"
-#include "util/error.hpp"
 
 namespace ssamr {
 namespace {
-
-// ---- Richardson ------------------------------------------------------------
-
-Patch advection_patch_with(const AdvectionOperator& op, real_t dx) {
-  Patch p(Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0), 1, 1);
-  op.initialize(p, dx);
-  return p;
-}
-
-TEST(Richardson, UniformStateHasZeroError) {
-  EulerOperator op(1.4, [](real_t, real_t, real_t) {
-    return EulerPrimitive{1.0, 0.2, 0.0, 0.0, 1.0};
-  });
-  Patch p(Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0),
-          kEulerNcomp, 1);
-  op.initialize(p, 1.0);
-  RichardsonFlagger flagger(op, 1e-8);
-  std::vector<IntVec> flags;
-  GridLevel lvl(0, kEulerNcomp, 1);
-  lvl.add_patch(p.box());
-  op.initialize(lvl.patch(0), 1.0);
-  flagger.flag_level(lvl, flags);
-  EXPECT_TRUE(flags.empty());
-}
-
-TEST(Richardson, ErrorConcentratesAtTheFeature) {
-  AdvectionOperator op(1, 0, 0, /*centre=*/0.5, 0.25, 0.25,
-                       /*radius=*/0.12);
-  const real_t dx = 1.0 / 16.0;
-  Patch p = advection_patch_with(op, dx);
-  RichardsonFlagger flagger(op, 1e-6);
-  const GridFunction err = flagger.estimate_patch_error(p);
-  // Error at the blob (coarse x ~ 4) must dwarf error far away (x ~ 0).
-  const real_t at_blob = err(0, 4, 2, 2);
-  const real_t far = err(0, 0, 0, 0);
-  EXPECT_GT(at_blob, 10 * far);
-}
-
-TEST(Richardson, FlagsOnlyAboveTolerance) {
-  AdvectionOperator op(1, 0, 0, 0.5, 0.25, 0.25, 0.12);
-  const real_t dx = 1.0 / 16.0;
-  GridLevel lvl(0, 1, 1);
-  lvl.add_patch(Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0));
-  op.initialize(lvl.patch(0), dx);
-
-  std::vector<IntVec> strict, loose;
-  RichardsonFlagger(op, 1.0).flag_level(lvl, strict);
-  RichardsonFlagger(op, 1e-4).flag_level(lvl, loose);
-  EXPECT_TRUE(strict.empty());
-  EXPECT_FALSE(loose.empty());
-  // Loose flags concentrate around the blob centre (x ≈ 8 in cells); the
-  // clamp-boundary probe may add a few conservative flags at patch edges.
-  std::size_t central = 0;
-  for (const IntVec& f : loose)
-    if (f.x >= 2 && f.x <= 13) ++central;
-  EXPECT_GT(central, loose.size() / 2);
-}
-
-TEST(Richardson, TighterToleranceFlagsMore) {
-  AdvectionOperator op(1, 0, 0, 0.5, 0.25, 0.25, 0.12);
-  GridLevel lvl(0, 1, 1);
-  lvl.add_patch(Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0));
-  op.initialize(lvl.patch(0), 1.0 / 16.0);
-  std::vector<IntVec> a, b;
-  RichardsonFlagger(op, 1e-3).flag_level(lvl, a);
-  RichardsonFlagger(op, 1e-5).flag_level(lvl, b);
-  EXPECT_LE(a.size(), b.size());
-}
-
-TEST(Richardson, ValidatesArguments) {
-  AdvectionOperator op(1, 0, 0, 0.5, 0.25, 0.25, 0.12);
-  EXPECT_THROW(RichardsonFlagger(op, 0.0), Error);
-  EXPECT_THROW(RichardsonFlagger(op, 0.1, 0), Error);
-  EXPECT_THROW(RichardsonFlagger(op, 0.1, 1, 1.5), Error);
-}
-
-// ---- MUSCL -----------------------------------------------------------------
 
 TEST(Muscl, NeedsWiderGhosts) {
   auto ic = [](real_t, real_t, real_t) {

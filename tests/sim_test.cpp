@@ -521,32 +521,47 @@ PartitionResult two_adjacent_boxes() {
   return r;
 }
 
+/// Bytes a rank sends plus receives: the sum of its incident flows.
+std::int64_t incident_bytes(const std::vector<RankFlow>& flows, rank_t rank) {
+  std::int64_t total = 0;
+  for (const RankFlow& f : flows)
+    if (f.src == rank || f.dst == rank) total += f.bytes;
+  return total;
+}
+
 TEST(PairwiseComm, FlowsMatchAggregatePerRank) {
-  const PartitionResult r = two_adjacent_boxes();
-  const auto flows = pairwise_comm_bytes(r, /*ghost=*/1, /*ncomp=*/2);
-  ASSERT_EQ(flows.size(), 2u);  // 0→1 and 1→0
-  for (rank_t k = 0; k < 2; ++k) {
-    std::int64_t incident = 0;
-    for (const RankFlow& f : flows)
-      if (f.src == k || f.dst == k) incident += f.bytes;
-    EXPECT_EQ(incident, rank_comm_bytes(r, k, 1, 2));
+  PartitionResult r = two_adjacent_boxes();
+  // A third rank far from both exchanges nothing.
+  r.assignments.push_back(
+      {Box::from_extent(IntVec(32, 0, 0), IntVec(4, 4, 4), 0), 2});
+  r.assigned_work.push_back(64);
+  r.target_work.push_back(64);
+  for (const coord_t ghost : {1, 2}) {
+    const auto flows = pairwise_comm_bytes(r, ghost, /*ncomp=*/2);
+    ASSERT_EQ(flows.size(), 2u);  // 0→1 and 1→0
+    // Each way: one 4x4 face, `ghost` cells deep, 2 components.
+    const std::int64_t one_way =
+        16 * ghost * 2 * static_cast<std::int64_t>(sizeof(real_t));
+    EXPECT_EQ(incident_bytes(flows, 0), 2 * one_way) << "ghost " << ghost;
+    EXPECT_EQ(incident_bytes(flows, 1), 2 * one_way) << "ghost " << ghost;
+    EXPECT_EQ(incident_bytes(flows, 2), 0) << "ghost " << ghost;
   }
 }
 
 TEST(MigrationFlows, MatchAggregatePerRank) {
   Cluster cluster = Cluster::homogeneous(2);
-  VirtualExecutor exec(cluster, ExecutorConfig{});
+  const ExecutorConfig cfg;
+  VirtualExecutor exec(cluster, cfg);
   const PartitionResult prev = two_adjacent_boxes();
   PartitionResult next = prev;
   std::swap(next.assignments[0].owner, next.assignments[1].owner);
   const auto flows = exec.migration_flows(prev, next);
   ASSERT_EQ(flows.size(), 2u);
-  for (rank_t k = 0; k < 2; ++k) {
-    std::int64_t incident = 0;
-    for (const RankFlow& f : flows)
-      if (f.src == k || f.dst == k) incident += f.bytes;
-    EXPECT_EQ(Bytes{incident}, exec.migration_bytes(prev, next, k));
-  }
+  // Each rank ships its whole 4^3 box and receives the other one.
+  const std::int64_t box_bytes =
+      64 * static_cast<std::int64_t>(cfg.ncomp) * cfg.bytes_per_value;
+  for (rank_t k = 0; k < 2; ++k)
+    EXPECT_EQ(incident_bytes(flows, k), 2 * box_bytes) << "rank " << k;
   // Initial scatter: everything leaves rank 0.
   const auto scatter = exec.migration_flows(PartitionResult{}, next);
   for (const RankFlow& f : scatter) EXPECT_EQ(f.src, 0);

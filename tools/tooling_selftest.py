@@ -17,7 +17,11 @@ every regression through.  This suite pins:
   bench_check.merge_baseline — refreshing some binaries keeps the
       others' entries;
   ssamr_lint.run_layering  — a declared [edges] entry that no include
-      uses fails the gate.
+      uses fails the gate;
+  reachability             — on a fixture compiled on the fly, a planted
+      uncalled function is reported, an allowlisted one is not, and an
+      allowlist entry naming a reached or a missing function fails as
+      stale.
 
 Run directly or via ctest (PyTooling.SelfTest).  Stdlib only.
 """
@@ -27,6 +31,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -45,6 +50,7 @@ def _load(name):
 golden_check = _load("golden_check")
 bench_check = _load("bench_check")
 ssamr_lint = _load("ssamr_lint")
+reachability = _load("reachability")
 
 
 class DiffTablesTest(unittest.TestCase):
@@ -226,6 +232,69 @@ class LayeringTest(unittest.TestCase):
         rc, out = self._run(stale)
         self.assertEqual(rc, 1)
         self.assertIn("declared edge cluster -> geom is unused", out)
+
+
+class ReachabilityTest(unittest.TestCase):
+    LIBRARY = """
+namespace ssamr {
+int called(int x) { return x + 1; }
+int planted(int x) { return x * 2; }
+int kept(int x) { return x - 1; }
+}  // namespace ssamr
+"""
+    ENTRY = """
+namespace ssamr { int called(int x); }
+int main() { return ssamr::called(1); }
+"""
+    KEPT = {"ssamr::kept(int)": "the fixture keeps it on purpose"}
+
+    @classmethod
+    def setUpClass(cls):
+        tmp = tempfile.TemporaryDirectory()
+        cls.addClassCleanup(tmp.cleanup)
+        objs = []
+        for name, code in (("lib", cls.LIBRARY), ("entry", cls.ENTRY)):
+            src = os.path.join(tmp.name, name + ".cpp")
+            with open(src, "w") as fh:
+                fh.write(code)
+            objs.append(os.path.join(tmp.name, name + ".o"))
+            subprocess.run(["c++", "-O0", "-ffunction-sections", "-c", src,
+                            "-o", objs[-1]], check=True)
+        cls.unreached, cls.defined = reachability.find_unreached(
+            "c++", [objs[0]], {"entry": [objs[1]]}, jobs=1)
+
+    def test_planted_function_reported_allowlisted_not(self):
+        problems = reachability.verdict(self.unreached, self.defined,
+                                        self.KEPT)
+        self.assertEqual(len(problems), 1, problems)
+        self.assertIn("unreached: ssamr::planted(int)", problems[0])
+
+    def test_stale_entries_fail(self):
+        allow = dict(self.KEPT)
+        allow["ssamr::planted(int)"] = "planted"
+        allow["ssamr::called(int)"] = "a run calls it"
+        allow["ssamr::gone()"] = "deleted long ago"
+        problems = reachability.verdict(self.unreached, self.defined, allow)
+        self.assertEqual(len(problems), 2, problems)
+        self.assertIn("reached by a run: ssamr::called(int)", problems[0])
+        self.assertIn("no function in the library: ssamr::gone()",
+                      problems[1])
+
+    def test_entry_without_reason_fails(self):
+        allow = {"ssamr::kept(int)": " ", "ssamr::planted(int)": "planted"}
+        problems = reachability.verdict(self.unreached, self.defined, allow)
+        self.assertEqual(problems, [
+            "allowlist entry without a reason: ssamr::kept(int)"])
+
+    def test_shorthand_names_library_types(self):
+        self.assertEqual(
+            reachability.shorthand(
+                "f(std::vector<ssamr::Box, std::allocator<ssamr::Box> > "
+                "const&, std::__cxx11::basic_string<char, "
+                "std::char_traits<char>, std::allocator<char> > const&, "
+                "ssamr::units::Quantity<ssamr::units::SecondsTag, double>)"),
+            "f(std::vector<ssamr::Box> const&, std::string const&, "
+            "ssamr::Seconds)")
 
 
 if __name__ == "__main__":

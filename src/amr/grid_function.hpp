@@ -78,11 +78,6 @@ class GridFunction {
             (*this)(c, i, j, k) = src(c, i, j, k);
   }
 
-  /// Payload size in bytes (used for migration accounting).
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(data_.size() * sizeof(real_t));
-  }
-
   /// Raw storage (test access).
   const std::vector<real_t>& raw() const { return data_; }
 

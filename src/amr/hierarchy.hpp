@@ -26,9 +26,6 @@ struct HierarchyConfig {
   int ghost = 2;
   /// Minimum extent of any refined patch per direction.
   coord_t min_box_size = 4;
-  /// Flagged cells are grown by this many cells before clustering so that
-  /// features cannot escape the fine region between regrids.
-  coord_t flag_buffer = 1;
 };
 
 /// A dynamic adaptive grid hierarchy (Berger–Oliger structure).

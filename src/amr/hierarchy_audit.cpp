@@ -25,8 +25,7 @@ std::string level_loc(int l) { return "level " + std::to_string(l); }
 
 }  // namespace
 
-AuditReport validate_hierarchy(const GridHierarchy& h,
-                               const AuditConfig& /*cfg*/) {
+AuditReport validate_hierarchy(const GridHierarchy& h) {
   AuditReport r("hierarchy");
   const HierarchyConfig& cfg = h.config();
 

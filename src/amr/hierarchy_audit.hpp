@@ -11,7 +11,6 @@ namespace ssamr::audit {
 /// bounds, disjointness, proper nesting (l >= 2), refinement-ratio
 /// alignment and minimum box size (warnings), and ghost-region/storage
 /// consistency of every patch against the hierarchy configuration.
-AuditReport validate_hierarchy(const GridHierarchy& h,
-                               const AuditConfig& cfg = {});
+AuditReport validate_hierarchy(const GridHierarchy& h);
 
 }  // namespace ssamr::audit

@@ -12,10 +12,19 @@
 
 namespace ssamr {
 
+namespace {
+
+/// CFL number every level's timestep honours.
+constexpr real_t kCfl = 0.4;
+/// Flagged cells are grown by this many cells before clustering so that
+/// features cannot escape the fine region between regrids.
+constexpr coord_t kFlagBuffer = 1;
+
+}  // namespace
+
 BergerOliger::BergerOliger(GridHierarchy& hierarchy, const PatchOperator& op,
                            const GradientFlagger& flagger, IntegratorConfig cfg)
     : hier_(hierarchy), op_(op), flagger_(flagger), cfg_(cfg) {
-  SSAMR_REQUIRE(cfg.cfl > 0 && cfg.cfl < 1, "CFL must be in (0,1)");
   SSAMR_REQUIRE(cfg.regrid_interval >= 1, "regrid interval must be >= 1");
   SSAMR_REQUIRE(cfg.dx0 > 0, "dx0 must be positive");
   SSAMR_REQUIRE(hierarchy.config().ncomp == op.ncomp(),
@@ -69,7 +78,7 @@ real_t BergerOliger::compute_dt() const {
     real_t scale = 1;
     for (int i = 0; i < l; ++i)
       scale *= static_cast<real_t>(hier_.config().ratio);
-    dt0 = std::min(dt0, cfg_.cfl * dx_at(l) * scale / speed);
+    dt0 = std::min(dt0, kCfl * dx_at(l) * scale / speed);
   }
   SSAMR_REQUIRE(std::isfinite(dt0),
                 "no finite wave speed anywhere — cannot pick a timestep");
@@ -94,8 +103,7 @@ real_t BergerOliger::advance_step() {
 void BergerOliger::fill_ghosts(int l) {
   GridLevel& lvl = hier_.level(l);
   if (l > 0)
-    fill_coarse_fine_ghosts(hier_.level(l - 1), lvl, hier_.config().ratio,
-                            cfg_.prolong);
+    fill_coarse_fine_ghosts(hier_.level(l - 1), lvl, hier_.config().ratio);
   GhostPlan plan(lvl, hier_.domain_at(l), cfg_.bc);
   plan.exchange(lvl);
   plan.fill_physical(lvl);
@@ -152,7 +160,7 @@ void BergerOliger::regrid_level_above(int l) {
   std::vector<IntVec> flags;
   flagger_.flag_level(parent, flags);
   std::vector<IntVec> buffered =
-      buffer_flags(flags, hier_.config().flag_buffer, hier_.domain_at(l));
+      buffer_flags(flags, kFlagBuffer, hier_.domain_at(l));
   // Keep the flags inside the parent level's box union so the refined
   // boxes stay properly nested.
   if (l >= 1) {
@@ -195,7 +203,7 @@ void BergerOliger::regrid_level_above(int l) {
   // references taken before the call — re-acquire the parent, do not reuse
   // `parent` from above.
   GridLevel& fresh = hier_.level(l + 1);
-  prolong_level(hier_.level(l), fresh, hier_.config().ratio, cfg_.prolong);
+  prolong_level(hier_.level(l), fresh, hier_.config().ratio);
   if (existed) copy_overlap(old_level, fresh);
 }
 

@@ -53,16 +53,15 @@ class PatchOperator {
                                FaceFluxes& fluxes) const;
 };
 
-/// Integration parameters.
+/// Integration parameters.  The CFL number is a constant of
+/// integrator.cpp, and prolongation is always trilinear (interp.hpp).
 struct IntegratorConfig {
-  real_t cfl = 0.4;
   /// Regrid every this many coarse steps (the paper's experiments regrid
   /// every ~5 iterations).
   int regrid_interval = 5;
   /// Mesh width of the coarsest level.
   real_t dx0 = 1.0;
   BoundaryKind bc = BoundaryKind::Outflow;
-  ProlongKind prolong = ProlongKind::Trilinear;
   ClusterConfig cluster;
   /// Enforce conservation at coarse-fine boundaries by refluxing
   /// (requires a PatchOperator with supports_flux_capture()).

@@ -38,7 +38,7 @@ real_t slope(const GridFunction& u, int c, IntVec cell, int axis,
 }  // namespace
 
 void prolong_region(const GridLevel& coarse, Patch& fine, const Box& region,
-                    coord_t ratio, ProlongKind kind) {
+                    coord_t ratio) {
   SSAMR_REQUIRE(ratio >= 2, "ratio must be >= 2");
   GridFunction& uf = fine.data();
   for (coord_t k = region.lo().z; k <= region.hi().z; ++k) {
@@ -53,24 +53,19 @@ void prolong_region(const GridLevel& coarse, Patch& fine, const Box& region,
         const Box& cb = coarse.patch(pi).box();
         for (int c = 0; c < uf.ncomp(); ++c) {
           real_t v = uc(c, cc.x, cc.y, cc.z);
-          if (kind == ProlongKind::Trilinear) {
-            // Offset of the fine cell centre from the coarse cell centre,
-            // in coarse-cell units: ((sub + 0.5) / ratio) - 0.5.
-            const real_t fx =
-                (static_cast<real_t>(i - cc.x * ratio) + 0.5) /
-                    static_cast<real_t>(ratio) -
-                0.5;
-            const real_t fy =
-                (static_cast<real_t>(j - cc.y * ratio) + 0.5) /
-                    static_cast<real_t>(ratio) -
-                0.5;
-            const real_t fz =
-                (static_cast<real_t>(k - cc.z * ratio) + 0.5) /
-                    static_cast<real_t>(ratio) -
-                0.5;
-            v += fx * slope(uc, c, cc, 0, cb) + fy * slope(uc, c, cc, 1, cb) +
-                 fz * slope(uc, c, cc, 2, cb);
-          }
+          // Offset of the fine cell centre from the coarse cell centre, in
+          // coarse-cell units: ((sub + 0.5) / ratio) - 0.5.
+          const real_t fx = (static_cast<real_t>(i - cc.x * ratio) + 0.5) /
+                                static_cast<real_t>(ratio) -
+                            0.5;
+          const real_t fy = (static_cast<real_t>(j - cc.y * ratio) + 0.5) /
+                                static_cast<real_t>(ratio) -
+                            0.5;
+          const real_t fz = (static_cast<real_t>(k - cc.z * ratio) + 0.5) /
+                                static_cast<real_t>(ratio) -
+                            0.5;
+          v += fx * slope(uc, c, cc, 0, cb) + fy * slope(uc, c, cc, 1, cb) +
+               fz * slope(uc, c, cc, 2, cb);
           uf(c, i, j, k) = v;
         }
       }
@@ -79,9 +74,9 @@ void prolong_region(const GridLevel& coarse, Patch& fine, const Box& region,
 }
 
 void prolong_level(const GridLevel& coarse, GridLevel& fine_lvl,
-                   coord_t ratio, ProlongKind kind) {
+                   coord_t ratio) {
   for (Patch& p : fine_lvl.patches())
-    prolong_region(coarse, p, p.box(), ratio, kind);
+    prolong_region(coarse, p, p.box(), ratio);
 }
 
 void copy_overlap(const GridLevel& old_lvl, GridLevel& fine_lvl) {
@@ -94,14 +89,14 @@ void copy_overlap(const GridLevel& old_lvl, GridLevel& fine_lvl) {
 }
 
 void fill_coarse_fine_ghosts(const GridLevel& coarse, GridLevel& fine_lvl,
-                             coord_t ratio, ProlongKind kind) {
+                             coord_t ratio) {
   for (Patch& p : fine_lvl.patches()) {
     const Box ghost_box = p.box().grown(p.data().ghost());
     // Prolong only the ghost shell (grown box minus interior); cells that
     // sibling patches cover will be overwritten by the subsequent
     // intra-level exchange with the exact fine values.
     for (const Box& shell : box_difference(ghost_box, p.box()))
-      prolong_region(coarse, p, shell, ratio, kind);
+      prolong_region(coarse, p, shell, ratio);
   }
 }
 

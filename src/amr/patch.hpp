@@ -1,9 +1,8 @@
 #pragma once
 /// \file patch.hpp
 /// A patch: one rectilinear component grid of the adaptive hierarchy,
-/// carrying its field data and bookkeeping for distribution.
+/// carrying its field data.  Ownership lives in PartitionResult.
 
-#include <cstdint>
 #include <utility>
 
 #include "amr/grid_function.hpp"
@@ -36,18 +35,10 @@ class Patch {
   /// Swap data and scratch after an update.
   void swap_time_levels() { std::swap(data_, scratch_); }
 
-  /// Rank that owns this patch in the (simulated) distribution.
-  rank_t owner() const { return owner_; }
-  void set_owner(rank_t r) { owner_ = r; }
-
-  /// Bytes of field payload (both time levels).
-  std::int64_t bytes() const { return data_.bytes() + scratch_.bytes(); }
-
  private:
   Box box_;
   GridFunction data_;
   GridFunction scratch_;
-  rank_t owner_ = -1;
 };
 
 }  // namespace ssamr

@@ -18,9 +18,9 @@ real_t subcycle_updates(const Box& b, const WorkModel& m) {
 Work box_cost(const Box& b, const WorkModel& m) {
   SSAMR_REQUIRE(m.ratio >= 2, "work model ratio must be >= 2");
   const real_t updates = subcycle_updates(b, m);
-  // Keep the historical multiplication order (cells · updates · cost) so
-  // the cells-only cost is bit-identical to the pre-particle model.
-  real_t w = static_cast<real_t>(b.cells()) * updates * m.cost_per_cell.value();
+  // Keep the historical multiplication order (cells · updates) so the
+  // cells-only cost is bit-identical to the pre-particle model.
+  real_t w = static_cast<real_t>(b.cells()) * updates;
   if (m.has_particles()) {
     const auto np = m.particles->count_in(b, m.ratio);
     w += static_cast<real_t>(np) * updates * m.cost_per_particle.value();

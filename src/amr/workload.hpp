@@ -12,8 +12,11 @@
 /// a box's cost is its cell-update cost plus the cost of the particles it
 /// covers, both priced in `Work` units:
 ///
-///   cost(b) = cells(b) · ratio^level · cost_per_cell
+///   cost(b) = cells(b) · ratio^level
 ///           + particles_in(b) · ratio^level · cost_per_particle
+///
+/// One cell update is one `Work` unit; node speeds (NodeSpec::peak_rate)
+/// carry every other scale.
 ///
 /// With no particle field attached the particle term vanishes and the
 /// arithmetic is exactly the historical cells-only expression, so existing
@@ -35,9 +38,6 @@ namespace ssamr {
 struct WorkModel {
   /// Refinement ratio between levels.
   coord_t ratio = 2;
-  /// Work units per cell update (scales everything uniformly; 1 = one cell
-  /// update is one unit).
-  Work cost_per_cell{1.0};
   /// Work units per particle update; only priced when a particle field is
   /// attached.
   Work cost_per_particle{0.0};
@@ -58,8 +58,8 @@ Work box_cost(const Box& b, const WorkModel& m);
 /// Total cost of a box list.
 Work total_cost(const BoxList& boxes, const WorkModel& m);
 
-/// Work of one box per coarsest timestep: cells · ratio^level · cost
-/// (+ particle term when a field is attached).  Raw-valued view of
+/// Work of one box per coarsest timestep: cells · ratio^level (+ particle
+/// term when a field is attached).  Raw-valued view of
 /// box_cost for the partitioner arithmetic.
 real_t box_work(const Box& b, const WorkModel& m);
 

@@ -15,12 +15,10 @@ namespace ssamr::audit {
 
 /// Audit a relative-capacity vector: non-empty, every C_k finite and in
 /// [0, 1], and Σ C_k = 1 within tolerance (Eq. 1).
-AuditReport validate_capacities(const std::vector<real_t>& capacities,
-                                const AuditConfig& cfg = {});
+AuditReport validate_capacities(const std::vector<real_t>& capacities);
 
 /// As above, plus the Eq. 1 weight constraints (non-negative, sum 1).
 AuditReport validate_capacities(const std::vector<real_t>& capacities,
-                                const CapacityWeights& weights,
-                                const AuditConfig& cfg = {});
+                                const CapacityWeights& weights);
 
 }  // namespace ssamr::audit

@@ -6,10 +6,9 @@
 namespace ssamr::audit {
 
 AuditReport validate_node_state(const NodeSpec& spec, const NodeState& state,
-                                const std::string& location,
-                                const AuditConfig& cfg) {
+                                const std::string& location) {
   AuditReport r("cluster");
-  const real_t tol = cfg.capacity_tolerance;
+  const real_t tol = kCapacityTolerance;
   if (!(spec.peak_rate > WorkRate{0}) || !(spec.memory_mb > MegaBytes{0}) ||
       !(spec.bandwidth_mbps > MbitsPerSec{0}))
     r.add(Severity::Error, "cluster.spec", location,
@@ -38,14 +37,12 @@ AuditReport validate_node_state(const NodeSpec& spec, const NodeState& state,
   return r;
 }
 
-AuditReport validate_cluster(const Cluster& cluster, Seconds t,
-                             const AuditConfig& cfg) {
+AuditReport validate_cluster(const Cluster& cluster, Seconds t) {
   AuditReport r("cluster");
   for (rank_t k = 0; k < cluster.size(); ++k)
     r.merge(validate_node_state(cluster.spec(k), cluster.state_at(k, t),
                                 "rank " + std::to_string(k) +
-                                    " at t=" + std::to_string(t.value()),
-                                cfg));
+                                    " at t=" + std::to_string(t.value())));
   return r;
 }
 

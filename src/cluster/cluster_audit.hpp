@@ -16,11 +16,9 @@ namespace ssamr::audit {
 /// availability in [0, 1], free memory within [0, spec memory],
 /// deliverable bandwidth positive and within the link capacity.
 AuditReport validate_node_state(const NodeSpec& spec, const NodeState& state,
-                                const std::string& location,
-                                const AuditConfig& cfg = {});
+                                const std::string& location);
 
 /// Audit the whole cluster's true state at virtual time t.
-AuditReport validate_cluster(const Cluster& cluster, Seconds t,
-                             const AuditConfig& cfg = {});
+AuditReport validate_cluster(const Cluster& cluster, Seconds t);
 
 }  // namespace ssamr::audit

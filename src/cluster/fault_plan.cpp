@@ -21,6 +21,9 @@ real_t hash_uniform(std::uint64_t seed, rank_t rank, std::uint64_t attempt) {
   return static_cast<real_t>(z >> 11) * 0x1.0p-53;
 }
 
+/// Duration of each scripted episode as a fraction of the horizon.
+constexpr real_t kEpisodeFraction = 0.12;
+
 }  // namespace
 
 void FaultPlan::add(const FaultEpisode& e) {
@@ -94,9 +97,6 @@ FaultPlan FaultPlan::scripted(int nodes, Seconds horizon,
                     profile.probe_timeout_rate + profile.probe_drop_rate <=
                         1.0,
                 "probe fault rates must be probabilities summing to <= 1");
-  SSAMR_REQUIRE(profile.episode_fraction > 0 &&
-                    profile.episode_fraction <= 1,
-                "episode fraction must lie in (0, 1]");
 
   FaultPlan plan;
   plan.seed = seed;
@@ -104,7 +104,7 @@ FaultPlan FaultPlan::scripted(int nodes, Seconds horizon,
   plan.probe_drop_rate = profile.probe_drop_rate;
 
   Rng rng(seed);
-  const Seconds span = profile.episode_fraction * horizon;
+  const Seconds span = kEpisodeFraction * horizon;
   // The RNG is a raw-double seam: unwrap the start-time bound once, here.
   const real_t max_start_s = std::max(horizon - span, Seconds{0}).value();
   auto scatter = [&](FaultKind kind, int count) {

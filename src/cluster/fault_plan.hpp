@@ -58,8 +58,6 @@ struct FaultProfile {
   int stale_windows = 0;
   /// Number of transient crash/rejoin episodes scattered over nodes.
   int crash_episodes = 0;
-  /// Duration of each scripted episode as a fraction of the horizon.
-  real_t episode_fraction = 0.12;
 };
 
 /// A deterministic fault script for one cluster.
@@ -104,8 +102,9 @@ class FaultPlan {
   Seconds observable_time(rank_t rank, Seconds t) const;
 
   /// Seeded random plan: per-attempt timeout/drop rates plus scripted
-  /// stale windows and crash/rejoin episodes scattered over `nodes` nodes
-  /// and the virtual-time horizon.  Equal inputs yield identical plans.
+  /// stale windows and crash/rejoin episodes, each lasting 12 % of the
+  /// virtual-time horizon, scattered over `nodes` nodes and the horizon.
+  /// Equal inputs yield identical plans.
   static FaultPlan scripted(int nodes, Seconds horizon,
                             const FaultProfile& profile, std::uint64_t seed);
 

@@ -39,7 +39,9 @@ std::string results_path(const std::string& filename) {
   const fs::path dir = (env != nullptr && *env != '\0') ? fs::path(env)
                                                         : fs::path("results");
   std::error_code ec;
-  fs::create_directories(dir, ec);  // best-effort; CsvWriter reports failure
+  // Best-effort: when the directory cannot be made, the CsvWriter that
+  // opens the returned path throws, naming it.
+  fs::create_directories(dir, ec);
   return (dir / filename).string();
 }
 
@@ -208,7 +210,6 @@ RuntimeConfig paper_runtime_config(int iterations, int sensing_interval) {
   cfg.sensing.interval = sensing_interval;
   cfg.weights = CapacityWeights::equal();
   cfg.work.ratio = 2;
-  cfg.work.cost_per_cell = Work{1.0};
   cfg.monitor.probe_cost_s = Seconds{1.0};
   cfg.monitor.noise.cpu_sigma = 0.05;
   cfg.monitor.noise.memory_sigma = 0.02;

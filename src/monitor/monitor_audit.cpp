@@ -20,46 +20,21 @@ void require_nonneg(AuditReport& r, const char* check, const char* knob,
 
 }  // namespace
 
-AuditReport validate_monitor_config(const MonitorConfig& cfg,
-                                    const AuditConfig& /*audit_cfg*/) {
+AuditReport validate_monitor_config(const MonitorConfig& cfg) {
   AuditReport r("monitor-config");
   require_nonneg(r, "monitor.probe_cost", "probe_cost_s",
                  cfg.probe_cost_s.value());
-  if (!(cfg.intrusion_cpu >= Fraction{0}) || !(cfg.intrusion_cpu < Fraction{1}))
-    r.add(Severity::Error, "monitor.intrusion_cpu", "",
-          "intrusion_cpu = " + std::to_string(cfg.intrusion_cpu.value()) +
-              " must lie in [0, 1)");
-  require_nonneg(r, "monitor.intrusion_memory", "intrusion_memory_mb",
-                 cfg.intrusion_memory_mb.value());
   require_nonneg(r, "monitor.noise", "noise.cpu_sigma", cfg.noise.cpu_sigma);
   require_nonneg(r, "monitor.noise", "noise.memory_sigma",
                  cfg.noise.memory_sigma);
   require_nonneg(r, "monitor.noise", "noise.bandwidth_sigma",
                  cfg.noise.bandwidth_sigma);
-  if (!(cfg.probe_deadline_s >= cfg.probe_cost_s))
+  if (!(kProbeDeadline >= cfg.probe_cost_s))
     r.add(Severity::Error, "monitor.probe_deadline", "",
-          "probe_deadline_s = " + std::to_string(cfg.probe_deadline_s.value()) +
-              " must be >= probe_cost_s (a timeout cannot cost less than "
-              "a successful probe)");
-  if (cfg.probe_max_retries < 0)
-    r.add(Severity::Error, "monitor.probe_max_retries", "",
-          "probe_max_retries = " + std::to_string(cfg.probe_max_retries) +
-              " must be >= 0");
-  require_nonneg(r, "monitor.backoff", "backoff_base_s",
-                 cfg.backoff_base_s.value());
-  if (!(cfg.backoff_factor >= 1))
-    r.add(Severity::Error, "monitor.backoff", "",
-          "backoff_factor = " + std::to_string(cfg.backoff_factor) +
-              " must be >= 1 (backoff never shrinks)");
-  if (cfg.quarantine_after < 1)
-    r.add(Severity::Error, "monitor.quarantine_after", "",
-          "quarantine_after = " + std::to_string(cfg.quarantine_after) +
-              " must be >= 1");
-  if (!(cfg.staleness.decay_tau_s > Seconds{0}))
-    r.add(Severity::Error, "monitor.staleness", "",
-          "staleness.decay_tau_s = " +
-              std::to_string(cfg.staleness.decay_tau_s.value()) +
-              " must be positive");
+          "probe_cost_s = " + std::to_string(cfg.probe_cost_s.value()) +
+              " exceeds the probe deadline " +
+              std::to_string(kProbeDeadline.value()) +
+              " (a timeout cannot cost less than a successful probe)");
   return r;
 }
 

@@ -7,10 +7,9 @@
 
 namespace ssamr::audit {
 
-/// Audit the resource-monitor knobs: probe cost, memory footprint and
-/// noise sigmas non-negative and finite, CPU intrusion in [0,1).
+/// Audit the resource-monitor knobs: probe cost and noise sigmas
+/// non-negative and finite, probe cost within the probe deadline.
 /// ResourceMonitor enforces this report at construction.
-AuditReport validate_monitor_config(const MonitorConfig& cfg,
-                                    const AuditConfig& audit_cfg = {});
+AuditReport validate_monitor_config(const MonitorConfig& cfg);
 
 }  // namespace ssamr::audit

@@ -1,5 +1,6 @@
 #include "monitor/monitor_service.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "cluster/cluster_audit.hpp"
@@ -8,6 +9,43 @@
 #include "util/error.hpp"
 
 namespace ssamr {
+
+namespace {
+
+/// Retries after a failed or timed-out attempt (bounded; quarantined
+/// nodes get a single attempt regardless).
+constexpr int kProbeMaxRetries = 2;
+/// Wait before the first retry; each further retry multiplies it by
+/// kBackoffFactor (exponential backoff).
+constexpr Seconds kBackoffBase{0.25};
+constexpr real_t kBackoffFactor = 2.0;
+/// Consecutive failed sweeps after which a node is quarantined (reported
+/// at zero capacity until a probe succeeds again).
+constexpr int kQuarantineAfter = 2;
+/// e-folding time of the staleness decay, in virtual seconds.
+constexpr Seconds kDecayTau{60.0};
+
+/// Fallback for a node the monitor cannot reach: its last-known-good
+/// reading, `age` old, blended exponentially toward the cluster mean (an
+/// unreachable node's state is unknown, so the best unbiased guess drifts
+/// to the population average).
+ResourceEstimate degrade(const ResourceEstimate& last_good, Seconds age,
+                         const ResourceEstimate& cluster_mean) {
+  // Exponential decay toward the population mean: a reading of age zero is
+  // trusted fully; one many tau old says little more than "the node looked
+  // like an average node once".  Seconds / Seconds yields the raw ratio.
+  const real_t w = std::exp(-std::max(age, Seconds{0}) / kDecayTau);
+  ResourceEstimate e;
+  e.cpu_available =
+      w * last_good.cpu_available + (1.0 - w) * cluster_mean.cpu_available;
+  e.memory_free_mb =
+      w * last_good.memory_free_mb + (1.0 - w) * cluster_mean.memory_free_mb;
+  e.bandwidth_mbps =
+      w * last_good.bandwidth_mbps + (1.0 - w) * cluster_mean.bandwidth_mbps;
+  return e;
+}
+
+}  // namespace
 
 void HealthLedger::record_sweep(const SweepResult& sweep) {
   MutexLock lock(mutex_);
@@ -27,23 +65,6 @@ void HealthLedger::record_forced_repartition() {
 ProbeHealth HealthLedger::snapshot() const {
   MutexLock lock(mutex_);
   return totals_;
-}
-
-ResourceEstimate StalenessPolicy::degrade(
-    const ResourceEstimate& last_good, Seconds age,
-    const ResourceEstimate& cluster_mean) const {
-  // Exponential decay toward the population mean: a reading of age zero is
-  // trusted fully; one many tau old says little more than "the node looked
-  // like an average node once".  Seconds / Seconds yields the raw ratio.
-  const real_t w = std::exp(-std::max(age, Seconds{0}) / decay_tau_s);
-  ResourceEstimate e;
-  e.cpu_available =
-      w * last_good.cpu_available + (1.0 - w) * cluster_mean.cpu_available;
-  e.memory_free_mb =
-      w * last_good.memory_free_mb + (1.0 - w) * cluster_mean.memory_free_mb;
-  e.bandwidth_mbps =
-      w * last_good.bandwidth_mbps + (1.0 - w) * cluster_mean.bandwidth_mbps;
-  return e;
 }
 
 ResourceMonitor::ResourceMonitor(const Cluster& cluster, MonitorConfig cfg)
@@ -81,18 +102,12 @@ ResourceEstimate ResourceMonitor::fresh_probe(rank_t rank, Seconds t_obs) {
   bw.push_back(m.bandwidth_mbps);
   ++probe_count_;
 
-  // Forecasts and raw measurements are dimensionless wire data; wrapping
-  // them here is where each value acquires its dimension.
+  // Forecasts are dimensionless wire data; wrapping them here is where
+  // each value acquires its dimension.
   ResourceEstimate e;
-  if (cfg_.forecast) {
-    e.cpu_available = Fraction{forecaster_.forecast(cpu)};
-    e.memory_free_mb = MegaBytes{forecaster_.forecast(mem)};
-    e.bandwidth_mbps = MbitsPerSec{forecaster_.forecast(bw)};
-  } else {
-    e.cpu_available = Fraction{m.cpu_available};
-    e.memory_free_mb = MegaBytes{m.memory_free_mb};
-    e.bandwidth_mbps = MbitsPerSec{m.bandwidth_mbps};
-  }
+  e.cpu_available = Fraction{forecaster_.forecast(cpu)};
+  e.memory_free_mb = MegaBytes{forecaster_.forecast(mem)};
+  e.bandwidth_mbps = MbitsPerSec{forecaster_.forecast(bw)};
   last_good_[i] = e;
   last_good_time_[i] = t_obs;
   has_good_[i] = 1;
@@ -139,7 +154,7 @@ ProbeOutcome ResourceMonitor::probe_outcome(rank_t rank, Seconds t) {
   // A quarantined node gets one attempt per sweep (no retry budget): the
   // monitor keeps listening for recovery but stops paying for backoff.
   const int max_attempts =
-      quarantined_[i] != 0 ? 1 : 1 + cfg_.probe_max_retries;
+      quarantined_[i] != 0 ? 1 : 1 + kProbeMaxRetries;
   ProbeFault last_fault = ProbeFault::kNone;
   Seconds cost{0};
   int attempts = 0;
@@ -156,10 +171,9 @@ ProbeOutcome ResourceMonitor::probe_outcome(rank_t rank, Seconds t) {
     }
     last_fault = f;
     // A timeout costs the full deadline; a fast failure costs one probe.
-    cost += f == ProbeFault::kTimeout ? cfg_.probe_deadline_s
-                                      : cfg_.probe_cost_s;
+    cost += f == ProbeFault::kTimeout ? kProbeDeadline : cfg_.probe_cost_s;
     if (a + 1 < max_attempts)
-      cost += cfg_.backoff_base_s * std::pow(cfg_.backoff_factor, a);
+      cost += kBackoffBase * std::pow(kBackoffFactor, a);
   }
 
   out.attempts = attempts;
@@ -178,14 +192,14 @@ ProbeOutcome ResourceMonitor::probe_outcome(rank_t rank, Seconds t) {
   out.status = last_fault == ProbeFault::kTimeout ? ProbeStatus::kTimeout
                                                   : ProbeStatus::kFailed;
   ++fail_streak_[i];
-  if (fail_streak_[i] >= cfg_.quarantine_after) quarantined_[i] = 1;
+  if (fail_streak_[i] >= kQuarantineAfter) quarantined_[i] = 1;
   if (quarantined_[i] != 0) {
     // Quarantined: report zero capacity so normalization routes no work
     // here until the node answers again.
     out.estimate = ResourceEstimate{Fraction{0}, MegaBytes{0}, MbitsPerSec{0}};
   } else if (has_good_[i] != 0) {
-    out.estimate = cfg_.staleness.degrade(
-        last_good_[i], t - last_good_time_[i], known_good_mean());
+    out.estimate =
+        degrade(last_good_[i], t - last_good_time_[i], known_good_mean());
   } else {
     // Never reached the node at all: assume nothing (zero capacity) rather
     // than inventing an average node that may not exist.
@@ -198,16 +212,13 @@ SweepResult ResourceMonitor::probe_all(Seconds t) {
   const std::size_t n = static_cast<std::size_t>(cluster_.size());
   SweepResult out;
   out.estimates.reserve(n);
-  out.statuses.reserve(n);
 
   const FaultPlan* plan = cluster_.fault_plan();
   if (plan == nullptr || plan->benign()) {
     // Fault-free fast path, bit-identical to the pre-fault monitor: one
     // measurement per node and the flat sweep price.
-    for (rank_t r = 0; r < cluster_.size(); ++r) {
+    for (rank_t r = 0; r < cluster_.size(); ++r)
       out.estimates.push_back(probe(r, t));
-      out.statuses.push_back(ProbeStatus::kOk);
-    }
     out.overhead_s = sweep_cost();
     out.ok = cluster_.size();
     SSAMR_AUDIT(audit::validate_cluster(cluster_, t));
@@ -219,7 +230,6 @@ SweepResult ResourceMonitor::probe_all(Seconds t) {
   for (rank_t r = 0; r < cluster_.size(); ++r) {
     const ProbeOutcome o = probe_outcome(r, t);
     out.estimates.push_back(o.estimate);
-    out.statuses.push_back(o.status);
     out.overhead_s += o.elapsed_s;
     switch (o.status) {
       case ProbeStatus::kOk: ++out.ok; break;

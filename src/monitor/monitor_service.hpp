@@ -15,11 +15,12 @@
 /// per-probe deadline), fail fast, or answer with stale readings.  The
 /// monitor retries with bounded exponential backoff; when every attempt
 /// fails it falls back to the last-known-good reading decayed toward the
-/// cluster mean (StalenessPolicy), and nodes that fail
-/// `quarantine_after` consecutive sweeps are quarantined — reported at
-/// zero capacity and probed with a single attempt (no retry budget) until
-/// a probe succeeds again, at which point they are re-admitted.  Without
-/// a fault plan every probe succeeds on the first attempt and the sweep
+/// cluster mean, and nodes that fail two consecutive sweeps are
+/// quarantined — reported at zero capacity and probed with a single
+/// attempt (no retry budget) until a probe succeeds again, at which point
+/// they are re-admitted.  The retry, backoff, quarantine and decay values
+/// are constants of this fault policy (monitor_service.cpp).  Without a
+/// fault plan every probe succeeds on the first attempt and the sweep
 /// accounting is bit-identical to the pre-fault monitor.
 
 #include <cstdint>
@@ -44,18 +45,9 @@ enum class ProbeStatus : std::uint8_t {
   kFailed,   ///< every attempt failed fast; estimate is a decayed fallback
 };
 
-/// Fallback policy for nodes the monitor cannot reach: report the
-/// last-known-good reading, decayed exponentially toward the cluster mean
-/// as it ages (an unreachable node's state is unknown, so the best
-/// unbiased guess drifts to the population average).
-struct StalenessPolicy {
-  /// e-folding time of the decay, in virtual seconds.
-  Seconds decay_tau_s{60.0};
-
-  /// Blend `last_good` toward `cluster_mean` for a reading `age` old.
-  ResourceEstimate degrade(const ResourceEstimate& last_good, Seconds age,
-                           const ResourceEstimate& cluster_mean) const;
-};
+/// Seconds after which an unanswered probe counts as timed out (each
+/// timed-out attempt costs this much virtual time).
+inline constexpr Seconds kProbeDeadline{2.0};
 
 /// One probe of one node: status, the estimate to use, and what it cost.
 struct ProbeOutcome {
@@ -73,8 +65,6 @@ struct ProbeOutcome {
 /// and how healthy it was.
 struct SweepResult {
   std::vector<ResourceEstimate> estimates;
-  /// Per-node probe status, parallel to `estimates`.
-  std::vector<ProbeStatus> statuses;
   /// Virtual-time cost of the sweep (probe_cost_s × nodes when fault-free;
   /// larger when probes timed out, retried or backed off).
   Seconds overhead_s{0};
@@ -97,30 +87,9 @@ struct SweepResult {
 /// Monitor configuration.
 struct MonitorConfig {
   SensorNoise noise;
-  /// Seconds charged per node probed (paper: ≈ 0.5 s per node).
+  /// Seconds charged per node probed (paper: ≈ 0.5 s per node); at most
+  /// kProbeDeadline.
   Seconds probe_cost_s{0.5};
-  /// Seconds after which an unanswered probe counts as timed out (each
-  /// timed-out attempt costs this much virtual time).
-  Seconds probe_deadline_s{2.0};
-  /// Retries after a failed or timed-out attempt (bounded; quarantined
-  /// nodes get a single attempt regardless).
-  int probe_max_retries = 2;
-  /// Wait before the first retry; each further retry multiplies it by
-  /// backoff_factor (exponential backoff).
-  Seconds backoff_base_s{0.25};
-  real_t backoff_factor = 2.0;
-  /// Consecutive failed sweeps after which a node is quarantined
-  /// (reported at zero capacity until a probe succeeds again).
-  int quarantine_after = 2;
-  /// Fallback decay for unreachable nodes.
-  StalenessPolicy staleness;
-  /// CPU fraction the monitor steals on monitored nodes (NWS: < 3 %).
-  Fraction intrusion_cpu{0.02};
-  /// Memory footprint of the monitor per node in MB (NWS: ≈ 3300 KB).
-  MegaBytes intrusion_memory_mb{3.3};
-  /// Use the adaptive forecaster over the history; when false, report the
-  /// raw last measurement (no forecasting).
-  bool forecast = true;
   std::uint64_t seed = 42;
 };
 
@@ -149,9 +118,6 @@ class ResourceMonitor {
 
   /// Virtual-time cost of probing the whole cluster once, fault-free.
   Seconds sweep_cost() const;
-
-  /// CPU fraction stolen by the monitor on every node.
-  Fraction intrusion_cpu() const { return cfg_.intrusion_cpu; }
 
   /// Number of probes issued so far (all nodes, successful or not).
   std::size_t probe_count() const { return probe_count_; }

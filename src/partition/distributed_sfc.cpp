@@ -19,12 +19,7 @@ DistributedSfcPartitioner::DistributedSfcPartitioner(
 PartitionResult DistributedSfcPartitioner::partition(
     const BoxList& boxes, const std::vector<real_t>& capacities,
     const WorkModel& work) const {
-  SSAMR_REQUIRE(!capacities.empty(), "need at least one processor");
-  for (real_t c : capacities)
-    SSAMR_REQUIRE(c >= 0, "capacities must be non-negative");
-  const real_t cap_sum =
-      std::accumulate(capacities.begin(), capacities.end(), real_t{0});
-  SSAMR_REQUIRE(cap_sum > 0, "capacities must not all be zero");
+  const real_t cap_sum = capacity_sum(capacities);
   const std::size_t nproc = capacities.size();
 
   const std::size_t n = boxes.size();
@@ -69,11 +64,10 @@ PartitionResult DistributedSfcPartitioner::partition(
 
   // Capacity-proportional quantile targets L_p = C_p / ΣC · L, cut in rank
   // order — same expressions, same order as SfcHeterogeneousPartitioner.
-  std::vector<real_t> targets(nproc);
+  const std::vector<real_t> targets =
+      capacity_targets(total.value(), capacities, cap_sum);
   std::vector<rank_t> proc_order(nproc);
   std::iota(proc_order.begin(), proc_order.end(), rank_t{0});
-  for (std::size_t p = 0; p < nproc; ++p)
-    targets[p] = total.value() * capacities[p] / cap_sum;
 
   // Phase 3 — cut walk over a K-way merge of the shard runs.  The merge
   // reproduces the global curve order one box at a time (heap of shard

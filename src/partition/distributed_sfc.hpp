@@ -47,8 +47,6 @@ class DistributedSfcPartitioner final : public Partitioner {
 
   PartitionConstraints constraints() const override { return constraints_; }
 
-  int shard_count() const { return shard_count_; }
-
  private:
   SfcConfig sfc_;
   int shard_count_;

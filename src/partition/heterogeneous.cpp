@@ -1,10 +1,7 @@
 #include "partition/heterogeneous.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-
-#include "util/error.hpp"
 
 namespace ssamr {
 
@@ -15,12 +12,7 @@ HeterogeneousPartitioner::HeterogeneousPartitioner(
 PartitionResult HeterogeneousPartitioner::partition(
     const BoxList& boxes, const std::vector<real_t>& capacities,
     const WorkModel& work) const {
-  SSAMR_REQUIRE(!capacities.empty(), "need at least one processor");
-  for (real_t c : capacities)
-    SSAMR_REQUIRE(c >= 0, "capacities must be non-negative");
-  const real_t cap_sum =
-      std::accumulate(capacities.begin(), capacities.end(), real_t{0});
-  SSAMR_REQUIRE(cap_sum > 0, "capacities must not all be zero");
+  const real_t cap_sum = capacity_sum(capacities);
   const std::size_t nproc = capacities.size();
 
   // Sort boxes ascending by work.  Price each box once up front — under a
@@ -46,12 +38,11 @@ PartitionResult HeterogeneousPartitioner::partition(
                      return capacities[static_cast<std::size_t>(a)] <
                             capacities[static_cast<std::size_t>(b)];
                    });
-  const real_t total = total_work(boxes, work);
+  const std::vector<real_t> rank_targets =
+      capacity_targets(total_work(boxes, work), capacities, cap_sum);
   std::vector<real_t> targets(nproc);
   for (std::size_t p = 0; p < nproc; ++p)
-    targets[p] = total *
-                 capacities[static_cast<std::size_t>(proc_order[p])] /
-                 cap_sum;
+    targets[p] = rank_targets[static_cast<std::size_t>(proc_order[p])];
 
   return assign_sequence(ordered, targets, proc_order, work, constraints_);
 }

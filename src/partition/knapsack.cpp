@@ -2,75 +2,25 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
-
-#include "util/error.hpp"
 
 namespace ssamr {
-
-namespace {
-
-/// Peak relative load over all ranks given per-rank work and capacities.
-/// Ranks with zero capacity but zero work do not contribute.
-real_t peak_relative_load(const std::vector<real_t>& loads,
-                          const std::vector<real_t>& capacities) {
-  real_t peak = 0;
-  for (std::size_t k = 0; k < loads.size(); ++k) {
-    if (capacities[k] > 0)
-      peak = std::max(peak, loads[k] / capacities[k]);
-    else if (loads[k] > 0)
-      peak = std::numeric_limits<real_t>::infinity();
-  }
-  return peak;
-}
-
-}  // namespace
 
 PartitionResult KnapsackPartitioner::partition(
     const BoxList& boxes, const std::vector<real_t>& capacities,
     const WorkModel& work) const {
-  SSAMR_REQUIRE(!capacities.empty(), "need at least one processor");
-  for (real_t c : capacities)
-    SSAMR_REQUIRE(c >= 0, "capacities must be non-negative");
-  const real_t cap_sum =
-      std::accumulate(capacities.begin(), capacities.end(), real_t{0});
-  SSAMR_REQUIRE(cap_sum > 0, "capacities must not all be zero");
+  const real_t cap_sum = capacity_sum(capacities);
   const std::size_t nproc = capacities.size();
   const std::size_t nbox = boxes.size();
 
   // Price every box once: with a particle-coupled model box_work counts
   // particles, so the packing loops must not re-evaluate it.
-  std::vector<real_t> works(nbox);
-  for (std::size_t i = 0; i < nbox; ++i) works[i] = box_work(boxes[i], work);
+  const std::vector<real_t> works = per_box_work(boxes, work);
 
-  // Phase 1 — LPT seed: largest box first onto the relatively
-  // least-loaded bin.  Identical to GreedyPartitioner's walk, including
-  // the value-keyed tie-break (larger capacity, then lower index), so the
-  // refinement below can only improve on greedy's result.
-  std::vector<std::size_t> order(nbox);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return works[a] > works[b];
-                   });
-
-  std::vector<rank_t> owner(nbox, 0);
-  std::vector<real_t> loads(nproc, 0);
-  for (std::size_t i : order) {
-    std::size_t best = 0;
-    real_t best_rel = std::numeric_limits<real_t>::infinity();
-    for (std::size_t k = 0; k < nproc; ++k) {
-      if (capacities[k] <= 0) continue;
-      const real_t rel = (loads[k] + works[i]) / capacities[k];
-      if (rel < best_rel ||
-          (rel == best_rel && capacities[k] > capacities[best])) {
-        best_rel = rel;
-        best = k;
-      }
-    }
-    owner[i] = static_cast<rank_t>(best);
-    loads[best] += works[i];
-  }
+  // Phase 1 — LPT seed: GreedyPartitioner's placement, so the refinement
+  // below can only improve on greedy's result.
+  LptPlacement lpt = lpt_place(works, capacities);
+  std::vector<rank_t>& owner = lpt.owner;
+  std::vector<real_t>& loads = lpt.loads;
 
   // Phase 2 — exchange refinement: per step, consider moving one box off
   // the peak rank or swapping one of its boxes with a box of another
@@ -172,10 +122,8 @@ PartitionResult KnapsackPartitioner::partition(
 
   PartitionResult result;
   result.assigned_work.assign(nproc, 0);
-  result.target_work.assign(nproc, 0);
-  const real_t total = total_work(boxes, work);
-  for (std::size_t k = 0; k < nproc; ++k)
-    result.target_work[k] = total * capacities[k] / cap_sum;
+  result.target_work =
+      capacity_targets(total_work(boxes, work), capacities, cap_sum);
   // Emit in input order and recompute W_k from final ownership, so the
   // bookkeeping is a plain left-to-right sum over the input list rather
   // than the move history.

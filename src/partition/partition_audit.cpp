@@ -23,14 +23,21 @@ std::string rank_loc(std::size_t k) { return "rank " + std::to_string(k); }
 
 bool finite(real_t v) { return std::isfinite(v); }
 
+/// Relative tolerance of exact bookkeeping identities (work sums).
+constexpr real_t kWorkRelTolerance = 1e-6;
+/// Per-rank deviation of assigned from target work beyond which a
+/// load-tracking warning is issued, as a fraction of the mean target.
+constexpr real_t kLoadRelTolerance = 0.5;
+/// Multiplicative slack on the aspect-ratio bound (numerical headroom).
+constexpr real_t kAspectSlack = 1.0 + 1e-9;
+
 }  // namespace
 
 AuditReport validate_partition(const BoxList& input,
                                const PartitionResult& result,
                                const std::vector<real_t>& capacities,
                                const WorkModel& work,
-                               const PartitionConstraints& constraints,
-                               const AuditConfig& cfg) {
+                               const PartitionConstraints& constraints) {
   AuditReport r("partition");
   const std::size_t nranks = capacities.size();
   if (nranks == 0) {
@@ -102,7 +109,7 @@ AuditReport validate_partition(const BoxList& input,
     if (admissible > 0) {
       const real_t bound = static_cast<real_t>(in_longest) /
                            static_cast<real_t>(admissible);
-      if (a.box.aspect_ratio() > bound * cfg.aspect_slack)
+      if (a.box.aspect_ratio() > bound * kAspectSlack)
         r.add(Severity::Error, "partition.aspect_ratio", str(a.box),
               "aspect ratio " + std::to_string(a.box.aspect_ratio()) +
                   " exceeds the bound " + std::to_string(bound) +
@@ -130,7 +137,7 @@ AuditReport validate_partition(const BoxList& input,
     if (a.owner >= 0 && a.owner < static_cast<rank_t>(nranks))
       recomputed[static_cast<std::size_t>(a.owner)] += box_work(a.box, work);
   real_t assigned_sum = 0;
-  const real_t work_tol = std::max(total, real_t{1}) * cfg.work_rel_tolerance;
+  const real_t work_tol = std::max(total, real_t{1}) * kWorkRelTolerance;
   for (std::size_t k = 0; k < nranks; ++k) {
     if (!finite(result.assigned_work[k]) || result.assigned_work[k] < 0)
       r.add(Severity::Error, "partition.work_bookkeeping", rank_loc(k),
@@ -160,12 +167,12 @@ AuditReport validate_partition(const BoxList& input,
       continue;
     }
     if (std::abs(result.assigned_work[k] - target) >
-        cfg.load_rel_tolerance * mean_target)
+        kLoadRelTolerance * mean_target)
       r.add(Severity::Warning, "partition.load_tracking", rank_loc(k),
             "assigned work " + std::to_string(result.assigned_work[k]) +
                 " is far from the target " + std::to_string(target));
     if (std::abs(target - capacities[k] * total) >
-        cfg.load_rel_tolerance * mean_target)
+        kLoadRelTolerance * mean_target)
       r.add(Severity::Warning, "partition.target_capacity", rank_loc(k),
             "target " + std::to_string(target) +
                 " is far from the capacity share C_k * L = " +

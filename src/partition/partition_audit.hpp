@@ -22,7 +22,6 @@ AuditReport validate_partition(const BoxList& input,
                                const std::vector<real_t>& capacities,
                                const WorkModel& work,
                                const PartitionConstraints& constraints =
-                                   PartitionConstraints{},
-                               const AuditConfig& cfg = {});
+                                   PartitionConstraints{});
 
 }  // namespace ssamr::audit

@@ -24,8 +24,7 @@ real_t plane_work(const Box& b, int axis, const WorkModel& work) {
   real_t updates = 1;
   for (level_t l = 0; l < b.level(); ++l)
     updates *= static_cast<real_t>(work.ratio);
-  return static_cast<real_t>(cells_per_plane) * updates *
-         work.cost_per_cell.value();
+  return static_cast<real_t>(cells_per_plane) * updates;
 }
 
 /// Exact work of the first `planes` planes of `b` along `axis` under a
@@ -75,6 +74,69 @@ coord_t planes_for_target(const Box& b, int axis, real_t target_work,
 }
 
 }  // namespace
+
+real_t capacity_sum(const std::vector<real_t>& capacities) {
+  SSAMR_REQUIRE(!capacities.empty(), "need at least one processor");
+  for (real_t c : capacities)
+    SSAMR_REQUIRE(c >= 0, "capacities must be non-negative");
+  const real_t cap_sum =
+      std::accumulate(capacities.begin(), capacities.end(), real_t{0});
+  SSAMR_REQUIRE(cap_sum > 0, "capacities must not all be zero");
+  return cap_sum;
+}
+
+std::vector<real_t> capacity_targets(real_t total,
+                                     const std::vector<real_t>& capacities,
+                                     real_t cap_sum) {
+  std::vector<real_t> targets(capacities.size());
+  for (std::size_t k = 0; k < capacities.size(); ++k)
+    targets[k] = total * capacities[k] / cap_sum;
+  return targets;
+}
+
+real_t peak_relative_load(const std::vector<real_t>& loads,
+                          const std::vector<real_t>& capacities) {
+  real_t peak = 0;
+  for (std::size_t k = 0; k < loads.size(); ++k) {
+    if (capacities[k] > 0)
+      peak = std::max(peak, loads[k] / capacities[k]);
+    else if (loads[k] > 0)
+      peak = std::numeric_limits<real_t>::infinity();
+  }
+  return peak;
+}
+
+LptPlacement lpt_place(const std::vector<real_t>& works,
+                       const std::vector<real_t>& capacities) {
+  const std::size_t nproc = capacities.size();
+  LptPlacement out;
+  out.order.resize(works.size());
+  std::iota(out.order.begin(), out.order.end(), std::size_t{0});
+  std::stable_sort(out.order.begin(), out.order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return works[a] > works[b];
+                   });
+  out.owner.assign(works.size(), 0);
+  out.loads.assign(nproc, 0);
+  for (std::size_t i : out.order) {
+    // A value-keyed tie-break, so permuting a distinct-valued capacity
+    // vector permutes the placement identically.
+    std::size_t best = 0;
+    real_t best_rel = std::numeric_limits<real_t>::infinity();
+    for (std::size_t k = 0; k < nproc; ++k) {
+      if (capacities[k] <= 0) continue;
+      const real_t rel = (out.loads[k] + works[i]) / capacities[k];
+      if (rel < best_rel ||
+          (rel == best_rel && capacities[k] > capacities[best])) {
+        best_rel = rel;
+        best = k;
+      }
+    }
+    out.owner[i] = static_cast<rank_t>(best);
+    out.loads[best] += works[i];
+  }
+  return out;
+}
 
 std::optional<std::pair<Box, Box>> split_for_work(
     const Box& b, real_t target_work, const WorkModel& work,

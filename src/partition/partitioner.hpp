@@ -82,6 +82,39 @@ class Partitioner {
   }
 };
 
+/// Validate the capacities of a partitioning pass — at least one, none
+/// negative, not all zero — and return their sum ΣC.
+real_t capacity_sum(const std::vector<real_t>& capacities);
+
+/// Capacity-proportional work targets L_k = L · C_k / ΣC in rank order,
+/// for `total` work L and `cap_sum` = capacity_sum(capacities).
+std::vector<real_t> capacity_targets(real_t total,
+                                     const std::vector<real_t>& capacities,
+                                     real_t cap_sum);
+
+/// Peak relative load max_k W_k / C_k over all ranks; a rank with zero
+/// capacity contributes only when it holds work (then the peak is
+/// infinite).
+real_t peak_relative_load(const std::vector<real_t>& loads,
+                          const std::vector<real_t>& capacities);
+
+/// Whole-box LPT (largest processing time first) placement.
+struct LptPlacement {
+  /// Box indices in placement order: work descending, stable.
+  std::vector<std::size_t> order;
+  /// Owner of each box, by input index.
+  std::vector<rank_t> owner;
+  /// Work placed on each rank.
+  std::vector<real_t> loads;
+};
+
+/// Place boxes of work `works`, largest first, each onto the rank with the
+/// smallest relative load after taking it.  Exact ties go to the larger
+/// capacity, then to the lower index; zero-capacity ranks take nothing.
+/// `capacities` must pass capacity_sum().
+LptPlacement lpt_place(const std::vector<real_t>& works,
+                       const std::vector<real_t>& capacities);
+
 /// Split `b` so that the first piece's work is as close as possible to
 /// `target_work` without (if feasible) exceeding it, cutting along the
 /// longest axis (or, when `constraints.longest_axis_only` is false, along

@@ -2,8 +2,6 @@
 
 #include <numeric>
 
-#include "util/error.hpp"
-
 namespace ssamr {
 
 SfcHeterogeneousPartitioner::SfcHeterogeneousPartitioner(
@@ -13,12 +11,7 @@ SfcHeterogeneousPartitioner::SfcHeterogeneousPartitioner(
 PartitionResult SfcHeterogeneousPartitioner::partition(
     const BoxList& boxes, const std::vector<real_t>& capacities,
     const WorkModel& work) const {
-  SSAMR_REQUIRE(!capacities.empty(), "need at least one processor");
-  for (real_t c : capacities)
-    SSAMR_REQUIRE(c >= 0, "capacities must be non-negative");
-  const real_t cap_sum =
-      std::accumulate(capacities.begin(), capacities.end(), real_t{0});
-  SSAMR_REQUIRE(cap_sum > 0, "capacities must not all be zero");
+  const real_t cap_sum = capacity_sum(capacities);
   const std::size_t nproc = capacities.size();
 
   // Composite SFC order (locality), capacity-proportional targets.
@@ -27,12 +20,10 @@ PartitionResult SfcHeterogeneousPartitioner::partition(
   ordered.reserve(boxes.size());
   for (std::size_t i : perm) ordered.push_back(boxes[i]);
 
-  const real_t total = total_work(boxes, work);
-  std::vector<real_t> targets(nproc);
+  const std::vector<real_t> targets =
+      capacity_targets(total_work(boxes, work), capacities, cap_sum);
   std::vector<rank_t> proc_order(nproc);
   std::iota(proc_order.begin(), proc_order.end(), rank_t{0});
-  for (std::size_t p = 0; p < nproc; ++p)
-    targets[p] = total * capacities[p] / cap_sum;
 
   return assign_sequence(ordered, targets, proc_order, work, constraints_);
 }

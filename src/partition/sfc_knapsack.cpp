@@ -1,41 +1,15 @@
 #include "partition/sfc_knapsack.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <numeric>
 
-#include "util/error.hpp"
-
 namespace ssamr {
-
-namespace {
-
-/// Peak relative load given per-segment work sums.
-real_t peak_relative_load(const std::vector<real_t>& loads,
-                          const std::vector<real_t>& capacities) {
-  real_t peak = 0;
-  for (std::size_t k = 0; k < loads.size(); ++k) {
-    if (capacities[k] > 0)
-      peak = std::max(peak, loads[k] / capacities[k]);
-    else if (loads[k] > 0)
-      peak = std::numeric_limits<real_t>::infinity();
-  }
-  return peak;
-}
-
-}  // namespace
 
 SfcKnapsackHybrid::SfcKnapsackHybrid(SfcConfig sfc) : sfc_(sfc) {}
 
 PartitionResult SfcKnapsackHybrid::partition(
     const BoxList& boxes, const std::vector<real_t>& capacities,
     const WorkModel& work) const {
-  SSAMR_REQUIRE(!capacities.empty(), "need at least one processor");
-  for (real_t c : capacities)
-    SSAMR_REQUIRE(c >= 0, "capacities must be non-negative");
-  const real_t cap_sum =
-      std::accumulate(capacities.begin(), capacities.end(), real_t{0});
-  SSAMR_REQUIRE(cap_sum > 0, "capacities must not all be zero");
+  const real_t cap_sum = capacity_sum(capacities);
   const std::size_t nproc = capacities.size();
   const std::size_t nbox = boxes.size();
 
@@ -46,6 +20,8 @@ PartitionResult SfcKnapsackHybrid::partition(
     works[i] = box_work(boxes[perm[i]], work);
   const real_t total =
       std::accumulate(works.begin(), works.end(), real_t{0});
+  const std::vector<real_t> targets =
+      capacity_targets(total, capacities, cap_sum);
 
   // Initial segment boundaries at the capacity-proportional prefix
   // targets: cuts[k] is the first curve position of segment k, so rank k
@@ -57,7 +33,7 @@ PartitionResult SfcKnapsackHybrid::partition(
     real_t cum_target = 0;
     std::size_t pos = 0;
     for (std::size_t k = 0; k + 1 < nproc; ++k) {
-      cum_target += total * capacities[k] / cap_sum;
+      cum_target += targets[k];
       while (pos < nbox && prefix + works[pos] <= cum_target)
         prefix += works[pos++];
       cuts[k + 1] = pos;
@@ -113,9 +89,7 @@ PartitionResult SfcKnapsackHybrid::partition(
 
   PartitionResult result;
   result.assigned_work.assign(nproc, 0);
-  result.target_work.assign(nproc, 0);
-  for (std::size_t k = 0; k < nproc; ++k)
-    result.target_work[k] = total * capacities[k] / cap_sum;
+  result.target_work = targets;
   result.assignments.reserve(nbox);
   for (std::size_t k = 0; k < nproc; ++k)
     for (std::size_t i = cuts[k]; i < cuts[k + 1]; ++i) {

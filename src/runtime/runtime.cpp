@@ -102,23 +102,18 @@ void AdaptiveRuntime::stage_sense(RunTrace& trace, Seconds& t, int iteration,
   const SweepResult sweep = monitor_.probe_all(t);
   const std::vector<real_t> fresh =
       capacity_.relative_capacities(sweep.estimates);
+  // Every sweep, the initial one included, is charged to execution time.
+  t += model_->sense(t, sweep.overhead_s, iteration);
+  trace.sense_time += sweep.overhead_s;
   if (initial) {
     capacities_ = fresh;
     SSAMR_AUDIT(audit::validate_capacities(capacities_, cfg_.weights));
-    if (cfg_.sensing.charge_initial_sweep) {
-      t += model_->sense(t, sweep.overhead_s, iteration);
-      trace.sense_time += sweep.overhead_s;
-    }
+  } else if (sweep.health_event()) {
+    // A node just dropped to zero or came back: hysteresis must not
+    // swallow that, and the next iteration must repartition.
+    capacities_ = fresh;
   } else {
-    t += model_->sense(t, sweep.overhead_s, iteration);
-    trace.sense_time += sweep.overhead_s;
-    if (sweep.health_event()) {
-      // A node just dropped to zero or came back: hysteresis must not
-      // swallow that, and the next iteration must repartition.
-      capacities_ = fresh;
-    } else {
-      stage_adopt_capacities(fresh);
-    }
+    stage_adopt_capacities(fresh);
   }
   if (sweep.health_event()) force_repartition_ = true;
   trace.senses.push_back({iteration, t, capacities_});

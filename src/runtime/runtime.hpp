@@ -88,8 +88,6 @@ struct SensingPolicy {
   /// Probe the monitor every this many iterations; 0 = sense only once
   /// before the start of the simulation (the paper's "static" mode).
   int interval = 0;
-  /// Charge the initial sweep to execution time as well.
-  bool charge_initial_sweep = true;
   /// Adopt freshly sensed capacities only when some node's relative
   /// capacity moved by more than this fraction since the capacities the
   /// partitioner is currently using (hysteresis against sensor noise:

@@ -1,33 +1,20 @@
 #include "sim/bsp_model.hpp"
 
-#include <algorithm>
-
 namespace ssamr::sim {
 
 BspModel::BspModel(const Cluster& cluster, const ExecutorConfig& cfg)
-    : cluster_(cluster), exec_(cluster, cfg) {
-  const int n = cluster.size();
-  lanes_.reserve(static_cast<std::size_t>(n) + 1);
-  for (int k = 0; k <= n; ++k) lanes_.emplace_back(k);
-}
+    : exec_(cluster, cfg), lanes_(cluster.size()) {}
 
 Seconds BspModel::sense(Seconds t, Seconds sweep_s, int iteration) {
   // Charged serially: every rank waits for the sweep (the pre-seam
   // behaviour the paper measures as sensing overhead).
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(t + sweep_s, SpanKind::kIdle, iteration);
-  lanes_[n].skip_to(t);
-  lanes_[n].advance(t + sweep_s, SpanKind::kSense, iteration);
+  lanes_.serial_sense(t, sweep_s, iteration);
   return sweep_s;
 }
 
 Seconds BspModel::regrid(Seconds t, std::size_t boxes, int iteration) {
   const Seconds cost = exec_.regrid_time(boxes) + exec_.partition_time(boxes);
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(t + cost, SpanKind::kRegrid, iteration);
-  pending_regrid_s_ = cost;
+  lanes_.serial_regrid(t, cost, iteration);
   return cost;
 }
 
@@ -36,14 +23,7 @@ Seconds BspModel::migrate(const PartitionResult& previous,
   // The pre-seam clock charges migration at the pre-regrid time t; the
   // spans start after the regrid work the driver adds alongside.
   const Seconds cost = exec_.migration_time(previous, next, t);
-  // The driver charges regrid + migration to its clock as one pre-summed
-  // pair; replicate that exact rounding so the lanes land on the driver's
-  // clock bit-for-bit ((t + a) + b need not equal t + (a + b)).
-  const Seconds end = t + (pending_regrid_s_ + cost);
-  pending_regrid_s_ = Seconds{0};
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(end, SpanKind::kMigrate);
+  lanes_.land_migration(t, cost);
   return cost;
 }
 
@@ -61,7 +41,7 @@ StepCost BspModel::advance(const PartitionResult& r, Seconds t,
   }
   const Seconds worst_comp = comp[worst_k];
   for (std::size_t k = 0; k < comp.size(); ++k) {
-    RankTimeline& lane = lanes_[k];
+    RankTimeline& lane = lanes_.rank(k);
     // Sum comp + comm before adding t: rounding is then monotone in the
     // per-rank total, so no lane can overshoot t + worst_total by an ulp.
     lane.advance(t + comp[k], SpanKind::kCompute, iteration);
@@ -72,16 +52,7 @@ StepCost BspModel::advance(const PartitionResult& r, Seconds t,
 }
 
 void BspModel::finish(RunTrace& trace, Seconds t_end) {
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  trace.rank_usage.clear();
-  trace.spans.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    lanes_[k].advance(t_end, SpanKind::kIdle);
-    trace.rank_usage.push_back(lanes_[k].usage());
-  }
-  for (const RankTimeline& lane : lanes_)
-    trace.spans.insert(trace.spans.end(), lane.spans().begin(),
-                       lane.spans().end());
+  lanes_.finish(trace, t_end);
 }
 
 }  // namespace ssamr::sim

@@ -13,8 +13,6 @@
 /// illustrative timeline spans (the BSP view: all ranks advance in
 /// lockstep, the slack of non-critical ranks shows up as idle).
 
-#include <vector>
-
 #include "sim/exec_model.hpp"
 #include "sim/timeline.hpp"
 
@@ -35,13 +33,8 @@ class BspModel final : public ExecutionModel {
   const VirtualExecutor& costs() const override { return exec_; }
 
  private:
-  const Cluster& cluster_;
   VirtualExecutor exec_;
-  std::vector<RankTimeline> lanes_;  ///< ranks 0..n-1, monitor lane at n
-  /// Regrid charge of the current repartition stage: the driver adds
-  /// regrid + migration to the clock together, so the migration spans
-  /// recorded by migrate() start after this offset.
-  Seconds pending_regrid_s_{0};
+  LaneSet lanes_;
 };
 
 }  // namespace ssamr::sim

@@ -10,11 +10,7 @@ namespace ssamr::sim {
 
 EventExecutor::EventExecutor(const Cluster& cluster,
                              const ExecutorConfig& cfg)
-    : cluster_(cluster), exec_(cluster, cfg) {
-  const int n = cluster.size();
-  lanes_.reserve(static_cast<std::size_t>(n) + 1);
-  for (int k = 0; k <= n; ++k) lanes_.emplace_back(k);
-}
+    : cluster_(cluster), exec_(cluster, cfg), lanes_(cluster.size()) {}
 
 std::vector<MbitsPerSec> EventExecutor::bandwidths_at(Seconds t) const {
   const auto n = static_cast<std::size_t>(cluster_.size());
@@ -30,13 +26,6 @@ std::vector<MbitsPerSec> EventExecutor::bandwidths_at(Seconds t) const {
   return bw;
 }
 
-Seconds EventExecutor::horizon() const {
-  Seconds h{0};
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k) h = std::max(h, lanes_[k].now());
-  return h;
-}
-
 void EventExecutor::run_network(std::vector<Transfer>& transfers, Seconds t) {
   const std::vector<MbitsPerSec> bw = bandwidths_at(t);
   events_ += simulate_transfers(transfers, bw, cluster_.network(), net_ws_);
@@ -48,7 +37,7 @@ Seconds EventExecutor::sense(Seconds t, Seconds sweep_s, int iteration) {
   // previous sweep — it blocks until its request can start, so degraded
   // sweeps (timeouts, retries, backoff) surface as sensing lag instead of
   // silently queueing forever on the monitor lane.
-  RankTimeline& monitor = lanes_.back();
+  RankTimeline& monitor = lanes_.monitor();
   const Seconds wait = std::max(Seconds{0}, monitor.now() - t);
   monitor.skip_to(std::max(monitor.now(), t));
   monitor.advance(monitor.now() + sweep_s, SpanKind::kSense, iteration);
@@ -59,11 +48,10 @@ Seconds EventExecutor::regrid(Seconds t, std::size_t boxes, int iteration) {
   // Global barrier: every rank synchronizes (idle), then all perform the
   // flagging/clustering/partitioning work together.
   const Seconds cost = exec_.regrid_time(boxes) + exec_.partition_time(boxes);
-  const Seconds barrier = std::max(t, horizon());
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k) {
-    lanes_[k].advance(barrier, SpanKind::kIdle, iteration);
-    lanes_[k].advance(barrier + cost, SpanKind::kRegrid, iteration);
+  const Seconds barrier = std::max(t, lanes_.horizon());
+  for (std::size_t k = 0; k < lanes_.nranks(); ++k) {
+    lanes_.rank(k).advance(barrier, SpanKind::kIdle, iteration);
+    lanes_.rank(k).advance(barrier + cost, SpanKind::kRegrid, iteration);
   }
   return (barrier + cost) - t;
 }
@@ -72,7 +60,7 @@ Seconds EventExecutor::migrate(const PartitionResult& previous,
                                const PartitionResult& next, Seconds t) {
   // Ranks leave the regrid barrier together; each resumes as soon as its
   // own incident transfers are done (no second barrier).
-  const Seconds begin = horizon();
+  const Seconds begin = lanes_.horizon();
   std::vector<RankFlow> flows = exec_.migration_flows(previous, next);
   if (flows.empty()) return Seconds{0};
 
@@ -92,8 +80,8 @@ Seconds EventExecutor::migrate(const PartitionResult& previous,
         std::max(done[static_cast<std::size_t>(tr.dst)], tr.finish_time);
   }
   for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(done[k], SpanKind::kMigrate);
-  return horizon() - begin;
+    lanes_.rank(k).advance(done[k], SpanKind::kMigrate);
+  return lanes_.horizon() - begin;
 }
 
 StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
@@ -106,7 +94,7 @@ StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
   std::vector<Seconds> compute_start(n, Seconds{0});
   std::vector<Seconds> compute_end(n, Seconds{0});
   for (std::size_t k = 0; k < n; ++k) {
-    RankTimeline& lane = lanes_[k];
+    RankTimeline& lane = lanes_.rank(k);
     compute_start[k] = lane.now();
     lane.advance(lane.now() + comp[k], SpanKind::kCompute, iteration);
     compute_end[k] = lane.now();
@@ -119,16 +107,7 @@ StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
   // receiving rank still needs all its incoming messages before its next
   // span.  Transfers contend for endpoint bandwidth.
   const real_t overlap = exec_.config().comm_overlap.value();
-  // The flow set is a pure function of the partition; between regrids the
-  // partition is stable, so neighbor discovery runs once per partition
-  // instead of once per iteration.
-  if (!ghost_flows_valid_ || !(ghost_flows_key_ == r)) {
-    ghost_flows_ = pairwise_comm_bytes(r, exec_.config().ghost,
-                                       exec_.config().ncomp);
-    ghost_flows_key_ = r;
-    ghost_flows_valid_ = true;
-  }
-  const std::vector<RankFlow>& flows = ghost_flows_;
+  const std::vector<RankFlow>& flows = ghost_flows_.flows(r, exec_.config());
   std::vector<Transfer>& transfers = transfer_buf_;
   transfers.clear();
   transfers.reserve(flows.size());
@@ -145,7 +124,7 @@ StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
     ready[static_cast<std::size_t>(tr.dst)] =
         std::max(ready[static_cast<std::size_t>(tr.dst)], tr.finish_time);
   for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(ready[k], SpanKind::kComm, iteration);
+    lanes_.rank(k).advance(ready[k], SpanKind::kComm, iteration);
 
   // Attribute the global advance to the critical rank's breakdown.
   std::size_t crit = 0;
@@ -157,19 +136,7 @@ StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
 }
 
 void EventExecutor::finish(RunTrace& trace, Seconds t_end) {
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  // The driver's clock re-rounds the stage deltas it accumulated, so it
-  // can sit an ulp below the true lane horizon; never rewind a lane.
-  const Seconds end = std::max(t_end, horizon());
-  trace.rank_usage.clear();
-  trace.spans.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    lanes_[k].advance(end, SpanKind::kIdle);  // run tail
-    trace.rank_usage.push_back(lanes_[k].usage());
-  }
-  for (const RankTimeline& lane : lanes_)
-    trace.spans.insert(trace.spans.end(), lane.spans().begin(),
-                       lane.spans().end());
+  lanes_.finish(trace, t_end);
 }
 
 }  // namespace ssamr::sim

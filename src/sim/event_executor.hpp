@@ -51,22 +51,15 @@ class EventExecutor final : public ExecutionModel {
  private:
   /// Deliverable bandwidth of every rank at virtual time t.
   std::vector<MbitsPerSec> bandwidths_at(Seconds t) const;
-  /// Latest local clock over all ranks (excludes the monitor lane).
-  Seconds horizon() const;
   /// Run `transfers` through the fluid network at time-t bandwidths on
   /// the reused workspace, accumulating events_.
   void run_network(std::vector<Transfer>& transfers, Seconds t);
 
   const Cluster& cluster_;
   VirtualExecutor exec_;
-  std::vector<RankTimeline> lanes_;  ///< ranks 0..n-1, monitor lane at n
+  LaneSet lanes_;
   std::size_t events_ = 0;
-  // Ghost-flow cache: the flow set depends only on the partition, which is
-  // stable between regrids, so advance() recomputes it only when the
-  // assignment actually changes (bit-exact comparison).
-  PartitionResult ghost_flows_key_;
-  std::vector<RankFlow> ghost_flows_;
-  bool ghost_flows_valid_ = false;
+  GhostFlowCache ghost_flows_;
   // Simulation scratch, reused across advance()/migrate() calls: at
   // P = 16384 one network step churns ~40 MB of simulator state, and
   // re-allocating it every iteration costs as much as a tenth of the

@@ -9,6 +9,19 @@
 
 namespace ssamr {
 
+namespace {
+
+/// Fixed regrid overhead per regrid event (flagging + clustering).
+constexpr Seconds kRegridCostBase{0.05};
+/// Additional regrid cost per composite box.
+constexpr Seconds kRegridCostPerBox{0.002};
+/// Partitioner cost per box (sorting + splitting).
+constexpr Seconds kPartitionCostPerBox{0.0005};
+/// CPU fraction stolen by the resource monitor on every node (NWS: < 3 %).
+constexpr Fraction kMonitorIntrusionCpu{0.02};
+
+}  // namespace
+
 VirtualExecutor::VirtualExecutor(const Cluster& cluster, ExecutorConfig cfg)
     : cluster_(cluster), cfg_(cfg) {
   const audit::AuditReport report =
@@ -18,7 +31,7 @@ VirtualExecutor::VirtualExecutor(const Cluster& cluster, ExecutorConfig cfg)
 
 MegaBytes VirtualExecutor::memory_from_cells(std::int64_t cells) const {
   const real_t bytes = static_cast<real_t>(cells) * cfg_.ncomp *
-                       cfg_.bytes_per_value * cfg_.time_levels;
+                       static_cast<real_t>(sizeof(real_t)) * cfg_.time_levels;
   return cfg_.app_base_memory_mb + MegaBytes{bytes / 1.0e6};
 }
 
@@ -44,7 +57,7 @@ std::vector<Seconds> VirtualExecutor::compute_times(const PartitionResult& r,
     // real cost).  Without a fault plan resume == t and nothing changes.
     const Seconds resume = cluster_.resume_time(rank, t);
     WorkRate rate = cluster_.effective_rate(rank, resume, mem);
-    rate *= (1.0 - cfg_.monitor_intrusion_cpu.value());
+    rate *= (1.0 - kMonitorIntrusionCpu.value());
     out[k] = Work{r.assigned_work[k]} / std::max(rate, WorkRate{1e-9});
     if (r.assigned_work[k] > 0) out[k] += resume - t;
   });
@@ -87,19 +100,18 @@ std::vector<Seconds> VirtualExecutor::effective_comm_times(
 }
 
 Seconds VirtualExecutor::regrid_time(std::size_t boxes) const {
-  return cfg_.regrid_cost_base_s +
-         cfg_.regrid_cost_per_box_s * static_cast<real_t>(boxes);
+  return kRegridCostBase + kRegridCostPerBox * static_cast<real_t>(boxes);
 }
 
 Seconds VirtualExecutor::partition_time(std::size_t boxes) const {
-  return cfg_.partition_cost_per_box_s * static_cast<real_t>(boxes);
+  return kPartitionCostPerBox * static_cast<real_t>(boxes);
 }
 
 std::vector<RankFlow> VirtualExecutor::migration_flows(
     const PartitionResult& previous, const PartitionResult& next) const {
   const auto n = static_cast<std::size_t>(cluster_.size());
-  const std::int64_t cell_bytes =
-      static_cast<std::int64_t>(cfg_.ncomp) * cfg_.bytes_per_value;
+  const std::int64_t cell_bytes = static_cast<std::int64_t>(cfg_.ncomp) *
+                                  static_cast<std::int64_t>(sizeof(real_t));
   std::vector<RankFlow> flows =
       ownership_transfer_flows(previous, next, cell_bytes);
   for (const RankFlow& f : flows)
@@ -131,6 +143,16 @@ Seconds VirtualExecutor::migration_time(const PartitionResult& previous,
                                                 s.bandwidth_mbps);
       },
       [](Seconds a, Seconds b) { return std::max(a, b); });
+}
+
+const std::vector<RankFlow>& GhostFlowCache::flows(const PartitionResult& r,
+                                                   const ExecutorConfig& cfg) {
+  if (!valid_ || !(key_ == r)) {
+    flows_ = pairwise_comm_bytes(r, cfg.ghost, cfg.ncomp);
+    key_ = r;
+    valid_ = true;
+  }
+  return flows_;
 }
 
 }  // namespace ssamr

@@ -51,26 +51,18 @@ struct ProcOptions {
   }
 };
 
-/// Cost-model knobs.
+/// Cost-model knobs.  The regrid, partitioner and monitor-intrusion
+/// prices are constants of executor.cpp, and every stored value (ghost,
+/// migrated or resident) is one real_t.
 struct ExecutorConfig {
-  /// Fixed regrid overhead per regrid event (flagging + clustering).
-  Seconds regrid_cost_base_s{0.05};
-  /// Additional regrid cost per composite box.
-  Seconds regrid_cost_per_box_s{0.002};
-  /// Partitioner cost per box (sorting + splitting).
-  Seconds partition_cost_per_box_s{0.0005};
   /// Application base memory footprint per rank.
   MegaBytes app_base_memory_mb{24.0};
   /// Field components (for ghost/migration byte counts).
   int ncomp = 5;
   /// Ghost width (for comm volume).
   coord_t ghost = 2;
-  /// Bytes per cell per component per time level.
-  int bytes_per_value = 8;
   /// Time levels held in memory.
   int time_levels = 2;
-  /// CPU fraction stolen by the resource monitor on every node.
-  Fraction monitor_intrusion_cpu{0.02};
   /// Fraction of ghost-exchange time hidden behind interior computation
   /// (SAMR runtimes post asynchronous sends while updating the interior).
   Fraction comm_overlap{0.7};
@@ -124,6 +116,21 @@ class VirtualExecutor {
 
   const Cluster& cluster_;
   ExecutorConfig cfg_;
+};
+
+/// The ghost flows (pairwise_comm_bytes) of the last partition seen.  The
+/// flow set is a pure function of the partition, which is stable between
+/// regrids, so neighbor discovery reruns only when the assignment changes
+/// (bit-exact comparison), not once per iteration.
+class GhostFlowCache {
+ public:
+  const std::vector<RankFlow>& flows(const PartitionResult& r,
+                                     const ExecutorConfig& cfg);
+
+ private:
+  PartitionResult key_;
+  std::vector<RankFlow> flows_;
+  bool valid_ = false;
 };
 
 }  // namespace ssamr

@@ -25,15 +25,8 @@ void require_nonneg(AuditReport& r, const char* check, const char* knob,
 
 }  // namespace
 
-AuditReport validate_executor_config(const ExecutorConfig& cfg,
-                                     const AuditConfig& /*audit_cfg*/) {
+AuditReport validate_executor_config(const ExecutorConfig& cfg) {
   AuditReport r("executor-config");
-  require_nonneg(r, "executor.regrid_cost", "regrid_cost_base_s",
-                 cfg.regrid_cost_base_s.value());
-  require_nonneg(r, "executor.regrid_cost", "regrid_cost_per_box_s",
-                 cfg.regrid_cost_per_box_s.value());
-  require_nonneg(r, "executor.partition_cost", "partition_cost_per_box_s",
-                 cfg.partition_cost_per_box_s.value());
   require_nonneg(r, "executor.app_memory", "app_base_memory_mb",
                  cfg.app_base_memory_mb.value());
   if (cfg.ncomp < 1)
@@ -42,20 +35,10 @@ AuditReport validate_executor_config(const ExecutorConfig& cfg,
   if (cfg.ghost < 0)
     r.add(Severity::Error, "executor.ghost", "",
           "ghost = " + std::to_string(cfg.ghost) + " must be >= 0");
-  if (cfg.bytes_per_value < 1)
-    r.add(Severity::Error, "executor.bytes_per_value", "",
-          "bytes_per_value = " + std::to_string(cfg.bytes_per_value) +
-              " must be >= 1");
   if (cfg.time_levels < 1)
     r.add(Severity::Error, "executor.time_levels", "",
           "time_levels = " + std::to_string(cfg.time_levels) +
               " must be >= 1");
-  if (!(cfg.monitor_intrusion_cpu >= Fraction{0}) ||
-      !(cfg.monitor_intrusion_cpu < Fraction{1}))
-    r.add(Severity::Error, "executor.monitor_intrusion", "",
-          "monitor_intrusion_cpu = " +
-              std::to_string(cfg.monitor_intrusion_cpu.value()) +
-              " must lie in [0, 1)");
   if (!(cfg.comm_overlap >= Fraction{0}) || !(cfg.comm_overlap <= Fraction{1}))
     r.add(Severity::Error, "executor.comm_overlap", "",
           "comm_overlap = " + std::to_string(cfg.comm_overlap.value()) +
@@ -63,8 +46,7 @@ AuditReport validate_executor_config(const ExecutorConfig& cfg,
   return r;
 }
 
-AuditReport validate_proc_options(const ProcOptions& opt, int nranks,
-                                  const AuditConfig& /*audit_cfg*/) {
+AuditReport validate_proc_options(const ProcOptions& opt, int nranks) {
   AuditReport r("proc-options");
   if (!positive(opt.time_scale))
     r.add(Severity::Error, "proc.time_scale", "",

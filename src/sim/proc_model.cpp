@@ -50,16 +50,33 @@ void sleep_ms(int ms) {
               std::to_string(rank) + " failed: " + what);
 }
 
+/// Add `flows` to the per-rank phase plans as wire traffic of
+/// `bytes_scale` wire bytes per modeled byte; a flow that scales to zero
+/// bytes is dropped.
+void plan_wire_flows(std::vector<PhasePlan>& plans,
+                     const std::vector<RankFlow>& flows, double bytes_scale) {
+  for (const RankFlow& f : flows) {
+    const double scaled = static_cast<double>(f.bytes) * bytes_scale;
+    const auto wire =
+        static_cast<std::uint64_t>(std::clamp(scaled, 0.0, 1.0e15));
+    if (wire == 0) continue;
+    plans[static_cast<std::size_t>(f.src)].sends.push_back(
+        WireFlow{f.dst, wire});
+    plans[static_cast<std::size_t>(f.dst)].recvs.push_back(
+        WireFlow{f.src, wire});
+  }
+}
+
 }  // namespace
 
 ProcModel::ProcModel(const Cluster& cluster, const ExecutorConfig& cfg)
-    : cluster_(cluster), exec_(cluster, cfg), opt_(cfg.proc) {
+    : cluster_(cluster),
+      exec_(cluster, cfg),
+      opt_(cfg.proc),
+      lanes_(cluster.size()) {
   const int n = cluster.size();
   const audit::AuditReport report = audit::validate_proc_options(opt_, n);
   SSAMR_REQUIRE(report.ok(), report.summary());
-
-  lanes_.reserve(static_cast<std::size_t>(n) + 1);
-  for (int k = 0; k <= n; ++k) lanes_.emplace_back(k);
 
   // All sockets exist before the first fork, so every child inherits the
   // full set and keeps only its own ends.
@@ -239,26 +256,11 @@ std::vector<PhaseReport> ProcModel::run_phase(
   return reports;
 }
 
-const std::vector<RankFlow>& ProcModel::ghost_flows(
-    const PartitionResult& r) {
-  if (!ghost_flows_valid_ || !(ghost_flows_key_ == r)) {
-    ghost_flows_ =
-        pairwise_comm_bytes(r, exec_.config().ghost, exec_.config().ncomp);
-    ghost_flows_key_ = r;
-    ghost_flows_valid_ = true;
-  }
-  return ghost_flows_;
-}
-
 Seconds ProcModel::sense(Seconds t, Seconds sweep_s, int iteration) {
   // Sensing is the monitor's virtual sweep — no rank process involvement —
   // and is charged serially exactly like the BSP model, so sense cost
   // cancels in event-vs-proc cross-validation.
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(t + sweep_s, SpanKind::kIdle, iteration);
-  lanes_[n].skip_to(t);
-  lanes_[n].advance(t + sweep_s, SpanKind::kSense, iteration);
+  lanes_.serial_sense(t, sweep_s, iteration);
   return sweep_s;
 }
 
@@ -268,10 +270,7 @@ Seconds ProcModel::regrid(Seconds t, std::size_t boxes, int iteration) {
   // model shared with BSP so the event-vs-proc comparison isolates the
   // phases the ranks execute.
   const Seconds cost = exec_.regrid_time(boxes) + exec_.partition_time(boxes);
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(t + cost, SpanKind::kRegrid, iteration);
-  pending_regrid_s_ = cost;
+  lanes_.serial_regrid(t, cost, iteration);
   return cost;
 }
 
@@ -290,27 +289,12 @@ Seconds ProcModel::migrate(const PartitionResult& previous,
     p.owners = owners;
     p.capacities.assign(next.target_work.begin(), next.target_work.end());
   }
-  const auto scale = [this](std::int64_t bytes) {
-    const double scaled = static_cast<double>(bytes) * opt_.bytes_scale;
-    return static_cast<std::uint64_t>(std::clamp(scaled, 0.0, 1.0e15));
-  };
-  for (const RankFlow& f : exec_.migration_flows(previous, next)) {
-    const std::uint64_t wire = scale(f.bytes);
-    if (wire == 0) continue;
-    plans[static_cast<std::size_t>(f.src)].sends.push_back(
-        WireFlow{f.dst, wire});
-    plans[static_cast<std::size_t>(f.dst)].recvs.push_back(
-        WireFlow{f.src, wire});
-  }
+  plan_wire_flows(plans, exec_.migration_flows(previous, next),
+                  opt_.bytes_scale);
   double window = 0;
   run_phase(plans, &window);
   const Seconds cost = opt_.to_virtual(window);
-  // Same clock splice as BspModel: the driver pre-sums regrid + migration,
-  // so the lanes must land on t + (a + b) with that exact rounding.
-  const Seconds end = t + (pending_regrid_s_ + cost);
-  pending_regrid_s_ = Seconds{0};
-  for (int k = 0; k < n; ++k)
-    lanes_[static_cast<std::size_t>(k)].advance(end, SpanKind::kMigrate);
+  lanes_.land_migration(t, cost);
   return cost;
 }
 
@@ -327,18 +311,8 @@ StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
         comp[static_cast<std::size_t>(k)].value() * opt_.time_scale;
     p.compute_wall_s = sleep_s;
   }
-  const auto scale = [this](std::int64_t bytes) {
-    const double scaled = static_cast<double>(bytes) * opt_.bytes_scale;
-    return static_cast<std::uint64_t>(std::clamp(scaled, 0.0, 1.0e15));
-  };
-  for (const RankFlow& f : ghost_flows(r)) {
-    const std::uint64_t wire = scale(f.bytes);
-    if (wire == 0) continue;
-    plans[static_cast<std::size_t>(f.src)].sends.push_back(
-        WireFlow{f.dst, wire});
-    plans[static_cast<std::size_t>(f.dst)].recvs.push_back(
-        WireFlow{f.src, wire});
-  }
+  plan_wire_flows(plans, ghost_flows_.flows(r, exec_.config()),
+                  opt_.bytes_scale);
 
   double window = 0;
   const std::vector<PhaseReport> reports = run_phase(plans, &window);
@@ -356,7 +330,7 @@ StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
     comp_v = std::min(comp_v, elapsed);
     comm_v = std::min(comm_v, elapsed - comp_v);
     comm_v = std::max(comm_v, Seconds{0});
-    RankTimeline& lane = lanes_[static_cast<std::size_t>(k)];
+    RankTimeline& lane = lanes_.rank(static_cast<std::size_t>(k));
     lane.advance(t + comp_v, SpanKind::kCompute, iteration);
     lane.advance(t + (comp_v + comm_v), SpanKind::kComm, iteration);
     lane.advance(t + elapsed, SpanKind::kIdle, iteration);
@@ -372,16 +346,7 @@ StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
 }
 
 void ProcModel::finish(RunTrace& trace, Seconds t_end) {
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  trace.rank_usage.clear();
-  trace.spans.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    lanes_[k].advance(t_end, SpanKind::kIdle);
-    trace.rank_usage.push_back(lanes_[k].usage());
-  }
-  for (const RankTimeline& lane : lanes_)
-    trace.spans.insert(trace.spans.end(), lane.spans().begin(),
-                       lane.spans().end());
+  lanes_.finish(trace, t_end);
 }
 
 }  // namespace ssamr::sim

@@ -79,25 +79,18 @@ class ProcModel final : public ExecutionModel {
   std::vector<PhaseReport> run_phase(const std::vector<PhasePlan>& plans,
                                      double* window_wall_s);
 
-  /// Ghost flows of `r`, cached on bit-exact assignment equality (the
-  /// layout is stable between regrids).
-  const std::vector<RankFlow>& ghost_flows(const PartitionResult& r);
-
   void shutdown_children() noexcept;
 
   const Cluster& cluster_;
   VirtualExecutor exec_;
   ProcOptions opt_;
-  std::vector<RankTimeline> lanes_;
-  Seconds pending_regrid_s_{0};
+  LaneSet lanes_;
 
   std::vector<pid_t> pids_;
   std::vector<int> ctrl_fds_;  ///< coordinator end, per rank
   std::vector<net::FrameDecoder> ctrl_decoders_;
 
-  PartitionResult ghost_flows_key_;
-  std::vector<RankFlow> ghost_flows_;
-  bool ghost_flows_valid_ = false;
+  GhostFlowCache ghost_flows_;
 
   std::uint64_t wire_bytes_total_ = 0;
   double phase_wall_total_ = 0;

@@ -70,9 +70,8 @@ EulerState rusanov_flux(const EulerState& left, const EulerState& right,
   return f;
 }
 
-EulerOperator::EulerOperator(real_t gamma, EulerInitialCondition ic,
-                             EulerReconstruction reconstruction)
-    : gamma_(gamma), ic_(std::move(ic)), reconstruction_(reconstruction) {
+EulerOperator::EulerOperator(real_t gamma, EulerInitialCondition ic)
+    : gamma_(gamma), ic_(std::move(ic)) {
   SSAMR_REQUIRE(gamma > 1, "gamma must exceed 1");
   SSAMR_REQUIRE(static_cast<bool>(ic_), "initial condition required");
 }
@@ -115,37 +114,13 @@ real_t EulerOperator::max_wave_speed(const Patch& p) const {
   return smax;
 }
 
-namespace {
-/// minmod limiter.
-real_t minmod(real_t a, real_t b) {
-  if (a * b <= 0) return 0;
-  return std::abs(a) < std::abs(b) ? a : b;
-}
-}  // namespace
-
 EulerState EulerOperator::face_flux(const GridFunction& u, IntVec cell,
                                     int axis) const {
   IntVec step(0, 0, 0);
   step.at(axis) = 1;
   const IntVec n = cell + step;
-  EulerState left, right;
-  for (int c = 0; c < kEulerNcomp; ++c) {
-    const real_t uc = u(c, cell.x, cell.y, cell.z);
-    const real_t un = u(c, n.x, n.y, n.z);
-    if (reconstruction_ == EulerReconstruction::FirstOrder) {
-      left[c] = uc;
-      right[c] = un;
-      continue;
-    }
-    // MUSCL: minmod-limited linear reconstruction to the shared face.
-    const IntVec m = cell - step;
-    const IntVec nn = n + step;
-    const real_t um = u(c, m.x, m.y, m.z);
-    const real_t unn = u(c, nn.x, nn.y, nn.z);
-    left[c] = uc + 0.5 * minmod(uc - um, un - uc);
-    right[c] = un - 0.5 * minmod(un - uc, unn - un);
-  }
-  return rusanov_flux(left, right, axis, gamma_);
+  return rusanov_flux(state_at(u, cell.x, cell.y, cell.z),
+                      state_at(u, n.x, n.y, n.z), axis, gamma_);
 }
 
 void EulerOperator::advance_impl(Patch& p, real_t dt, real_t dx,

@@ -53,23 +53,14 @@ EulerState rusanov_flux(const EulerState& left, const EulerState& right,
 using EulerInitialCondition =
     std::function<EulerPrimitive(real_t x, real_t y, real_t z)>;
 
-/// Spatial reconstruction of the finite-volume kernel.
-enum class EulerReconstruction {
-  FirstOrder,  ///< piecewise-constant states at faces (very robust)
-  Muscl,       ///< piecewise-linear, minmod-limited (2nd order in space)
-};
-
-/// Rusanov finite-volume Euler kernel with selectable reconstruction.
+/// First-order Rusanov finite-volume Euler kernel: piecewise-constant
+/// states at every face (very robust), so the stencil is one cell wide.
 class EulerOperator final : public PatchOperator {
  public:
-  EulerOperator(real_t gamma, EulerInitialCondition ic,
-                EulerReconstruction reconstruction =
-                    EulerReconstruction::FirstOrder);
+  EulerOperator(real_t gamma, EulerInitialCondition ic);
 
   int ncomp() const override { return kEulerNcomp; }
-  int ghost() const override {
-    return reconstruction_ == EulerReconstruction::Muscl ? 2 : 1;
-  }
+  int ghost() const override { return 1; }
   void initialize(Patch& p, real_t dx) const override;
   real_t max_wave_speed(const Patch& p) const override;
   void advance(Patch& p, real_t dt, real_t dx) const override;
@@ -77,20 +68,15 @@ class EulerOperator final : public PatchOperator {
   void advance_capture(Patch& p, real_t dt, real_t dx,
                        FaceFluxes& fluxes) const override;
 
-  real_t gamma() const { return gamma_; }
-  EulerReconstruction reconstruction() const { return reconstruction_; }
-
  private:
   EulerState state_at(const GridFunction& u, coord_t i, coord_t j,
                       coord_t k) const;
-  /// Face flux between cells c (at index) and its +axis neighbour, with
-  /// the configured reconstruction.
+  /// Face flux between cells c (at index) and its +axis neighbour.
   EulerState face_flux(const GridFunction& u, IntVec cell, int axis) const;
   void advance_impl(Patch& p, real_t dt, real_t dx,
                     FaceFluxes* fluxes) const;
   real_t gamma_;
   EulerInitialCondition ic_;
-  EulerReconstruction reconstruction_;
 };
 
 }  // namespace ssamr

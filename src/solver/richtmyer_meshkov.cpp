@@ -49,8 +49,7 @@ EulerInitialCondition make_rm_initial_condition(
 }
 
 EulerOperator make_rm_operator(const RichtmyerMeshkovConfig& cfg) {
-  return EulerOperator(cfg.gamma, make_rm_initial_condition(cfg),
-                       cfg.reconstruction);
+  return EulerOperator(cfg.gamma, make_rm_initial_condition(cfg));
 }
 
 }  // namespace ssamr

@@ -33,8 +33,6 @@ struct RichtmyerMeshkovConfig {
   int waves_z = 1;
   /// Domain physical size (used to convert fractions; set from the mesh).
   real_t lx = 1.0, ly = 0.25, lz = 0.25;
-  /// Spatial reconstruction of the kernel.
-  EulerReconstruction reconstruction = EulerReconstruction::FirstOrder;
 };
 
 /// Build the initial condition for the RM problem.  Post-shock state is

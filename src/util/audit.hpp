@@ -28,18 +28,9 @@
 
 namespace ssamr::audit {
 
-/// Tolerances of the audit checks, shared by every per-subsystem validator.
-struct AuditConfig {
-  /// Allowed deviation of Σ C_k from 1 and of any C_k outside [0, 1].
-  real_t capacity_tolerance = 1e-6;
-  /// Relative tolerance of exact bookkeeping identities (work sums).
-  real_t work_rel_tolerance = 1e-6;
-  /// Per-rank deviation of assigned from target work beyond which a
-  /// load-tracking warning is issued, as a fraction of the mean target.
-  real_t load_rel_tolerance = 0.5;
-  /// Multiplicative slack on the aspect-ratio bound (numerical headroom).
-  real_t aspect_slack = 1.0 + 1e-9;
-};
+/// Allowed deviation of Σ C_k from 1 and of any fraction (C_k, CPU
+/// availability) outside [0, 1]; the capacity and cluster audits share it.
+inline constexpr real_t kCapacityTolerance = 1e-6;
 
 namespace detail {
 /// Throw ssamr::Error on report errors; log warnings at Debug level.

@@ -63,8 +63,6 @@ class AuditReport {
   std::size_t error_count() const;
   std::size_t warning_count() const;
 
-  const std::vector<Violation>& violations() const { return violations_; }
-
   /// True when some violation of the given check id was recorded.
   bool has(const std::string& check) const;
 

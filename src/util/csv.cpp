@@ -21,12 +21,13 @@ CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
     : out_(path), arity_(header.size()) {
   SSAMR_REQUIRE(!header.empty(), "csv header must be non-empty");
-  if (out_) write_row(header);
+  SSAMR_REQUIRE(out_.is_open(), "cannot open csv file '" + path + "'");
+  write_row(header);
 }
 
 void CsvWriter::add_row(const std::vector<std::string>& row) {
   SSAMR_REQUIRE(row.size() == arity_, "csv row arity must match header");
-  if (out_) write_row(row);
+  write_row(row);
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& row) {

@@ -13,14 +13,12 @@ namespace ssamr {
 /// escaped per RFC 4180.
 class CsvWriter {
  public:
-  /// Open (truncate) the file and write the header row.
+  /// Open (truncate) the file and write the header row; throws
+  /// ssamr::Error naming `path` when the file cannot be opened.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   /// Append one data row; must match the header arity.
   void add_row(const std::vector<std::string>& row);
-
-  /// True when the file opened successfully.
-  bool ok() const { return static_cast<bool>(out_); }
 
  private:
   void write_row(const std::vector<std::string>& row);

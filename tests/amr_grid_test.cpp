@@ -15,8 +15,7 @@ TEST(GridFunction, AllocatesStorageWithGhosts) {
   EXPECT_EQ(u.ncomp(), 2);
   EXPECT_EQ(u.ghost(), 2);
   EXPECT_TRUE(u.allocated());
-  EXPECT_EQ(u.bytes(),
-            static_cast<std::int64_t>(12 * 12 * 12 * 2 * sizeof(real_t)));
+  EXPECT_EQ(u.raw().size(), 12u * 12 * 12 * 2);
 }
 
 TEST(GridFunction, ZeroInitialized) {
@@ -87,13 +86,6 @@ TEST(Patch, SwapTimeLevels) {
   p.swap_time_levels();
   EXPECT_EQ(p.data()(0, 0, 0, 0), 2.0);
   EXPECT_EQ(p.scratch()(0, 0, 0, 0), 1.0);
-}
-
-TEST(Patch, OwnerDefaultsUnassigned) {
-  Patch p(Box::from_extent(IntVec(0, 0, 0), IntVec(2, 2, 2)), 1, 0);
-  EXPECT_EQ(p.owner(), -1);
-  p.set_owner(3);
-  EXPECT_EQ(p.owner(), 3);
 }
 
 TEST(GridLevel, AddPatchValidatesLevel) {

@@ -359,13 +359,6 @@ TEST(ValidateExecutorConfig, AcceptsDefaults) {
 
 TEST(ValidateExecutorConfig, RejectsNegativeCosts) {
   ExecutorConfig cfg;
-  cfg.regrid_cost_base_s = Seconds{-0.1};
-  EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.regrid_cost"));
-  cfg = ExecutorConfig{};
-  cfg.partition_cost_per_box_s = Seconds{-1e-6};
-  EXPECT_TRUE(
-      audit::validate_executor_config(cfg).has("executor.partition_cost"));
-  cfg = ExecutorConfig{};
   cfg.app_base_memory_mb = MegaBytes{std::nan("")};  // NaN must not pass a >= 0 gate
   EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.app_memory"));
 }
@@ -377,10 +370,6 @@ TEST(ValidateExecutorConfig, RejectsDegenerateFieldShape) {
   cfg = ExecutorConfig{};
   cfg.ghost = -1;
   EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.ghost"));
-  cfg = ExecutorConfig{};
-  cfg.bytes_per_value = 0;
-  EXPECT_TRUE(
-      audit::validate_executor_config(cfg).has("executor.bytes_per_value"));
   cfg = ExecutorConfig{};
   cfg.time_levels = 0;
   EXPECT_TRUE(audit::validate_executor_config(cfg).has("executor.time_levels"));
@@ -394,16 +383,12 @@ TEST(ValidateExecutorConfig, RejectsOutOfRangeFractions) {
   cfg.comm_overlap = Fraction{-0.1};
   EXPECT_TRUE(
       audit::validate_executor_config(cfg).has("executor.comm_overlap"));
-  cfg = ExecutorConfig{};
-  cfg.monitor_intrusion_cpu = Fraction{1.0};  // would zero every rate
-  EXPECT_TRUE(
-      audit::validate_executor_config(cfg).has("executor.monitor_intrusion"));
 }
 
 TEST(ValidateExecutorConfig, VirtualExecutorEnforcesAtConstruction) {
   Cluster cluster = Cluster::homogeneous(2);
   ExecutorConfig cfg;
-  cfg.bytes_per_value = 0;
+  cfg.ncomp = 0;
   EXPECT_THROW(VirtualExecutor(cluster, cfg), Error);
 }
 
@@ -415,13 +400,6 @@ TEST(ValidateMonitorConfig, RejectsBadKnobs) {
   MonitorConfig cfg;
   cfg.probe_cost_s = Seconds{-0.5};
   EXPECT_TRUE(audit::validate_monitor_config(cfg).has("monitor.probe_cost"));
-  cfg = MonitorConfig{};
-  cfg.intrusion_cpu = Fraction{1.0};
-  EXPECT_TRUE(audit::validate_monitor_config(cfg).has("monitor.intrusion_cpu"));
-  cfg = MonitorConfig{};
-  cfg.intrusion_memory_mb = MegaBytes{-1.0};
-  EXPECT_TRUE(
-      audit::validate_monitor_config(cfg).has("monitor.intrusion_memory"));
   cfg = MonitorConfig{};
   cfg.noise.cpu_sigma = -0.01;
   EXPECT_TRUE(audit::validate_monitor_config(cfg).has("monitor.noise"));

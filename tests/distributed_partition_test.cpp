@@ -26,7 +26,7 @@
 namespace ssamr {
 namespace {
 
-const WorkModel kIntWork{2, Work{1.0}};
+const WorkModel kIntWork{};
 
 /// 4x4 lattice of 8^3 boxes plus one refined child (mirrors the
 /// differential-harness fixture).
@@ -180,7 +180,7 @@ TEST(DistributedPartition, ParticleCoupledWorkModelAgreesToo) {
   cloud.count = 700;
   const ParticleField field =
       ParticleField::gaussian_cloud(domain, cloud, /*center_x=*/0.4);
-  WorkModel work{2, Work{1.0}};
+  WorkModel work;
   work.cost_per_particle = Work{3.0};
   work.particles = &field;
 

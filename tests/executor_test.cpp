@@ -19,11 +19,14 @@ PartitionResult simple_partition() {
   return r;
 }
 
+/// Share of every node's rate left after the executor's 2 % monitor
+/// intrusion.
+constexpr real_t kRateShare = 1.0 - 0.02;
+
 ExecutorConfig test_config() {
   ExecutorConfig cfg;
   cfg.ncomp = 1;
   cfg.ghost = 1;
-  cfg.monitor_intrusion_cpu = Fraction{0.0};
   cfg.comm_overlap = Fraction{0.0};
   cfg.app_base_memory_mb = MegaBytes{0.0};
   return cfg;
@@ -40,7 +43,8 @@ TEST(Executor, MemoryDemandCountsOwnedCells) {
   // 512 owned cells x 1 comp x 8 bytes x 2 time levels = 8192 bytes over
   // the 2 MB free, so paging slows the rank by 4 x (overcommit - 1).
   const auto times = ex.compute_times(simple_partition(), Seconds{0.0});
-  EXPECT_NEAR(times[0].value(), 1.0 + 4.0 * (8192.0 / 1e6) / 2.0, 1e-9);
+  EXPECT_NEAR(times[0].value(),
+              (1.0 + 4.0 * (8192.0 / 1e6) / 2.0) / kRateShare, 1e-9);
 }
 
 TEST(Executor, ComputeTimeIsWorkOverRate) {
@@ -49,8 +53,8 @@ TEST(Executor, ComputeTimeIsWorkOverRate) {
   Cluster c = Cluster::homogeneous(2, spec);
   VirtualExecutor ex(c, test_config());
   const auto times = ex.compute_times(simple_partition(), Seconds{0.0});
-  EXPECT_NEAR(times[0].value(), 1.0, 1e-9);
-  EXPECT_NEAR(times[1].value(), 1.0, 1e-9);
+  EXPECT_NEAR(times[0].value(), 1.0 / kRateShare, 1e-9);
+  EXPECT_NEAR(times[1].value(), 1.0 / kRateShare, 1e-9);
 }
 
 TEST(Executor, LoadedNodeComputesSlower) {
@@ -63,19 +67,19 @@ TEST(Executor, LoadedNodeComputesSlower) {
   c.add_load(0, r);
   VirtualExecutor ex(c, test_config());
   const auto times = ex.compute_times(simple_partition(), Seconds{0.0});
-  EXPECT_NEAR(times[0].value(), 2.0, 1e-9);
-  EXPECT_NEAR(times[1].value(), 1.0, 1e-9);
+  EXPECT_NEAR(times[0].value(), 2.0 / kRateShare, 1e-9);
+  EXPECT_NEAR(times[1].value(), 1.0 / kRateShare, 1e-9);
 }
 
 TEST(Executor, MonitorIntrusionShavesRate) {
   NodeSpec spec;
   spec.peak_rate = WorkRate{512.0};
   Cluster c = Cluster::homogeneous(2, spec);
-  ExecutorConfig cfg = test_config();
-  cfg.monitor_intrusion_cpu = Fraction{0.5};
-  VirtualExecutor ex(c, cfg);
-  EXPECT_NEAR(ex.compute_times(simple_partition(), Seconds{0.0})[0].value(),
-              2.0, 1e-9);
+  VirtualExecutor ex(c, test_config());
+  // One second of work at peak takes 1 / 0.98 s: the monitor steals 2 %.
+  const Seconds t = ex.compute_times(simple_partition(), Seconds{0.0})[0];
+  EXPECT_GT(t, Seconds{1.0});
+  EXPECT_NEAR(t.value(), 1.0 / 0.98, 1e-12);
 }
 
 TEST(Executor, CommTimesReflectPartitionBoundary) {
@@ -102,13 +106,9 @@ TEST(Executor, OverlapHidesCommunication) {
 
 TEST(Executor, RegridAndPartitionCostsScaleWithBoxes) {
   Cluster c = Cluster::homogeneous(2);
-  ExecutorConfig cfg = test_config();
-  cfg.regrid_cost_base_s = Seconds{0.1};
-  cfg.regrid_cost_per_box_s = Seconds{0.01};
-  cfg.partition_cost_per_box_s = Seconds{0.002};
-  VirtualExecutor ex(c, cfg);
-  EXPECT_NEAR(ex.regrid_time(10).value(), 0.2, 1e-12);
-  EXPECT_NEAR(ex.partition_time(10).value(), 0.02, 1e-12);
+  VirtualExecutor ex(c, test_config());
+  EXPECT_NEAR(ex.regrid_time(10).value(), 0.05 + 0.002 * 10, 1e-12);
+  EXPECT_NEAR(ex.partition_time(10).value(), 0.0005 * 10, 1e-12);
 }
 
 /// Bytes a rank sends plus receives: the sum of its incident flows.

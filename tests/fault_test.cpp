@@ -164,7 +164,7 @@ TEST(MonitorFaults, TimeoutProbePaysDeadlineRetriesAndBackoff) {
   ResourceMonitor m(c, quiet_monitor());
   const ProbeOutcome bad = m.probe_outcome(0, Seconds{5.0});
   EXPECT_EQ(bad.status, ProbeStatus::kTimeout);
-  EXPECT_EQ(bad.attempts, 3);  // 1 + probe_max_retries
+  EXPECT_EQ(bad.attempts, 3);  // 1 + 2 retries
   // 3 timed-out attempts at the 2 s deadline plus backoffs 0.25 and 0.5.
   EXPECT_DOUBLE_EQ(bad.elapsed_s.value(), 3 * 2.0 + 0.25 + 0.5);
   // The healthy node pays exactly one probe.
@@ -197,9 +197,8 @@ TEST(MonitorFaults, StaleWindowAnswersWithFrozenReadings) {
   FaultPlan plan;
   plan.add(episode(0, FaultKind::kStaleWindow, 5.0, 100.0));
   c.set_fault_plan(plan);
-  MonitorConfig cfg = quiet_monitor();
-  cfg.forecast = false;
-  ResourceMonitor m(c, cfg);
+  ResourceMonitor m(c, quiet_monitor());
+  // The first and only probe: a one-sample history forecasts its sample.
   const ProbeOutcome o = m.probe_outcome(0, Seconds{50.0});
   EXPECT_EQ(o.status, ProbeStatus::kStale);
   EXPECT_DOUBLE_EQ(o.estimate.cpu_available.value(), 1.0);  // the t=5 truth
@@ -214,10 +213,9 @@ TEST(MonitorFaults, UnreachableNodeDecaysTowardClusterMean) {
   r.rate = 1e9;
   r.target_level = 1.0;
   c.add_load(1, r);
-  MonitorConfig cfg = quiet_monitor();
-  cfg.forecast = false;
-  ResourceMonitor m(c, cfg);
-  // Establish last-known-good readings while everything is reachable.
+  ResourceMonitor m(c, quiet_monitor());
+  // Establish last-known-good readings while everything is reachable (a
+  // one-sample history forecasts its sample).
   (void)m.probe_all(Seconds{0.0});
   // Now node 0 goes dark.
   FaultPlan plan;
@@ -239,7 +237,7 @@ TEST(MonitorFaults, QuarantineAfterConsecutiveFailedSweepsThenReadmit) {
   FaultPlan plan;
   plan.add(episode(0, FaultKind::kProbeTimeout, 0.0, 100.0));
   c.set_fault_plan(plan);
-  ResourceMonitor m(c, quiet_monitor());  // quarantine_after = 2
+  ResourceMonitor m(c, quiet_monitor());  // quarantined after 2 failures
 
   const SweepResult s1 = m.probe_all(Seconds{10.0});
   EXPECT_EQ(s1.timeouts, 1);
@@ -343,17 +341,16 @@ TEST(RuntimeFaults, CrashAndRejoinProducesReadmissionAndStaysFinite) {
   Cluster cluster = Cluster::homogeneous(4);
   FaultPlan plan;
   // Node 2 is down from the start and rejoins mid-run.  The window must
-  // cover the initial sweep and quarantine must trigger on the first failed
-  // sweep: once a crashed node holds work, the crash pause stalls the clock
-  // past the rejoin and no later sweep can land inside the window — the
-  // node has to be evacuated immediately for the monitor to observe the
-  // outage and, later, the recovery.
+  // cover the initial sweep: once a crashed node holds work, the crash
+  // pause stalls the clock past the rejoin and no later sweep can land
+  // inside the window.  A node the monitor has never reached reports zero
+  // capacity, so node 2 holds no work until the second failed sweep
+  // quarantines it; the monitor then observes the recovery.
   plan.add(episode(2, FaultKind::kCrash, 0.0, 12.0));
   cluster.set_fault_plan(plan);
   TraceWorkloadSource source(small_trace());
   HeterogeneousPartitioner part;
   RuntimeConfig cfg = small_runtime(30, 2);
-  cfg.monitor.quarantine_after = 1;
   AdaptiveRuntime rt(cluster, source, part, cfg);
   const RunTrace t = rt.run();
   EXPECT_GE(t.health.quarantines, 1);
@@ -430,20 +427,10 @@ TEST(RuntimeFaults, ZeroFaultRunBitIdenticalWithBenignPlan) {
 TEST(MonitorFaults, NewKnobsAreValidated) {
   Cluster c = Cluster::homogeneous(1);
   MonitorConfig cfg;
-  cfg.probe_deadline_s = Seconds{0.1};  // below probe_cost_s
+  cfg.probe_cost_s = Seconds{2.5};  // above the 2 s probe deadline
   EXPECT_THROW(ResourceMonitor(c, cfg), Error);
-  cfg = MonitorConfig{};
-  cfg.probe_max_retries = -1;
-  EXPECT_THROW(ResourceMonitor(c, cfg), Error);
-  cfg = MonitorConfig{};
-  cfg.backoff_factor = 0.5;
-  EXPECT_THROW(ResourceMonitor(c, cfg), Error);
-  cfg = MonitorConfig{};
-  cfg.quarantine_after = 0;
-  EXPECT_THROW(ResourceMonitor(c, cfg), Error);
-  cfg = MonitorConfig{};
-  cfg.staleness.decay_tau_s = Seconds{0};
-  EXPECT_THROW(ResourceMonitor(c, cfg), Error);
+  cfg.probe_cost_s = kProbeDeadline;  // a probe may cost the whole deadline
+  EXPECT_NO_THROW(ResourceMonitor(c, cfg));
 }
 
 TEST(Capacity, RejectsNonFiniteEstimates) {

@@ -109,24 +109,12 @@ GridLevel coarse_level_with_linear_field() {
   return lvl;
 }
 
-TEST(Interp, PiecewiseConstantProlongCopiesParent) {
-  GridLevel coarse = coarse_level_with_linear_field();
-  GridLevel fine(1, 1, 1);
-  Patch& fp =
-      fine.add_patch(Box::from_extent(IntVec(4, 4, 4), IntVec(4, 4, 4), 1));
-  prolong_level(coarse, fine, 2, ProlongKind::PiecewiseConstant);
-  // Fine (4,4,4) and (5,5,5) share coarse parent (2,2,2).
-  const real_t parent = 2.0 + 2.0 * 2.0 + 4.0 * 2.0;
-  EXPECT_EQ(fp.data()(0, 4, 4, 4), parent);
-  EXPECT_EQ(fp.data()(0, 5, 5, 5), parent);
-}
-
 TEST(Interp, TrilinearReproducesLinearFieldsInTheInterior) {
   GridLevel coarse = coarse_level_with_linear_field();
   GridLevel fine(1, 1, 1);
   Patch& fp =
       fine.add_patch(Box::from_extent(IntVec(4, 4, 4), IntVec(8, 8, 8), 1));
-  prolong_level(coarse, fine, 2, ProlongKind::Trilinear);
+  prolong_level(coarse, fine, 2);
   // Fine cell (i,j,k) centre sits at coarse coordinate ((i+0.5)/2 - 0.5);
   // a linear function must be reproduced exactly away from the clamped
   // boundary slopes.
@@ -189,12 +177,13 @@ TEST(Interp, CoarseFineGhostFillLeavesInteriorIntact) {
   Patch& fp =
       fine.add_patch(Box::from_extent(IntVec(4, 4, 4), IntVec(4, 4, 4), 1));
   fp.data().fill(42.0);
-  fill_coarse_fine_ghosts(coarse, fine, 2, ProlongKind::PiecewiseConstant);
+  fill_coarse_fine_ghosts(coarse, fine, 2);
   // Interior untouched.
   EXPECT_EQ(fp.data()(0, 5, 5, 5), 42.0);
-  // Ghost cells got coarse data (parent of (3,4,4) is (1,2,2)).
-  const real_t expect = 1.0 + 2.0 * 2.0 + 4.0 * 2.0;
-  EXPECT_EQ(fp.data()(0, 3, 4, 4), expect);
+  // Ghost cells got coarse data: the parent of (3,4,4) is the interior
+  // coarse cell (1,2,2), so trilinear prolongation reproduces the linear
+  // field at the fine cell centre (1.25, 1.75, 1.75) in coarse units.
+  EXPECT_NEAR(fp.data()(0, 3, 4, 4), 1.25 + 2.0 * 1.75 + 4.0 * 1.75, 1e-12);
 }
 
 }  // namespace

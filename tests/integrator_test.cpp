@@ -26,7 +26,6 @@ HierarchyConfig adv_config(int max_levels = 2) {
 
 IntegratorConfig adv_int_config() {
   IntegratorConfig cfg;
-  cfg.cfl = 0.4;
   cfg.regrid_interval = 2;
   cfg.dx0 = 1.0 / 16.0;
   cfg.cluster.min_box_size = 2;

@@ -167,27 +167,10 @@ TEST(Monitor, ForecastTracksLoadStep) {
   EXPECT_LT(after.cpu_available.value(), 0.75);
 }
 
-TEST(Monitor, RawModeSkipsForecasting) {
-  Cluster c = Cluster::homogeneous(1);
-  MonitorConfig cfg;
-  cfg.forecast = false;
-  cfg.noise = SensorNoise{0, 0, 0};
-  ResourceMonitor m(c, cfg);
-  LoadRamp r;
-  r.rate = 0;
-  r.target_level = 3.0;
-  c.add_load(0, r);
-  const auto e = m.probe(0, Seconds{0.0});
-  EXPECT_DOUBLE_EQ(e.cpu_available.value(), 0.25);
-}
-
 TEST(Monitor, ConfigValidation) {
   Cluster c = Cluster::homogeneous(1);
   MonitorConfig cfg;
   cfg.probe_cost_s = Seconds{-1};
-  EXPECT_THROW(ResourceMonitor(c, cfg), Error);
-  cfg = MonitorConfig{};
-  cfg.intrusion_cpu = Fraction{1.0};
   EXPECT_THROW(ResourceMonitor(c, cfg), Error);
 }
 

@@ -3,12 +3,12 @@
 // the shared invariants; capability flags (partition/zoo.hpp) select which
 // of the stronger properties apply to which scheme.
 //
-// The work models here are integer-valued by construction (cost_per_cell
-// and cost_per_particle are integers, particle counts are integers), so
-// every per-box work, every per-rank sum and the grand total are integers
-// representable exactly in a double — the conservation checks below are
-// therefore EXPECT_EQ-bit-exact, not EXPECT_NEAR, and hold at any thread
-// count and any summation order.
+// The work models here are integer-valued by construction (a cell update
+// costs one unit, cost_per_particle is an integer, particle counts are
+// integers), so every per-box work, every per-rank sum and the grand total
+// are integers representable exactly in a double — the conservation checks
+// below are therefore EXPECT_EQ-bit-exact, not EXPECT_NEAR, and hold at any
+// thread count and any summation order.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@
 namespace ssamr {
 namespace {
 
-const WorkModel kIntWork{2, Work{1.0}};
+const WorkModel kIntWork{};
 
 /// 4x4 lattice of 8^3 boxes plus one refined child: the generic mixed
 /// fixture every scheme must handle.
@@ -188,7 +188,7 @@ TEST(PartitionerDifferential, SharedInvariantsWithParticleCoupledCost) {
   cloud.count = 700;
   const ParticleField field =
       ParticleField::gaussian_cloud(domain, cloud, /*center_x=*/0.4);
-  WorkModel work{2, Work{1.0}};
+  WorkModel work;
   work.cost_per_particle = Work{3.0};
   work.particles = &field;
 
@@ -204,7 +204,7 @@ TEST(PartitionerDifferential, SharedInvariantsWithParticleCoupledCost) {
   ASSERT_EQ(field.size(), cloud.count);
   ASSERT_TRUE(work.has_particles());
   ASSERT_GT(total_work(boxes, work),
-            total_work(boxes, WorkModel{2, Work{1.0}}));
+            total_work(boxes, WorkModel{}));
 
   for (const auto& caps : capacity_sets())
     for (const ZooEntry& entry : partitioner_zoo()) {

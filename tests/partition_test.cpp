@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
@@ -25,7 +26,7 @@
 namespace ssamr {
 namespace {
 
-const WorkModel kWork{2, Work{1.0}};
+const WorkModel kWork{};
 
 BoxList uniform_grid_boxes(coord_t n_per_axis, coord_t box_size,
                            level_t level = 0) {
@@ -76,35 +77,23 @@ TEST(SplitForWork, MinSizeClampsBothSides) {
 }
 
 TEST(SplitForWork, HugeTargetOverTinyPlaneWorkClampsWithoutOverflow) {
-  // Regression: target_work / plane_work can reach infinity (or any value
-  // beyond coord_t's range) when the per-plane work is denormal-small, and
-  // casting such a double to an integer is undefined behaviour (UBSan:
-  // float-cast-overflow).  The quotient must be clamped in floating point
-  // before the cast — post-fix this returns the largest admissible cut.
+  // Regression: target_work / plane_work can reach any value beyond
+  // coord_t's range — here 1e300 over a per-plane work of 4 x 4 = 16 —
+  // and casting such a double to an integer is undefined behaviour
+  // (UBSan: float-cast-overflow).  The quotient must be clamped in
+  // floating point before the cast — post-fix this returns the largest
+  // admissible cut.
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(64, 4, 4));
   PartitionConstraints c;
   c.min_box_size = 2;
-  const WorkModel tiny{2, Work{1e-300}};
-  const auto pieces = split_for_work(b, 1.0e300, tiny, c);
+  const auto pieces = split_for_work(b, 1.0e300, kWork, c);
   ASSERT_TRUE(pieces.has_value());
   EXPECT_EQ(pieces->first.extent().x, 62);
   EXPECT_EQ(pieces->second.extent().x, 2);
   // Same overflow through the multi-axis scorer.
   c.longest_axis_only = false;
-  const auto multi = split_for_work(b, 1.0e300, tiny, c);
+  const auto multi = split_for_work(b, 1.0e300, kWork, c);
   ASSERT_TRUE(multi.has_value());
-}
-
-TEST(SplitForWork, ZeroPlaneWorkRefusesInsteadOfDividingByZero) {
-  // cost_per_cell = 0 makes every plane free: target / 0 is inf (or NaN
-  // for a zero target) and there is no meaningful cut — the split must
-  // refuse, not cast a non-finite quotient.
-  const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(64, 4, 4));
-  PartitionConstraints c;
-  c.min_box_size = 2;
-  const WorkModel zero{2, Work{0.0}};
-  EXPECT_FALSE(split_for_work(b, 100.0, zero, c).has_value());
-  EXPECT_FALSE(split_for_work(b, 0.0, zero, c).has_value());
 }
 
 TEST(SplitForWork, RefusesWhenBoxTooSmall) {
@@ -188,6 +177,34 @@ TEST(AssignSequence, UnsplittableBoxPolicyTable) {
 TEST(AssignSequence, ValidatesArity) {
   EXPECT_THROW(assign_sequence({}, {}, {}, kWork, {}), Error);
   EXPECT_THROW(assign_sequence({}, {1.0}, {0, 1}, kWork, {}), Error);
+}
+
+TEST(CapacityTargets, AreCapacitySharesOfTheTotal) {
+  const std::vector<real_t> caps{1.0, 3.0};
+  const real_t sum = capacity_sum(caps);
+  EXPECT_DOUBLE_EQ(sum, 4.0);
+  EXPECT_EQ(capacity_targets(100.0, caps, sum),
+            (std::vector<real_t>{25.0, 75.0}));
+  EXPECT_THROW(capacity_sum({}), Error);
+  EXPECT_THROW(capacity_sum({-1.0, 2.0}), Error);
+  EXPECT_THROW(capacity_sum({0.0, 0.0}), Error);
+}
+
+TEST(PeakRelativeLoad, ZeroCapacityRankCountsOnlyWhenLoaded) {
+  EXPECT_DOUBLE_EQ(peak_relative_load({2.0, 6.0}, {1.0, 4.0}), 2.0);
+  EXPECT_DOUBLE_EQ(peak_relative_load({0.0, 6.0}, {0.0, 4.0}), 1.5);
+  EXPECT_TRUE(std::isinf(peak_relative_load({1.0, 6.0}, {0.0, 4.0})));
+}
+
+TEST(LptPlace, HeaviestFirstAndTiesGoToTheLargerCapacity) {
+  // Works {1, 2} on capacities {1, 3}: 2 lands on rank 1 (2/3 vs 2), then
+  // 1 ties at relative load 1 on both ranks and goes to the larger rank.
+  const LptPlacement p = lpt_place({1.0, 2.0}, {1.0, 3.0});
+  EXPECT_EQ(p.order, (std::vector<std::size_t>{1, 0}));
+  EXPECT_EQ(p.owner, (std::vector<rank_t>{1, 1}));
+  EXPECT_EQ(p.loads, (std::vector<real_t>{0.0, 3.0}));
+  EXPECT_EQ(lpt_place({1.0, 1.0}, {0.0, 1.0}).owner,
+            (std::vector<rank_t>{1, 1}));  // zero capacity takes nothing
 }
 
 // ---- invariants common to all partitioners --------------------------------

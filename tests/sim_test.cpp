@@ -175,6 +175,34 @@ TEST(Timeline, ZeroLengthAdvanceRecordsNothing) {
   EXPECT_THROW(tl.skip_to(Seconds{0.5}), Error);
 }
 
+TEST(LaneSet, SerialStagesMoveEveryRankLaneTogether) {
+  LaneSet lanes(2);
+  lanes.serial_sense(Seconds{1.0}, Seconds{0.5}, 0);
+  lanes.serial_regrid(Seconds{1.5}, Seconds{0.25}, 0);
+  lanes.land_migration(Seconds{1.5}, Seconds{0.5});  // 1.5 + (0.25 + 0.5)
+  for (std::size_t k = 0; k < lanes.nranks(); ++k) {
+    const RankUsage& u = lanes.rank(k).usage();
+    EXPECT_DOUBLE_EQ(lanes.rank(k).now().value(), 2.25);
+    EXPECT_DOUBLE_EQ(u.idle_s.value(), 1.5);   // waiting out the sweep
+    EXPECT_DOUBLE_EQ(u.busy_s.value(), 0.25);  // regrid
+    EXPECT_DOUBLE_EQ(u.comm_s.value(), 0.5);   // migration
+  }
+  EXPECT_DOUBLE_EQ(lanes.monitor().usage().busy_s.value(), 0.5);
+  lanes.monitor().skip_to(Seconds{9.0});  // the monitor lane is no rank
+  EXPECT_DOUBLE_EQ(lanes.horizon().value(), 2.25);
+}
+
+TEST(LaneSet, FinishIdlesRanksToTheHorizonWithoutRewinding) {
+  LaneSet lanes(2);
+  lanes.rank(0).advance(Seconds{2.0}, SpanKind::kCompute, 0);
+  RunTrace trace;
+  lanes.finish(trace, Seconds{1.0});  // a driver clock behind the lanes
+  ASSERT_EQ(trace.rank_usage.size(), 2u);
+  EXPECT_DOUBLE_EQ(trace.rank_usage[0].busy_s.value(), 2.0);
+  EXPECT_DOUBLE_EQ(trace.rank_usage[1].idle_s.value(), 2.0);
+  EXPECT_EQ(trace.spans.size(), 2u);
+}
+
 TEST(MessageSim, SingleMessageMatchesClosedForm) {
   NetworkModel net;
   const std::vector<MbitsPerSec> bw = {MbitsPerSec{100.0},
@@ -548,6 +576,19 @@ TEST(PairwiseComm, FlowsMatchAggregatePerRank) {
   }
 }
 
+TEST(GhostFlowCache, FollowsEveryChangeOfPartition) {
+  // A stale entry would keep pricing an earlier partition's ghost traffic.
+  const ExecutorConfig cfg;
+  GhostFlowCache cache;
+  const PartitionResult a = two_adjacent_boxes();
+  PartitionResult b = a;
+  b.assignments[1].owner = 0;  // rank 0 owns both boxes: no traffic
+  for (const PartitionResult& r : {a, a, b, a})
+    EXPECT_EQ(cache.flows(r, cfg),
+              pairwise_comm_bytes(r, cfg.ghost, cfg.ncomp));
+  EXPECT_TRUE(cache.flows(b, cfg).empty());
+}
+
 TEST(MigrationFlows, MatchAggregatePerRank) {
   Cluster cluster = Cluster::homogeneous(2);
   const ExecutorConfig cfg;
@@ -559,7 +600,8 @@ TEST(MigrationFlows, MatchAggregatePerRank) {
   ASSERT_EQ(flows.size(), 2u);
   // Each rank ships its whole 4^3 box and receives the other one.
   const std::int64_t box_bytes =
-      64 * static_cast<std::int64_t>(cfg.ncomp) * cfg.bytes_per_value;
+      64 * static_cast<std::int64_t>(cfg.ncomp) *
+      static_cast<std::int64_t>(sizeof(real_t));
   for (rank_t k = 0; k < 2; ++k)
     EXPECT_EQ(incident_bytes(flows, k), 2 * box_bytes) << "rank " << k;
   // Initial scatter: everything leaves rank 0.

@@ -145,17 +145,11 @@ TEST(SyntheticTrace, RejectsNonFiniteParameters) {
 }
 
 TEST(WorkModel, BoxWorkScalesWithLevel) {
-  const WorkModel wm{2, Work{1.0}};
+  const WorkModel wm{};
   const Box c = Box::from_extent(IntVec(0, 0, 0), IntVec(4, 4, 4), 0);
   const Box f = Box::from_extent(IntVec(0, 0, 0), IntVec(4, 4, 4), 2);
   EXPECT_DOUBLE_EQ(box_work(c, wm), 64.0);
   EXPECT_DOUBLE_EQ(box_work(f, wm), 64.0 * 4.0);  // updated r^l times
-}
-
-TEST(WorkModel, CostPerCellScalesLinearly) {
-  const WorkModel wm{2, Work{2.5}};
-  const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(2, 2, 2), 1);
-  EXPECT_DOUBLE_EQ(box_work(b, wm), 8.0 * 2.0 * 2.5);
 }
 
 TEST(WorkModel, TotalAndPerBoxConsistent) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 #include <vector>
 
@@ -113,6 +114,20 @@ TEST(Csv, EscapesSpecials) {
   EXPECT_EQ(csv_escape("plain"), "plain");
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
   EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+}
+
+TEST(Csv, UnopenablePathThrowsNamingIt) {
+  // The writer must refuse the path, not accept and drop every row.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ssamr-csv-no-such-dir";
+  ASSERT_FALSE(std::filesystem::exists(dir));
+  const std::string path = (dir / "x.csv").string();
+  try {
+    CsvWriter w(path, {"a", "b"});
+    FAIL() << "expected ssamr::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+  }
 }
 
 TEST(Error, RequireThrowsWithMessage) {

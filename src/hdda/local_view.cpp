@@ -10,8 +10,7 @@ namespace ssamr {
 std::vector<LocalBoxView> build_local_views(const std::vector<Box>& boxes,
                                             const std::vector<rank_t>& owners,
                                             int nranks, coord_t ghost,
-                                            const SfcKeyIndex& index,
-                                            HaloPolicy halos) {
+                                            const SfcKeyIndex& index) {
   SSAMR_REQUIRE(boxes.size() == owners.size(),
                 "boxes/owners size mismatch");
   SSAMR_REQUIRE(nranks >= 1, "need at least one rank");
@@ -68,8 +67,6 @@ std::vector<LocalBoxView> build_local_views(const std::vector<Box>& boxes,
   for (const std::vector<NeighborLink>& links : shard_links)
     for (const NeighborLink& l : links)
       views[static_cast<std::size_t>(owners[l.owned])].links.push_back(l);
-
-  if (halos == HaloPolicy::kLinksOnly) return views;
 
   // Halo = the distinct neighbor ids of a view's links, in curve order.
   // Views own disjoint state, so this pass is parallel too.

@@ -7,11 +7,12 @@
 /// rank needs the global box list to run a step: it needs (a) the boxes it
 /// owns and (b) a Morton-keyed halo — the neighbor boxes, owned elsewhere,
 /// whose ghost regions touch its own.  A LocalBoxView is exactly that
-/// record.  The comm-volume metrics, the event model's message generation
-/// and the scale experiment all derive their per-rank traffic from these
-/// views; the global composite list remains available only as a
-/// debug/audit construct (GridHierarchy::composite_box_list, the partition
-/// audits).
+/// record.  The scale experiment and perfbench's scale-event workload
+/// build them for every rank; the comm-volume metrics need only the
+/// per-rank-pair sums, so they run the same key-index queries without
+/// materializing views (partition/metrics.cpp).  The global composite list
+/// remains available only as a debug/audit construct
+/// (GridHierarchy::composite_box_list, the partition audits).
 ///
 /// Views are built with anchor-window queries against SfcKeyIndex — one
 /// query per owned box — so construction is O(N · (log N + k)) for k-bounded
@@ -62,20 +63,13 @@ struct LocalBoxView {
   std::vector<NeighborLink> links;
 };
 
-/// Whether build_local_views materializes per-rank halos.  Consumers that
-/// only walk links (the comm-volume metrics) can skip the halo pass — the
-/// per-view sort and anchor-key encoding are a measurable fraction of
-/// discovery time at large rank counts.
-enum class HaloPolicy { kBuildHalos, kLinksOnly };
-
 /// Build every rank's local view of (boxes, owners): for each box, its
 /// same-level neighbors within `ghost` cells are discovered through
 /// `index` (which must have been built over the same `boxes` vector).
-/// Owners must lie in [0, nranks).  With HaloPolicy::kLinksOnly the halo
-/// vectors are left empty.
-std::vector<LocalBoxView> build_local_views(
-    const std::vector<Box>& boxes, const std::vector<rank_t>& owners,
-    int nranks, coord_t ghost, const SfcKeyIndex& index,
-    HaloPolicy halos = HaloPolicy::kBuildHalos);
+/// Owners must lie in [0, nranks).
+std::vector<LocalBoxView> build_local_views(const std::vector<Box>& boxes,
+                                            const std::vector<rank_t>& owners,
+                                            int nranks, coord_t ghost,
+                                            const SfcKeyIndex& index);
 
 }  // namespace ssamr

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <tuple>
 
-#include "hdda/local_view.hpp"
 #include "sfc/key_index.hpp"
 #include "util/error.hpp"
 
@@ -63,18 +62,20 @@ struct PairCells {
 
 /// Directed cross-owner ghost-shell cells, one entry per (src, dst) pair
 /// with a positive count, sorted by (src, dst).  Adjacencies come from
-/// rank-local box views (each view links its owned boxes to the remote
-/// same-level boxes within `ghost` cells) instead of the historical
-/// all-pairs scan.  Every cross-owner pair with a non-empty shell overlap
-/// appears in exactly one view's link list, and the per-pair counts are
-/// integers, so the totals are identical to the O(N²) loop.
+/// key-index queries — each box's ghost-grown extent finds the same-level
+/// boxes it touches — instead of the historical all-pairs scan.  Every
+/// cross-owner pair with a non-empty shell overlap is visited exactly once,
+/// from the destination's box, and the per-pair counts are integers, so the
+/// totals are identical to the O(N²) loop.
 ///
-/// Contributions merge before anything sorts: views arrive in destination
-/// order, each view sums its links per source rank in a dense row, and a
-/// stable counting sort by source then yields (src, dst) order.  Only one
-/// entry per rank pair is ever stored, never one per link.
+/// Contributions merge before anything sorts: destinations are visited in
+/// rank order, each destination sums its boxes' contributions per source
+/// rank in a dense row, and a stable counting sort by source then yields
+/// (src, dst) order.  Only one entry per rank pair is ever stored, never
+/// one per adjacency.
 std::vector<PairCells> ghost_flow_cells(const PartitionResult& r,
                                         coord_t ghost) {
+  SSAMR_REQUIRE(ghost >= 0, "ghost width must be non-negative");
   const auto& as = r.assignments;
   std::vector<Box> boxes;
   std::vector<rank_t> owners;
@@ -82,31 +83,48 @@ std::vector<PairCells> ghost_flow_cells(const PartitionResult& r,
   owners.reserve(as.size());
   rank_t max_owner = 0;
   for (const BoxAssignment& a : as) {
+    SSAMR_REQUIRE(a.owner >= 0, "owner out of range");
     boxes.push_back(a.box);
     owners.push_back(a.owner);
     max_owner = std::max(max_owner, a.owner);
   }
   const auto nranks = static_cast<std::size_t>(max_owner) + 1;
+  // Box ids grouped by owner with a stable counting sort, so each rank's
+  // ids stay ascending: rank d owns owned[first[d], first[d + 1]).
+  std::vector<std::size_t> first(nranks + 1, 0);
+  for (const rank_t o : owners) ++first[static_cast<std::size_t>(o) + 1];
+  for (std::size_t k = 0; k < nranks; ++k) first[k + 1] += first[k];
+  std::vector<std::uint32_t> owned(boxes.size());
+  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+  for (std::size_t i = 0; i < boxes.size(); ++i)
+    owned[fill[static_cast<std::size_t>(owners[i])]++] =
+        static_cast<std::uint32_t>(i);
+
   std::vector<PairCells> by_dst;
   std::vector<std::int64_t> row(nranks, 0);
   std::vector<rank_t> touched;
   std::vector<std::size_t> start(nranks + 1, 0);
+  std::vector<std::uint32_t> candidates;
   const SfcKeyIndex index(boxes);
-  for (const LocalBoxView& view :
-       build_local_views(boxes, owners, max_owner + 1, ghost, index,
-                         HaloPolicy::kLinksOnly)) {
-    for (const NeighborLink& l : view.links) {
-      // Box l.owned's ghost shell filled from box l.neighbor: data flows
-      // owner(neighbor) -> view.rank.
-      const std::int64_t c =
-          shell_overlap_cells(boxes[l.owned], boxes[l.neighbor], ghost);
-      if (c <= 0) continue;
-      const rank_t src = owners[l.neighbor];
-      if (row[static_cast<std::size_t>(src)] == 0) touched.push_back(src);
-      row[static_cast<std::size_t>(src)] += c;
+  for (std::size_t d = 0; d < nranks; ++d) {
+    const auto dst = static_cast<rank_t>(d);
+    for (std::size_t q = first[d]; q < first[d + 1]; ++q) {
+      const Box& box = boxes[owned[q]];
+      if (box.empty()) continue;
+      index.query(box.grown(ghost), candidates);
+      for (const std::uint32_t j : candidates) {
+        // Box `box`'s ghost shell filled from box j: data flows
+        // owner(j) -> dst.
+        const rank_t src = owners[j];
+        if (src == dst) continue;
+        const std::int64_t c = shell_overlap_cells(box, boxes[j], ghost);
+        if (c <= 0) continue;
+        if (row[static_cast<std::size_t>(src)] == 0) touched.push_back(src);
+        row[static_cast<std::size_t>(src)] += c;
+      }
     }
     for (const rank_t src : touched) {
-      by_dst.push_back({src, view.rank, row[static_cast<std::size_t>(src)]});
+      by_dst.push_back({src, dst, row[static_cast<std::size_t>(src)]});
       ++start[static_cast<std::size_t>(src) + 1];
       row[static_cast<std::size_t>(src)] = 0;
     }

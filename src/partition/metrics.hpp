@@ -44,8 +44,8 @@ struct RankFlow {
 /// Summing the flows incident to a rank (either side) gives the bytes that
 /// rank exchanges per coarse step.
 ///
-/// The comm metrics discover adjacencies through rank-local box views
-/// (hdda/local_view.hpp) rather than the historical all-pairs scan; the
+/// The comm metrics discover adjacencies with one SfcKeyIndex query per
+/// box (sfc/key_index.hpp) rather than the historical all-pairs scan; the
 /// per-pair cell counts are integers, so the totals are identical.
 std::vector<RankFlow> pairwise_comm_bytes(const PartitionResult& r,
                                           coord_t ghost, int ncomp);

@@ -3,7 +3,7 @@
 namespace ssamr::sim {
 
 BspModel::BspModel(const Cluster& cluster, const ExecutorConfig& cfg)
-    : exec_(cluster, cfg), lanes_(cluster.size()) {}
+    : exec_(cluster, cfg), lanes_(cluster.size(), SpanLog::kKeep) {}
 
 Seconds BspModel::sense(Seconds t, Seconds sweep_s, int iteration) {
   // Charged serially: every rank waits for the sweep (the pre-seam

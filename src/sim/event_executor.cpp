@@ -9,8 +9,8 @@
 namespace ssamr::sim {
 
 EventExecutor::EventExecutor(const Cluster& cluster,
-                             const ExecutorConfig& cfg)
-    : cluster_(cluster), exec_(cluster, cfg), lanes_(cluster.size()) {}
+                             const ExecutorConfig& cfg, SpanLog log)
+    : cluster_(cluster), exec_(cluster, cfg), lanes_(cluster.size(), log) {}
 
 std::vector<MbitsPerSec> EventExecutor::bandwidths_at(Seconds t) const {
   const auto n = static_cast<std::size_t>(cluster_.size());

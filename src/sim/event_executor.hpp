@@ -19,6 +19,12 @@
 ///
 /// Regrid/repartition events are the only global barriers; barrier waits
 /// surface as per-rank idle time in RunTrace::rank_usage.
+///
+/// Drivers that step an executor directly (exp_scale, perfbench's
+/// scale-event) read stage times and events_processed(), never the span
+/// log, so an executor built with the two-argument constructor records
+/// usage only.  make_execution_model builds one that keeps spans for
+/// AdaptiveRuntime's Chrome-trace export.
 
 #include <cstddef>
 #include <vector>
@@ -32,7 +38,10 @@ namespace ssamr::sim {
 
 class EventExecutor final : public ExecutionModel {
  public:
-  EventExecutor(const Cluster& cluster, const ExecutorConfig& cfg);
+  /// `log` chooses whether finish() also returns the span log; the
+  /// default keeps usage only, whose memory does not grow with the run.
+  EventExecutor(const Cluster& cluster, const ExecutorConfig& cfg,
+                SpanLog log = SpanLog::kDrop);
 
   std::string name() const override { return "event"; }
   Seconds sense(Seconds t, Seconds sweep_s, int iteration) override;

@@ -31,7 +31,8 @@ std::unique_ptr<ExecutionModel> make_execution_model(
     case ExecModelKind::kBsp:
       return std::make_unique<sim::BspModel>(cluster, cfg);
     case ExecModelKind::kEvent:
-      return std::make_unique<sim::EventExecutor>(cluster, cfg);
+      return std::make_unique<sim::EventExecutor>(cluster, cfg,
+                                                  sim::SpanLog::kKeep);
     case ExecModelKind::kProc:
       return std::make_unique<sim::ProcModel>(cluster, cfg);
   }

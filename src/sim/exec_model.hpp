@@ -87,7 +87,10 @@ class ExecutionModel {
                            int iteration) = 0;
 
   /// Fill the model-specific RunTrace extensions (rank usage, spans) once
-  /// the driver loop is done; `t_end` is the final global time.
+  /// the driver loop is done; `t_end` is the final global time.  Every
+  /// model make_execution_model builds keeps spans.  An EventExecutor
+  /// built directly drops them: its finish() still fills rank_usage and
+  /// leaves spans empty.
   virtual void finish(RunTrace& trace, Seconds t_end) = 0;
 
   /// The closed-form cost library both models share (memory footprints,
@@ -95,8 +98,9 @@ class ExecutionModel {
   virtual const VirtualExecutor& costs() const = 0;
 };
 
-/// Build the requested model over `cluster` with cost knobs `cfg`.
-/// The cluster must outlive the model.
+/// Build the requested model over `cluster` with cost knobs `cfg`; the
+/// model records timeline spans for the Chrome-trace export.  The cluster
+/// must outlive the model.
 std::unique_ptr<ExecutionModel> make_execution_model(ExecModelKind kind,
                                                      const Cluster& cluster,
                                                      const ExecutorConfig& cfg);

@@ -73,7 +73,7 @@ ProcModel::ProcModel(const Cluster& cluster, const ExecutorConfig& cfg)
     : cluster_(cluster),
       exec_(cluster, cfg),
       opt_(cfg.proc),
-      lanes_(cluster.size()) {
+      lanes_(cluster.size(), SpanLog::kKeep) {
   const int n = cluster.size();
   const audit::AuditReport report = audit::validate_proc_options(opt_, n);
   SSAMR_REQUIRE(report.ok(), report.summary());

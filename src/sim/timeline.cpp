@@ -31,7 +31,8 @@ void RankTimeline::advance(Seconds until, SpanKind kind, int iteration) {
       usage_.idle_s += dt;
       break;
   }
-  spans_.push_back(TraceSpan{rank_, kind, now_, until, iteration});
+  if (keep_spans_)
+    spans_.push_back(TraceSpan{rank_, kind, now_, until, iteration});
   now_ = until;
 }
 
@@ -40,9 +41,9 @@ void RankTimeline::skip_to(Seconds until) {
   now_ = until;
 }
 
-LaneSet::LaneSet(int nranks) {
+LaneSet::LaneSet(int nranks, SpanLog log) {
   lanes_.reserve(static_cast<std::size_t>(nranks) + 1);
-  for (int k = 0; k <= nranks; ++k) lanes_.emplace_back(k);
+  for (int k = 0; k <= nranks; ++k) lanes_.emplace_back(k, log);
 }
 
 Seconds LaneSet::horizon() const {

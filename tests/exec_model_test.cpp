@@ -6,15 +6,27 @@
 // the discrete-event model's structural envelope — finite non-negative
 // times, per-rank timeline contiguity, the critical-path lower bound —
 // plus the paper's headline result (the heterogeneous partitioner beats
-// the homogeneous baseline) and the Chrome-trace export.
+// the homogeneous baseline) and the Chrome-trace export.  Both models'
+// kept spans are pinned by a digest, and an EventExecutor built directly,
+// which drops spans, must price every stage exactly as the factory-built
+// one does.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/ssamr.hpp"
+#include "partition/distributed_sfc.hpp"
+#include "sim/event_executor.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ssamr {
@@ -82,6 +94,38 @@ TEST(ExecModel, BspReproducesPreSeamTraceBitExactly) {
   EXPECT_EQ(t.regrids.back().vtime, Seconds{0x1.16cd476e0311ap+3});
   EXPECT_EQ(t.regrids.back().splits, 3);
   EXPECT_EQ(t.regrids.back().num_boxes, 17u);
+}
+
+/// FNV-1a over each span's rank, kind, t0 and t1 bit patterns and
+/// iteration, each fed as 8 little-endian bytes.
+std::uint64_t span_digest(const std::vector<TraceSpan>& spans) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto feed = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const TraceSpan& sp : spans) {
+    feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(sp.rank)));
+    feed(static_cast<std::uint64_t>(sp.kind));
+    feed(std::bit_cast<std::uint64_t>(sp.t0.value()));
+    feed(std::bit_cast<std::uint64_t>(sp.t1.value()));
+    feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(sp.iteration)));
+  }
+  return h;
+}
+
+// Span counts and digests captured at commit 2e341ea, before span
+// recording became a choice: the models make_execution_model builds must
+// keep recording every span exactly as they did.
+TEST(ExecModel, KeptSpansArePinnedBitForBit) {
+  const RunTrace bsp = run_scenario(ExecModelKind::kBsp);
+  EXPECT_EQ(bsp.spans.size(), 272u);
+  EXPECT_EQ(span_digest(bsp.spans), 0x941fe8a1590e1b00ULL);
+  const RunTrace event = run_scenario(ExecModelKind::kEvent);
+  EXPECT_EQ(event.spans.size(), 143u);
+  EXPECT_EQ(span_digest(event.spans), 0xfcce2a04e6a1c692ULL);
 }
 
 /// Structural envelope every model must satisfy.
@@ -172,6 +216,114 @@ TEST(ExecModel, EventHeterogeneousBeatsDefaultUnderLoad) {
   const RunTrace t_het = run_with(het);
   const RunTrace t_def = run_with(def);
   EXPECT_LT(t_het.total_time, t_def.total_time);
+}
+
+constexpr real_t kScaleMultipliers[] = {1.0, 0.75, 1.5, 1.25};
+
+/// exp_scale's lattice: four 8³ level-0 boxes per rank on a cube-ish grid,
+/// every eighth carrying a half-depth refined child.
+BoxList scale_lattice(int nprocs) {
+  const std::int64_t nboxes = 4 * static_cast<std::int64_t>(nprocs);
+  coord_t side = 1;
+  while (static_cast<std::int64_t>(side) * side * side < nboxes) ++side;
+  BoxList boxes;
+  std::int64_t placed = 0;
+  for (coord_t k = 0; k < side && placed < nboxes; ++k)
+    for (coord_t j = 0; j < side && placed < nboxes; ++j)
+      for (coord_t i = 0; i < side && placed < nboxes; ++i) {
+        boxes.push_back(Box::from_extent(IntVec(i * 8, j * 8, k * 8),
+                                         IntVec(8, 8, 8), 0));
+        if (placed % 8 == 0)
+          boxes.push_back(Box::from_extent(IntVec(i * 16, j * 16, k * 16),
+                                           IntVec(8, 8, 4), 1));
+        ++placed;
+      }
+  return boxes;
+}
+
+/// exp_scale's capacities: each node's peak-rate multiplier with a ±10 %
+/// jitter from its fixed seed, normalized.
+std::vector<real_t> scale_capacities(int nprocs) {
+  Rng rng(0x5ca1e);
+  std::vector<real_t> caps(static_cast<std::size_t>(nprocs));
+  real_t sum = 0;
+  for (std::size_t k = 0; k < caps.size(); ++k) {
+    caps[k] = kScaleMultipliers[k % 4] * rng.uniform(0.9, 1.1);
+    sum += caps[k];
+  }
+  for (real_t& c : caps) c /= sum;
+  return caps;
+}
+
+std::uint64_t bits(Seconds s) {
+  return std::bit_cast<std::uint64_t>(s.value());
+}
+
+TEST(ExecModel, DirectEventExecutorPricesLikeTheFactoryOneWithoutSpans) {
+  // exp_scale's stage sequence at P = 64: a warm-up advance, one sweep,
+  // then three epochs of regrid, rotated repartition, migration and five
+  // advances.  The directly built executor drops spans; nothing it
+  // returns may differ from the span-keeping one the factory builds.
+  constexpr int kProcs = 64;
+  const Cluster cluster = Cluster::heterogeneous(
+      kProcs, {std::begin(kScaleMultipliers), std::end(kScaleMultipliers)});
+  const ExecutorConfig cfg;
+  sim::EventExecutor direct(cluster, cfg);
+  const std::unique_ptr<ExecutionModel> built =
+      make_execution_model(ExecModelKind::kEvent, cluster, cfg);
+  auto& factory = dynamic_cast<sim::EventExecutor&>(*built);
+
+  const BoxList boxes = scale_lattice(kProcs);
+  std::vector<real_t> caps = scale_capacities(kProcs);
+  const DistributedSfcPartitioner partitioner(SfcConfig{}, /*shards=*/64);
+  const WorkModel work;
+  PartitionResult current = partitioner.partition(boxes, caps, work);
+
+  Seconds t{0};
+  const auto advance_both = [&](int iter) {
+    const StepCost a = direct.advance(current, t, iter);
+    const StepCost b = factory.advance(current, t, iter);
+    EXPECT_EQ(bits(a.elapsed), bits(b.elapsed)) << "iteration " << iter;
+    EXPECT_EQ(bits(a.compute), bits(b.compute)) << "iteration " << iter;
+    EXPECT_EQ(bits(a.comm), bits(b.comm)) << "iteration " << iter;
+    t += a.elapsed;
+  };
+  advance_both(0);
+  const Seconds wait = direct.sense(t, Seconds{0.5}, 0);
+  EXPECT_EQ(bits(wait), bits(factory.sense(t, Seconds{0.5}, 0)));
+  t += wait;
+  int iter = 0;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const Seconds regrid = direct.regrid(t, boxes.size(), iter);
+    EXPECT_EQ(bits(regrid), bits(factory.regrid(t, boxes.size(), iter)));
+    t += regrid;
+    std::rotate(caps.begin(), caps.begin() + 1, caps.end());
+    PartitionResult next = partitioner.partition(boxes, caps, work);
+    const Seconds migrate = direct.migrate(current, next, t);
+    EXPECT_EQ(bits(migrate), bits(factory.migrate(current, next, t)));
+    EXPECT_GT(migrate, Seconds{0});  // the rotation moves boxes
+    t += migrate;
+    current = std::move(next);
+    for (int a = 0; a < 5; ++a) advance_both(++iter);
+  }
+  EXPECT_EQ(direct.events_processed(), factory.events_processed());
+  EXPECT_GT(direct.events_processed(), 0u);
+
+  RunTrace from_direct;
+  RunTrace from_factory;
+  direct.finish(from_direct, t);
+  factory.finish(from_factory, t);
+  ASSERT_EQ(from_direct.rank_usage.size(), static_cast<std::size_t>(kProcs));
+  ASSERT_EQ(from_factory.rank_usage.size(), from_direct.rank_usage.size());
+  for (std::size_t k = 0; k < from_direct.rank_usage.size(); ++k) {
+    const RankUsage& d = from_direct.rank_usage[k];
+    const RankUsage& f = from_factory.rank_usage[k];
+    EXPECT_EQ(bits(d.busy_s), bits(f.busy_s)) << "rank " << k;
+    EXPECT_EQ(bits(d.comm_s), bits(f.comm_s)) << "rank " << k;
+    EXPECT_EQ(bits(d.idle_s), bits(f.idle_s)) << "rank " << k;
+  }
+  EXPECT_TRUE(from_direct.spans.empty());
+  EXPECT_FALSE(from_factory.spans.empty());
 }
 
 TEST(ExecModel, ChromeTraceExportsWellFormedEvents) {

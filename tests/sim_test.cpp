@@ -4,6 +4,7 @@
 // in oracle.hpp) and the directed traffic decompositions it consumes.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -148,7 +149,7 @@ TEST(RetimableEventQueue, ResetReusesAcrossRuns) {
 }
 
 TEST(Timeline, BucketsSpansByKind) {
-  RankTimeline tl(0);
+  RankTimeline tl(0, SpanLog::kKeep);
   tl.advance(Seconds{1.0}, SpanKind::kCompute, 0);
   tl.advance(Seconds{1.5}, SpanKind::kComm, 0);
   tl.advance(Seconds{2.0}, SpanKind::kIdle, 0);
@@ -167,7 +168,7 @@ TEST(Timeline, BucketsSpansByKind) {
 }
 
 TEST(Timeline, ZeroLengthAdvanceRecordsNothing) {
-  RankTimeline tl(2);
+  RankTimeline tl(2, SpanLog::kKeep);
   tl.advance(Seconds{1.0}, SpanKind::kCompute);
   tl.advance(Seconds{1.0}, SpanKind::kIdle);
   EXPECT_EQ(tl.spans().size(), 1u);
@@ -176,7 +177,7 @@ TEST(Timeline, ZeroLengthAdvanceRecordsNothing) {
 }
 
 TEST(LaneSet, SerialStagesMoveEveryRankLaneTogether) {
-  LaneSet lanes(2);
+  LaneSet lanes(2, SpanLog::kKeep);
   lanes.serial_sense(Seconds{1.0}, Seconds{0.5}, 0);
   lanes.serial_regrid(Seconds{1.5}, Seconds{0.25}, 0);
   lanes.land_migration(Seconds{1.5}, Seconds{0.5});  // 1.5 + (0.25 + 0.5)
@@ -193,7 +194,7 @@ TEST(LaneSet, SerialStagesMoveEveryRankLaneTogether) {
 }
 
 TEST(LaneSet, FinishIdlesRanksToTheHorizonWithoutRewinding) {
-  LaneSet lanes(2);
+  LaneSet lanes(2, SpanLog::kKeep);
   lanes.rank(0).advance(Seconds{2.0}, SpanKind::kCompute, 0);
   RunTrace trace;
   lanes.finish(trace, Seconds{1.0});  // a driver clock behind the lanes
@@ -201,6 +202,100 @@ TEST(LaneSet, FinishIdlesRanksToTheHorizonWithoutRewinding) {
   EXPECT_DOUBLE_EQ(trace.rank_usage[0].busy_s.value(), 2.0);
   EXPECT_DOUBLE_EQ(trace.rank_usage[1].idle_s.value(), 2.0);
   EXPECT_EQ(trace.spans.size(), 2u);
+}
+
+std::uint64_t bits(Seconds s) {
+  return std::bit_cast<std::uint64_t>(s.value());
+}
+
+/// True when two lanes agree bit for bit on clock and usage.
+bool same_clock(const RankTimeline& a, const RankTimeline& b) {
+  return bits(a.now()) == bits(b.now()) &&
+         bits(a.usage().busy_s) == bits(b.usage().busy_s) &&
+         bits(a.usage().comm_s) == bits(b.usage().comm_s) &&
+         bits(a.usage().idle_s) == bits(b.usage().idle_s);
+}
+
+TEST(LaneSet, DroppingSpansNeverMovesTheVirtualClock) {
+  // One seeded call sequence on a set that keeps spans and on one that
+  // drops them: every clock, horizon and usage total must agree bit for
+  // bit after every call, and only the keeping set may hold spans.
+  constexpr int kRanks = 5;
+  constexpr SpanKind kKinds[] = {SpanKind::kCompute, SpanKind::kComm,
+                                 SpanKind::kSense,   SpanKind::kRegrid,
+                                 SpanKind::kMigrate, SpanKind::kIdle};
+  LaneSet keep(kRanks, SpanLog::kKeep);
+  LaneSet drop(kRanks, SpanLog::kDrop);
+  Rng rng(0x5ba115);
+  int calls = 0;
+  int zero_length_advances = 0;
+  int op_count[10] = {};
+  for (int step = 0; step < 240; ++step) {
+    const auto op = static_cast<int>(rng.uniform_int(0, 9));
+    ++op_count[op];
+    const int iter = step / 10;
+    // One interval in four is empty: zero-length calls change nothing.
+    const Seconds dt{rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.0, 0.5)};
+    if (op < 6) {
+      if (dt == Seconds{0}) ++zero_length_advances;
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, kRanks - 1));
+      const SpanKind kind = kKinds[op];
+      keep.rank(k).advance(keep.rank(k).now() + dt, kind, iter);
+      drop.rank(k).advance(drop.rank(k).now() + dt, kind, iter);
+      ++calls;
+    } else if (op == 6) {
+      keep.monitor().skip_to(keep.monitor().now() + dt);
+      drop.monitor().skip_to(drop.monitor().now() + dt);
+      ++calls;
+    } else if (op == 7) {
+      keep.monitor().advance(keep.monitor().now() + dt, SpanKind::kSense, iter);
+      drop.monitor().advance(drop.monitor().now() + dt, SpanKind::kSense, iter);
+      ++calls;
+    } else if (op == 8) {
+      const Seconds t = std::max(keep.horizon(), keep.monitor().now());
+      keep.serial_sense(t, dt, iter);
+      drop.serial_sense(t, dt, iter);
+      ++calls;
+    } else {
+      const Seconds t = keep.horizon();
+      const Seconds migration{rng.uniform(0.0, 0.25)};
+      keep.serial_regrid(t, dt, iter);
+      drop.serial_regrid(t, dt, iter);
+      keep.land_migration(t, migration);
+      drop.land_migration(t, migration);
+      calls += 2;
+    }
+    ASSERT_EQ(bits(keep.horizon()), bits(drop.horizon())) << "step " << step;
+    ASSERT_TRUE(same_clock(keep.monitor(), drop.monitor())) << "step " << step;
+    ASSERT_TRUE(drop.monitor().spans().empty());
+    for (std::size_t k = 0; k < keep.nranks(); ++k) {
+      ASSERT_TRUE(same_clock(keep.rank(k), drop.rank(k)))
+          << "rank " << k << " step " << step;
+      ASSERT_TRUE(drop.rank(k).spans().empty());
+    }
+  }
+  EXPECT_GE(calls, 200);
+  EXPECT_GT(zero_length_advances, 0);
+  for (const int n : op_count) EXPECT_GT(n, 0);
+
+  // The driver's clock lags the horizon: finish idles no lane backwards.
+  const Seconds t_end = keep.horizon() - Seconds{0.25};
+  RunTrace kept;
+  RunTrace dropped;
+  keep.finish(kept, t_end);
+  drop.finish(dropped, t_end);
+  ASSERT_EQ(kept.rank_usage.size(), static_cast<std::size_t>(kRanks));
+  ASSERT_EQ(dropped.rank_usage.size(), kept.rank_usage.size());
+  for (std::size_t k = 0; k < kept.rank_usage.size(); ++k) {
+    EXPECT_EQ(bits(kept.rank_usage[k].busy_s),
+              bits(dropped.rank_usage[k].busy_s));
+    EXPECT_EQ(bits(kept.rank_usage[k].comm_s),
+              bits(dropped.rank_usage[k].comm_s));
+    EXPECT_EQ(bits(kept.rank_usage[k].idle_s),
+              bits(dropped.rank_usage[k].idle_s));
+  }
+  EXPECT_FALSE(kept.spans.empty());
+  EXPECT_TRUE(dropped.spans.empty());
 }
 
 TEST(MessageSim, SingleMessageMatchesClosedForm) {

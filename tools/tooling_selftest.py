@@ -21,7 +21,11 @@ every regression through.  This suite pins:
   reachability             — on a fixture compiled on the fly, a planted
       uncalled function is reported, an allowlisted one is not, and an
       allowlist entry naming a reached or a missing function fails as
-      stale.
+      stale;
+  perf_ledger              — a record built from canned perfbench and
+      ctest output carries each workload's host factor and metrics and
+      both test times; records append; a failed op, a failed test or a
+      missing golden_exp_scale line writes nothing (no command runs).
 
 Run directly or via ctest (PyTooling.SelfTest).  Stdlib only.
 """
@@ -30,11 +34,15 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 import unittest
+from pathlib import Path
+from unittest import mock
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 
@@ -51,6 +59,7 @@ golden_check = _load("golden_check")
 bench_check = _load("bench_check")
 ssamr_lint = _load("ssamr_lint")
 reachability = _load("reachability")
+perf_ledger = _load("perf_ledger")
 
 
 class DiffTablesTest(unittest.TestCase):
@@ -295,6 +304,104 @@ int main() { return ssamr::called(1); }
                 "ssamr::units::Quantity<ssamr::units::SecondsTag, double>)"),
             "f(std::vector<ssamr::Box> const&, std::string const&, "
             "ssamr::Seconds)")
+
+
+class PerfLedgerTest(unittest.TestCase):
+    WORKLOADS = ("paper-sensing", "scale-event")
+    PERFBENCH_OUT = (
+        "perfbench scale-event seed 1 trace 0: 30 ops, 0 failed, "
+        "1 thread(s), host factor 0.5000\n"
+        "  iters_per_s                    6.5 1/s\n"
+        '{"correct": true, "attempted": 30, "failed": 0, "metrics": {'
+        '"iters_per_s": {"value": 6.5, "unit": "1/s"}, '
+        '"op_s.p50": {"value": 0.75, "unit": "s"}, '
+        '"setup_s": {"value": 0.21, "unit": "s"}, '
+        '"peak_rss_mb": {"value": 41.5, "unit": "MB"}}}\n')
+    CTEST_OUT = (
+        "676/677 Test #12: util_test ......   Passed    0.02 sec\n"
+        "677/677 Test #670: golden_exp_scale .......   Passed   31.25 sec\n"
+        "\n100% tests passed, 0 tests failed out of 677\n")
+
+    def setUp(self):
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        self.root = Path(tmp.name)
+        (self.root / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 25,
+            "workloads": [{"name": w} for w in self.WORKLOADS]}))
+        (self.root / "perfbench").mkdir()
+        shutil.copy(os.path.join(TOOLS, os.pardir, "perfbench", "metrics.py"),
+                    self.root / "perfbench")
+        raw = self.root / ".bench_build" / "perfbench"
+        raw.mkdir(parents=True)
+        for w in self.WORKLOADS:
+            (raw / f"run-{w}-seed1-trace0.json").write_text(json.dumps(
+                {"probe_ns": [40_000_000, 50_000_000, 60_000_000]}))
+        self.perfbench_out = self.PERFBENCH_OUT
+        self.ctest = (0, self.CTEST_OUT)
+        self.status = ""
+        self.calls = []
+
+    def run_canned(self, cmd):
+        """Stands in for perf_ledger.run_command; launches nothing."""
+        self.calls.append(cmd)
+        if cmd[0] == "ctest":
+            return self.ctest[0], self.ctest[1], 40.0
+        if cmd[0] == "git":
+            return 0, (self.status if "status" in cmd
+                       else "0123456789ab\n"), 0.0
+        return 0, self.perfbench_out, 30.0
+
+    def test_record_from_canned_output(self):
+        record = perf_ledger.measure(self.run_canned, self.root)
+        self.assertEqual(record["commit"], "0123456789ab")
+        self.assertEqual(sorted(record["workloads"]), list(self.WORKLOADS))
+        self.assertEqual(record["workloads"]["scale-event"], {
+            "host_factor": 0.5, "iters_per_s": 6.5, "op_s.p50": 0.75,
+            "setup_s": 0.21, "peak_rss_mb": 41.5})
+        self.assertEqual(record["tier1_s"], 40.0)
+        self.assertEqual(record["golden_exp_scale_s"], 31.25)
+        bench = [c for c in self.calls if c[1].endswith("run.py")]
+        self.assertEqual(len(bench), 2)
+        self.assertEqual(bench[0][2:], ["--workload", "paper-sensing",
+                                        "--seed", "1", "--trace", "0",
+                                        "--seconds", "25"])
+
+    def test_uncommitted_changes_mark_the_commit_dirty(self):
+        self.status = " M src/sim/timeline.cpp\n"
+        record = perf_ledger.measure(self.run_canned, self.root)
+        self.assertEqual(record["commit"], "0123456789ab-dirty")
+
+    def test_records_append(self):
+        path = self.root / "BENCH_trajectory.json"
+        perf_ledger.append_record(path, {"commit": "a"})
+        perf_ledger.append_record(path, {"commit": "b"})
+        self.assertEqual(json.loads(path.read_text()),
+                         [{"commit": "a"}, {"commit": "b"}])
+
+    def assert_nothing_written(self):
+        with mock.patch.object(perf_ledger, "ROOT", self.root), \
+                mock.patch.object(perf_ledger, "run_command",
+                                  self.run_canned), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            self.assertEqual(perf_ledger.main(), 1)
+        self.assertIn("nothing written", err.getvalue())
+        self.assertFalse((self.root / "BENCH_trajectory.json").exists())
+
+    def test_failed_op_writes_nothing(self):
+        self.perfbench_out = self.PERFBENCH_OUT.replace(
+            '"correct": true', '"correct": false').replace(
+                '"failed": 0', '"failed": 1')
+        self.assert_nothing_written()
+
+    def test_failed_test_writes_nothing(self):
+        self.ctest = (8, self.CTEST_OUT.replace("Passed   31.25",
+                                                "***Failed  31.25"))
+        self.assert_nothing_written()
+
+    def test_missing_golden_line_writes_nothing(self):
+        self.ctest = (0, "100% tests passed, 0 tests failed out of 1\n")
+        self.assert_nothing_written()
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 /// \file bench_clustering.cpp
 /// Microbenchmarks of Berger–Rigoutsos clustering on interface-band flag
-/// clouds like the ones regridding produces.
+/// clouds like the ones regridding produces, and on the paper trace's own
+/// per-level run sets.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "amr/cluster_br.hpp"
+#include "amr/trace_generator.hpp"
+#include "core/experiment.hpp"
 
 namespace {
 
@@ -63,5 +66,21 @@ void BM_ClusterEfficiencySweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterEfficiencySweep)->Arg(30)->Arg(55)->Arg(70)->Arg(90);
+
+/// The paper trace's regrid epochs 0-11: flag runs at levels 0-2, each
+/// level clustered, clipped and refined.  Clustering the level-2 runs is
+/// most of an epoch.
+void BM_ClusterPaperTrace(benchmark::State& state) {
+  const SyntheticAmrTrace trace(exp::paper_trace_config());
+  std::size_t boxes = 0;
+  for (auto _ : state) {
+    boxes = 0;
+    for (int epoch = 0; epoch < 12; ++epoch)
+      boxes += trace.boxes_at_epoch(epoch).size();
+    benchmark::DoNotOptimize(boxes);
+  }
+  state.counters["boxes"] = static_cast<double>(boxes);
+}
+BENCHMARK(BM_ClusterPaperTrace)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdlib>
-#include <future>
-#include <iterator>
 #include <numeric>
 #include <span>
+#include <utility>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ssamr {
 
@@ -17,43 +16,57 @@ namespace {
 
 coord_t run_length(const FlagRun& r) { return r.x1 - r.x0 + 1; }
 
-std::int64_t flag_count(std::span<const FlagRun> runs) {
-  std::int64_t n = 0;
-  for (const FlagRun& r : runs) n += run_length(r);
-  return n;
-}
+/// Per-plane flag counts of a node's cells along each axis, plane 0 at the
+/// node's box lo.  A node's box is the non-zero range of its signatures
+/// and its flag count their sum, so a node gets its box, count and
+/// signatures from its parent instead of reading its runs (see
+/// derive_children).
+using Signature = std::vector<std::int64_t>;
+using Signatures = std::array<Signature, kDim>;
 
-/// Per-plane flag counts of a node's runs along each axis the box can be
-/// cut along (n >= 2 · min_size); the other axes stay empty.  Computed
-/// once per node and read by both the hole and the inflection search.
-using Signatures = std::array<std::vector<std::int64_t>, kDim>;
-
-Signatures signatures(std::span<const FlagRun> runs, const Box& b,
-                      coord_t min_size) {
-  const IntVec lo = b.lo();
-  const IntVec n = b.extent();
-  const bool cut_x = n.x >= 2 * min_size;
-  const bool cut_y = n.y >= 2 * min_size;
-  const bool cut_z = n.z >= 2 * min_size;
+/// Signatures of `runs` over `n` planes per axis, plane 0 at `lo`, along
+/// every axis but `skip` (-1 for none); the skipped one stays empty.
+Signatures signatures(std::span<const FlagRun> runs, IntVec lo, IntVec n,
+                      int skip) {
+  const bool want_x = skip != 0;
+  const bool want_y = skip != 1;
+  const bool want_z = skip != 2;
   Signatures sig;
   // x: a run covers a contiguous plane range, so mark its ends in a
   // difference array (one spare slot past the last plane) and prefix-sum.
-  if (cut_x) sig[0].assign(static_cast<std::size_t>(n.x) + 1, 0);
-  if (cut_y) sig[1].assign(static_cast<std::size_t>(n.y), 0);
-  if (cut_z) sig[2].assign(static_cast<std::size_t>(n.z), 0);
+  if (want_x) sig[0].assign(static_cast<std::size_t>(n.x) + 1, 0);
+  if (want_y) sig[1].assign(static_cast<std::size_t>(n.y), 0);
+  if (want_z) sig[2].assign(static_cast<std::size_t>(n.z), 0);
   for (const FlagRun& r : runs) {
-    if (cut_x) {
+    if (want_x) {
       ++sig[0][static_cast<std::size_t>(r.x0 - lo.x)];
       --sig[0][static_cast<std::size_t>(r.x1 - lo.x + 1)];
     }
-    if (cut_y) sig[1][static_cast<std::size_t>(r.y - lo.y)] += run_length(r);
-    if (cut_z) sig[2][static_cast<std::size_t>(r.z - lo.z)] += run_length(r);
+    if (want_y) sig[1][static_cast<std::size_t>(r.y - lo.y)] += run_length(r);
+    if (want_z) sig[2][static_cast<std::size_t>(r.z - lo.z)] += run_length(r);
   }
-  if (cut_x) {
+  if (want_x) {
     std::partial_sum(sig[0].begin(), sig[0].end(), sig[0].begin());
     sig[0].pop_back();
   }
   return sig;
+}
+
+/// Trim `sig` (plane 0 at `lo`) to its non-zero planes and return the box
+/// they span: the bounding box of the cells the signatures count.
+Box tighten(Signatures& sig, IntVec lo, level_t level) {
+  const auto nonzero = [](std::int64_t v) { return v != 0; };
+  IntVec hi;
+  for (int d = 0; d < kDim; ++d) {
+    Signature& s = sig[static_cast<std::size_t>(d)];
+    const auto first = std::find_if(s.begin(), s.end(), nonzero);
+    const auto last = std::find_if(s.rbegin(), s.rend(), nonzero).base();
+    lo.at(d) += static_cast<coord_t>(first - s.begin());
+    hi.at(d) = lo[d] + static_cast<coord_t>(last - first) - 1;
+    s.erase(last, s.end());
+    s.erase(s.begin(), first);
+  }
+  return Box(lo, hi, level);
 }
 
 struct Cut {
@@ -134,30 +147,77 @@ Cut find_midpoint(const Box& b, coord_t min_size) {
   return cut;
 }
 
-void cluster_recursive(std::span<FlagRun> runs, level_t level,
-                       const ClusterConfig& cfg, int depth,
-                       std::vector<Box>& out) {
-  SSAMR_ASSERT(!runs.empty(), "empty node in cluster_recursive");
-  IntVec mn(runs[0].x0, runs[0].y, runs[0].z);
-  IntVec mx(runs[0].x1, runs[0].y, runs[0].z);
+/// One node of the recursion: its runs, the bounding box and number of
+/// their cells, and their signatures over that box (empty at the root
+/// until it is cut).
+struct Node {
+  std::span<FlagRun> runs;
+  Box box;
   std::int64_t count = 0;
-  for (const FlagRun& r : runs) {
-    mn = min(mn, IntVec(r.x0, r.y, r.z));
-    mx = max(mx, IntVec(r.x1, r.y, r.z));
-    count += run_length(r);
+  Signatures sig;
+};
+
+/// Fill in both children of `parent`'s cut from their runs.  Along the cut
+/// axis, each child's signature is its slice of the parent's.  Along the
+/// other two, the child with fewer flags adds up its runs, and the other
+/// takes the parent's arrays minus that: integer counts, so exact.
+void derive_children(Node& parent, const Cut& cut, Node& left, Node& right) {
+  const int a = cut.axis;
+  const auto c = static_cast<std::ptrdiff_t>(cut.offset);
+  const IntVec n = parent.box.extent();
+  Signature& cut_sig = parent.sig[static_cast<std::size_t>(a)];
+  left.count = std::accumulate(cut_sig.begin(), cut_sig.begin() + c,
+                               std::int64_t{0});
+  right.count = parent.count - left.count;
+  // The box is tight and 1 <= offset < extent, so both sides hold flags.
+  SSAMR_ASSERT(left.count > 0 && right.count > 0, "degenerate cut");
+
+  const IntVec left_lo = parent.box.lo();
+  IntVec right_lo = left_lo;
+  right_lo.at(a) += cut.offset;
+  const bool left_smaller = left.count <= right.count;
+  Node& small = left_smaller ? left : right;
+  Node& large = left_smaller ? right : left;
+  IntVec small_n = n;
+  small_n.at(a) = left_smaller ? cut.offset : n[a] - cut.offset;
+  small.sig = signatures(small.runs, left_smaller ? left_lo : right_lo,
+                         small_n, a);
+  large.sig = std::move(parent.sig);
+  for (std::size_t d = 0; d < kDim; ++d) {
+    if (static_cast<int>(d) == a) continue;
+    for (std::size_t i = 0; i < large.sig[d].size(); ++i)
+      large.sig[d][i] -= small.sig[d][i];
   }
-  const Box b(mn, mx, level);
+  Signature& large_cut = large.sig[static_cast<std::size_t>(a)];
+  Signature& small_cut = small.sig[static_cast<std::size_t>(a)];
+  if (left_smaller) {
+    small_cut.assign(large_cut.begin(), large_cut.begin() + c);
+    large_cut.erase(large_cut.begin(), large_cut.begin() + c);
+  } else {
+    small_cut.assign(large_cut.begin() + c, large_cut.end());
+    large_cut.resize(static_cast<std::size_t>(c));
+  }
+  left.box = tighten(left.sig, left_lo, parent.box.level());
+  right.box = tighten(right.sig, right_lo, parent.box.level());
+}
+
+void cluster_recursive(Node node, const ClusterConfig& cfg, int depth,
+                       std::vector<Box>& out) {
+  const Box& b = node.box;
   const real_t eff =
-      static_cast<real_t>(count) / static_cast<real_t>(b.cells());
+      static_cast<real_t>(node.count) / static_cast<real_t>(b.cells());
   if (eff >= cfg.efficiency || b.cells() <= cfg.small_box_cells ||
       depth >= cfg.max_depth) {
     out.push_back(b);
     return;
   }
+  // Only the root arrives without signatures: accepting it needed just
+  // its box and count.
+  if (node.sig[0].empty())
+    node.sig = signatures(node.runs, b.lo(), b.extent(), -1);
 
-  const Signatures sigs = signatures(runs, b, cfg.min_box_size);
-  Cut cut = find_hole(sigs, b, cfg.min_box_size);
-  if (!cut.found()) cut = find_inflection(sigs, b, cfg.min_box_size);
+  Cut cut = find_hole(node.sig, b, cfg.min_box_size);
+  if (!cut.found()) cut = find_inflection(node.sig, b, cfg.min_box_size);
   if (!cut.found()) cut = find_midpoint(b, cfg.min_box_size);
   if (!cut.found()) {
     out.push_back(b);  // nothing can be cut without violating min size
@@ -170,7 +230,8 @@ void cluster_recursive(std::span<FlagRun> runs, level_t level,
   // and their right pieces join the right-only runs in an exactly sized
   // vector that this frame owns until both sides are clustered.
   const coord_t split_coord = b.lo()[cut.axis] + cut.offset;
-  std::span<FlagRun> left, right;
+  std::span<FlagRun> runs = node.runs;
+  Node left, right;
   std::vector<FlagRun> right_runs;
   if (cut.axis == 0) {
     right_runs.reserve(static_cast<std::size_t>(
@@ -188,44 +249,21 @@ void cluster_recursive(std::span<FlagRun> runs, level_t level,
         right_runs.push_back(FlagRun{split_coord, r.x1, r.y, r.z});
       }
     }
-    left = runs.first(keep);
-    right = right_runs;
+    left.runs = runs.first(keep);
+    right.runs = right_runs;
   } else {
     const auto mid =
         std::partition(runs.begin(), runs.end(), [&](const FlagRun& r) {
           return (cut.axis == 1 ? r.y : r.z) < split_coord;
         });
-    left = runs.first(static_cast<std::size_t>(mid - runs.begin()));
-    right = runs.subspan(left.size());
+    left.runs = runs.first(static_cast<std::size_t>(mid - runs.begin()));
+    right.runs = runs.subspan(left.runs.size());
   }
-  if (left.empty() || right.empty()) {
-    out.push_back(b);  // degenerate cut (all flags on one side)
-    return;
-  }
-
-  // Fork-join over the two disjoint slices when the left one holds enough
-  // flags to pay for a task.  Each side writes its own vector; appending
-  // left-then-right reproduces the serial depth-first output order
-  // exactly, so box lists are bit-identical at any thread count.
-  constexpr std::int64_t kForkThreshold = 1024;
-  ThreadPool& pool = ThreadPool::global();
-  if (pool.worker_count() > 0 && flag_count(left) >= kForkThreshold) {
-    std::vector<Box> left_boxes;
-    std::future<void> fut = pool.async([left, level, &cfg, depth,
-                                        &left_boxes] {
-      cluster_recursive(left, level, cfg, depth + 1, left_boxes);
-    });
-    std::vector<Box> right_boxes;
-    cluster_recursive(right, level, cfg, depth + 1, right_boxes);
-    pool.wait(fut);
-    out.insert(out.end(), std::make_move_iterator(left_boxes.begin()),
-               std::make_move_iterator(left_boxes.end()));
-    out.insert(out.end(), std::make_move_iterator(right_boxes.begin()),
-               std::make_move_iterator(right_boxes.end()));
-    return;
-  }
-  cluster_recursive(left, level, cfg, depth + 1, out);
-  cluster_recursive(right, level, cfg, depth + 1, out);
+  // The parent's arrays become the larger child's, so a frame holds at
+  // most one pending child's signatures while the other recurses.
+  derive_children(node, cut, left, right);
+  cluster_recursive(std::move(left), cfg, depth + 1, out);
+  cluster_recursive(std::move(right), cfg, depth + 1, out);
 }
 
 }  // namespace
@@ -235,11 +273,20 @@ std::vector<Box> cluster_runs(std::vector<FlagRun> runs, level_t level,
   SSAMR_REQUIRE(cfg.efficiency > 0 && cfg.efficiency <= 1,
                 "efficiency must be in (0,1]");
   SSAMR_REQUIRE(cfg.min_box_size >= 1, "min box size must be >= 1");
-  for (const FlagRun& r : runs)
-    SSAMR_REQUIRE(r.x0 <= r.x1, "flag runs must be non-empty");
   if (runs.empty()) return {};
+  // One pass validates the runs and finds the root's box and count; its
+  // signatures wait until the root turns out to need a cut.
+  IntVec mn(runs[0].x0, runs[0].y, runs[0].z);
+  IntVec mx(runs[0].x1, runs[0].y, runs[0].z);
+  std::int64_t count = 0;
+  for (const FlagRun& r : runs) {
+    SSAMR_REQUIRE(r.x0 <= r.x1, "flag runs must be non-empty");
+    mn = min(mn, IntVec(r.x0, r.y, r.z));
+    mx = max(mx, IntVec(r.x1, r.y, r.z));
+    count += run_length(r);
+  }
   std::vector<Box> out;
-  cluster_recursive(runs, level, cfg, 0, out);
+  cluster_recursive(Node{runs, Box(mn, mx, level), count, {}}, cfg, 0, out);
   return out;
 }
 

@@ -12,7 +12,10 @@
 /// once, so one run stands for a whole row's flags.  Every
 /// quantity the algorithm reads (bounding box, flag count, per-plane
 /// signatures) is a function of the flag set alone, so clustering runs
-/// gives exactly the boxes clustering their cells would.
+/// gives exactly the boxes clustering their cells would.  The box and
+/// count are read off the signatures, and a cut's children get theirs
+/// from the parent's: an internal node reads its runs to split them and
+/// the smaller side's runs once more, and a leaf reads none.
 
 #include <vector>
 

@@ -107,7 +107,7 @@ StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
   // receiving rank still needs all its incoming messages before its next
   // span.  Transfers contend for endpoint bandwidth.
   const real_t overlap = exec_.config().comm_overlap.value();
-  const std::vector<RankFlow>& flows = ghost_flows_.flows(r, exec_.config());
+  const std::vector<RankFlow>& flows = ghost_flows(r);
   std::vector<Transfer>& transfers = transfer_buf_;
   transfers.clear();
   transfers.reserve(flows.size());

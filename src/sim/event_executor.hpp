@@ -57,6 +57,13 @@ class EventExecutor final : public ExecutionModel {
   /// completion per transfer that entered the fluid simulation).
   std::size_t events_processed() const { return events_; }
 
+  /// The ghost flows (pairwise_comm_bytes) of `r`, through the cache the
+  /// next advance() over `r` reads, so that advance does not recompute
+  /// them.  Valid until the next call with a different partition.
+  const std::vector<RankFlow>& ghost_flows(const PartitionResult& r) {
+    return ghost_flows_.flows(r, exec_.config());
+  }
+
  private:
   /// Deliverable bandwidth of every rank at virtual time t.
   std::vector<MbitsPerSec> bandwidths_at(Seconds t) const;

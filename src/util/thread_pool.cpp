@@ -59,7 +59,7 @@ ThreadPool::~ThreadPool() {
   sleep_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
   // Workers drain their queues before exiting; anything still queued was
-  // submitted after shutdown began — run it here so futures don't break.
+  // submitted after shutdown began — run it here so no task is lost.
   while (run_one_task()) {
   }
 }

@@ -1,8 +1,8 @@
 #pragma once
 /// \file thread_pool.hpp
 /// Work-stealing thread pool for the embarrassingly parallel stages of the
-/// SAMR pipeline (per-patch integration, flagging, clustering, per-rank
-/// cost evaluation, independent experiment trials).
+/// SAMR pipeline (per-patch integration, flagging, per-rank cost
+/// evaluation, independent experiment trials).
 ///
 /// Determinism contract: every parallel primitive here produces results
 /// that are *bit-identical* to the serial path, at any thread count.
@@ -27,15 +27,12 @@
 /// evaluation) compose without deadlock.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -75,31 +72,10 @@ class ThreadPool {
   /// Enqueue a task.  On the serial path the task runs inline.
   void submit(std::function<void()> task);
 
-  /// Enqueue a callable and get a future for its result.
-  template <class F>
-  auto async(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(
-        std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    submit([task] { (*task)(); });
-    return fut;
-  }
-
   /// Run one queued task if any is available (pop own deque, then the
   /// injection queue, then steal).  Returns false when nothing was run.
   /// This is the "help" primitive used by waiting threads.
   bool run_one_task();
-
-  /// Wait for a future, helping with queued work instead of blocking.
-  template <class T>
-  T wait(std::future<T>& fut) {
-    while (fut.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!run_one_task()) std::this_thread::yield();
-    }
-    return fut.get();
-  }
 
   /// Parallel loop over [0, n).  body(i) must only touch state owned by
   /// index i (see the determinism contract above).  Exceptions from body

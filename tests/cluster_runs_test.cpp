@@ -1,13 +1,16 @@
 // Differential tests of the run-based Berger–Rigoutsos core: the library's
 // cluster_runs / cluster_flags and the synthetic trace built on them must
 // reproduce, box for box and in order, the cell-by-cell reference in
-// oracle.hpp.  CMake also runs this binary at SSAMR_THREADS=1 and 8; at 8
-// the larger clouds take the fork-join path.
+// oracle.hpp.  The oracle's cut census shows that the fuzzed corpora reach
+// every cut the library derives children for differently (each axis, each
+// search, a run split by an x cut) and both kinds of forced leaf.  Small
+// hand-built clouds pin the boxes of each way a child gets its signatures.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <vector>
 
 #include "amr/cluster_br.hpp"
@@ -107,6 +110,21 @@ std::vector<FlagRun> broken_runs(std::vector<IntVec> pts, Rng& rng) {
   return runs;
 }
 
+/// Every axis × search cell, the run-splitting x cut and both kinds of
+/// forced leaf occurred at least once.
+void expect_every_path(const oracle::ClusterCensus& census) {
+  const char* kinds[] = {"hole", "inflection", "midpoint"};
+  for (int axis = 0; axis < kDim; ++axis)
+    for (int kind = 0; kind < 3; ++kind)
+      EXPECT_GT(census.cuts[static_cast<std::size_t>(axis)]
+                           [static_cast<std::size_t>(kind)],
+                0)
+          << "no " << kinds[kind] << " cut along axis " << axis;
+  EXPECT_GT(census.run_splitting_x_cuts, 0);
+  EXPECT_GT(census.depth_leaves, 0);
+  EXPECT_GT(census.uncuttable_leaves, 0);
+}
+
 void expect_same_boxes(const std::vector<Box>& got,
                        const std::vector<Box>& want, int trial) {
   ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
@@ -116,20 +134,20 @@ void expect_same_boxes(const std::vector<Box>& got,
 
 TEST(ClusterRuns, PointApiMatchesOracleOnFuzzedClouds) {
   Rng rng(20011);
-  std::size_t forkable = 0;
+  oracle::ClusterCensus census;
   for (int trial = 0; trial < 300; ++trial) {
     const std::vector<IntVec> pts = fuzz_cloud(rng);
     const ClusterConfig cfg = fuzz_cluster_config(rng);
     const auto level = static_cast<level_t>(rng.uniform_int(0, 3));
-    const std::vector<Box> want = oracle::cluster_flags(pts, level, cfg);
+    const std::vector<Box> want =
+        oracle::cluster_flags(pts, level, cfg, &census);
     expect_same_boxes(cluster_flags(pts, level, cfg), want, trial);
     // Already (z, y, x)-sorted input takes the no-sort path.
     std::vector<IntVec> sorted = pts;
     std::sort(sorted.begin(), sorted.end(), zyx_less);
     expect_same_boxes(cluster_flags(sorted, level, cfg), want, trial);
-    if (pts.size() >= 4096) ++forkable;
   }
-  EXPECT_GT(forkable, 10u);  // enough big clouds to reach the fork
+  expect_every_path(census);
 }
 
 TEST(ClusterRuns, BrokenShuffledRunsMatchOracle) {
@@ -141,6 +159,104 @@ TEST(ClusterRuns, BrokenShuffledRunsMatchOracle) {
     expect_same_boxes(cluster_runs(broken_runs(pts, rng), level, cfg),
                       oracle::cluster_flags(pts, level, cfg), trial);
   }
+}
+
+/// Every cell of each box, listed box by box.
+std::vector<IntVec> cells_of(std::initializer_list<Box> blocks) {
+  std::vector<IntVec> pts;
+  for (const Box& b : blocks)
+    for (coord_t z = b.lo().z; z <= b.hi().z; ++z)
+      for (coord_t y = b.lo().y; y <= b.hi().y; ++y)
+        for (coord_t x = b.lo().x; x <= b.hi().x; ++x)
+          pts.emplace_back(x, y, z);
+  return pts;
+}
+
+/// A config that cuts every node it can: only efficiency stops a split.
+ClusterConfig strict_config(real_t efficiency) {
+  ClusterConfig cfg;
+  cfg.efficiency = efficiency;
+  cfg.min_box_size = 2;
+  cfg.small_box_cells = 1;
+  return cfg;
+}
+
+/// The library gives `want` on `pts`, and so does the oracle, whose census
+/// is returned so a test can show which cuts produced those boxes.
+oracle::ClusterCensus expect_boxes(const std::vector<IntVec>& pts,
+                                   const ClusterConfig& cfg,
+                                   const std::vector<Box>& want) {
+  oracle::ClusterCensus census;
+  expect_same_boxes(oracle::cluster_flags(pts, 0, cfg, &census), want, 0);
+  expect_same_boxes(cluster_flags(pts, 0, cfg), want, 0);
+  return census;
+}
+
+// The hand-built clouds below each take one way of deriving children's
+// signatures from the parent's; the expected boxes are worked by hand.
+
+TEST(ClusterRuns, XCutSplitsStraddlingRunsAndTightensTheSmallerSide) {
+  // A comb in the z = 0 plane: a 4x16 column with two 12x2 teeth to its
+  // right, at y 0..1 and 4..5.  The only cut is the x inflection at
+  // x = 4, which splits the teeth's runs.  The teeth (48 cells) are the
+  // smaller child: they add up their split-off pieces, their box shrinks
+  // to y 0..5, and at 2/3 full they are cut again at the y = 2..3 hole,
+  // which reads those pieces once more.
+  const auto pts = cells_of({Box(IntVec(0, 0, 0), IntVec(3, 15, 0)),
+                             Box(IntVec(4, 0, 0), IntVec(15, 1, 0)),
+                             Box(IntVec(4, 4, 0), IntVec(15, 5, 0))});
+  const auto census = expect_boxes(
+      pts, strict_config(0.9),
+      {Box(IntVec(0, 0, 0), IntVec(3, 15, 0)),
+       Box(IntVec(4, 0, 0), IntVec(15, 1, 0)),
+       Box(IntVec(4, 4, 0), IntVec(15, 5, 0))});
+  EXPECT_EQ(census.cuts[0][oracle::ClusterCensus::kInflection], 1);
+  EXPECT_EQ(census.run_splitting_x_cuts, 1);
+  EXPECT_EQ(census.cuts[1][oracle::ClusterCensus::kHole], 1);
+}
+
+TEST(ClusterRuns, LargerChildTightensOnUncutAxesAfterSubtraction) {
+  // A 8x4x4 block and a 4x4x2 block beyond it in x, y and z, with empty
+  // planes y = 4, 5 between them.  The y hole cut leaves the big block as
+  // the larger child, whose x and z signatures are the parent's minus the
+  // small block's: zero on x 8..11, so its box loses those planes.
+  const auto pts = cells_of({Box(IntVec(0, 0, 0), IntVec(7, 3, 3)),
+                             Box(IntVec(8, 6, 2), IntVec(11, 9, 3))});
+  const auto census = expect_boxes(
+      pts, strict_config(0.9),
+      {Box(IntVec(0, 0, 0), IntVec(7, 3, 3)),
+       Box(IntVec(8, 6, 2), IntVec(11, 9, 3))});
+  EXPECT_EQ(census.cuts[1][oracle::ClusterCensus::kHole], 1);
+}
+
+TEST(ClusterRuns, EqualHalvesAcrossAZCut) {
+  // Two 4x4x4 blocks, overlapping in x and y, with empty planes z = 4..7
+  // between them.  The halves hold equal counts, so the left one adds up
+  // its runs and the right one is derived: zero on x 0..1 and y 0..1.
+  const auto pts = cells_of({Box(IntVec(0, 0, 0), IntVec(3, 3, 3)),
+                             Box(IntVec(2, 2, 8), IntVec(5, 5, 11))});
+  const auto census = expect_boxes(
+      pts, strict_config(0.9),
+      {Box(IntVec(0, 0, 0), IntVec(3, 3, 3)),
+       Box(IntVec(2, 2, 8), IntVec(5, 5, 11))});
+  EXPECT_EQ(census.cuts[2][oracle::ClusterCensus::kHole], 1);
+}
+
+TEST(ClusterRuns, DerivedSignaturesDriveTheNextCut) {
+  // Three blocks along y, two planes thick in z.  The first hole cut
+  // (y = 12) splits off the smallest block; the other two form a derived
+  // child too sparse to keep, whose own derived y signature has the hole
+  // at y = 22, and whose right child (C, x 4..7) is derived from it in
+  // turn.
+  const auto pts = cells_of({Box(IntVec(0, 0, 0), IntVec(3, 3, 1)),
+                             Box(IntVec(0, 12, 0), IntVec(3, 19, 1)),
+                             Box(IntVec(4, 24, 0), IntVec(7, 31, 1))});
+  const auto census = expect_boxes(
+      pts, strict_config(0.9),
+      {Box(IntVec(0, 0, 0), IntVec(3, 3, 1)),
+       Box(IntVec(0, 12, 0), IntVec(3, 19, 1)),
+       Box(IntVec(4, 24, 0), IntVec(7, 31, 1))});
+  EXPECT_EQ(census.cuts[1][oracle::ClusterCensus::kHole], 2);
 }
 
 TEST(ClusterRuns, ValidatesInput) {
@@ -195,16 +311,18 @@ TraceConfig fuzz_trace_config(Rng& rng) {
 
 TEST(ClusterRuns, TraceMatchesCellByCellOracle) {
   Rng rng(97);
+  oracle::ClusterCensus census;
   for (int trial = 0; trial < 200; ++trial) {
     const TraceConfig cfg = fuzz_trace_config(rng);
     const SyntheticAmrTrace trace(cfg);
     for (int rep = 0; rep < 2; ++rep) {
       const int epoch = static_cast<int>(rng.uniform_int(0, 40));
       const BoxList got = trace.boxes_at_epoch(epoch);
-      const BoxList want = oracle::boxes_at_epoch(cfg, epoch);
+      const BoxList want = oracle::boxes_at_epoch(cfg, epoch, &census);
       expect_same_boxes(got.boxes(), want.boxes(), trial);
     }
   }
+  expect_every_path(census);
 }
 
 TEST(ClusterRuns, PaperTraceMatchesCellByCellOracle) {

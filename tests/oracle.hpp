@@ -22,6 +22,7 @@
 ///     so the two agree to rounding, not bit for bit.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
@@ -85,6 +86,22 @@ inline std::vector<Box> coalesce(std::vector<Box> boxes) {
 
 // ---------------------------------------------------------------------------
 // Berger–Rigoutsos over single cells
+
+/// Which branches of the recursion a corpus took, summed over calls, so a
+/// differential test can show that it reached every path the library
+/// treats differently.
+struct ClusterCensus {
+  enum Kind { kHole, kInflection, kMidpoint };
+  /// cuts[axis][kind]: the cuts each search found along each axis.
+  std::array<std::array<std::int64_t, 3>, kDim> cuts{};
+  /// x cuts with flags on both sides of the cut plane in one row, where
+  /// cluster_runs splits a maximal run in two.
+  std::int64_t run_splitting_x_cuts = 0;
+  /// Leaves kept only because they reached max_depth.
+  std::int64_t depth_leaves = 0;
+  /// Leaves with no axis long enough to cut.
+  std::int64_t uncuttable_leaves = 0;
+};
 
 namespace detail {
 
@@ -181,22 +198,49 @@ inline Cut find_midpoint(const Box& b, coord_t min_size) {
   return cut;
 }
 
+/// True when some row holds flags at both x = split - 1 (in [lo, mid))
+/// and x = split (in [mid, hi)).
+inline bool row_straddles(const std::vector<IntVec>& pts, std::size_t lo,
+                          std::size_t mid, std::size_t hi, coord_t split) {
+  std::vector<std::pair<coord_t, coord_t>> left_rows;
+  for (std::size_t i = lo; i < mid; ++i)
+    if (pts[i].x == split - 1) left_rows.emplace_back(pts[i].y, pts[i].z);
+  std::sort(left_rows.begin(), left_rows.end());
+  for (std::size_t i = mid; i < hi; ++i)
+    if (pts[i].x == split &&
+        std::binary_search(left_rows.begin(), left_rows.end(),
+                           std::make_pair(pts[i].y, pts[i].z)))
+      return true;
+  return false;
+}
+
 inline void cluster_recursive(std::vector<IntVec>& pts, std::size_t lo,
                               std::size_t hi, level_t level,
                               const ClusterConfig& cfg, int depth,
-                              std::vector<Box>& out) {
+                              std::vector<Box>& out,
+                              ClusterCensus* census) {
   const Box b = bbox_of(pts, lo, hi, level);
   const real_t eff =
       static_cast<real_t>(hi - lo) / static_cast<real_t>(b.cells());
   if (eff >= cfg.efficiency || b.cells() <= cfg.small_box_cells ||
       depth >= cfg.max_depth) {
+    if (census && eff < cfg.efficiency && b.cells() > cfg.small_box_cells)
+      ++census->depth_leaves;
     out.push_back(b);
     return;
   }
+  auto kind = ClusterCensus::kHole;
   Cut cut = find_hole(pts, lo, hi, b, cfg.min_box_size);
-  if (!cut.found()) cut = find_inflection(pts, lo, hi, b, cfg.min_box_size);
-  if (!cut.found()) cut = find_midpoint(b, cfg.min_box_size);
   if (!cut.found()) {
+    kind = ClusterCensus::kInflection;
+    cut = find_inflection(pts, lo, hi, b, cfg.min_box_size);
+  }
+  if (!cut.found()) {
+    kind = ClusterCensus::kMidpoint;
+    cut = find_midpoint(b, cfg.min_box_size);
+  }
+  if (!cut.found()) {
+    if (census) ++census->uncuttable_leaves;
     out.push_back(b);
     return;
   }
@@ -210,15 +254,22 @@ inline void cluster_recursive(std::vector<IntVec>& pts, std::size_t lo,
     out.push_back(b);
     return;
   }
-  cluster_recursive(pts, lo, mid, level, cfg, depth + 1, out);
-  cluster_recursive(pts, mid, hi, level, cfg, depth + 1, out);
+  if (census) {
+    ++census->cuts[static_cast<std::size_t>(cut.axis)][kind];
+    if (cut.axis == 0 && row_straddles(pts, lo, mid, hi, split_coord))
+      ++census->run_splitting_x_cuts;
+  }
+  cluster_recursive(pts, lo, mid, level, cfg, depth + 1, out, census);
+  cluster_recursive(pts, mid, hi, level, cfg, depth + 1, out, census);
 }
 
 }  // namespace detail
 
+/// `census`, when given, accumulates the branches the recursion took.
 inline std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
                                       level_t level,
-                                      const ClusterConfig& cfg) {
+                                      const ClusterConfig& cfg,
+                                      ClusterCensus* census = nullptr) {
   if (flags.empty()) return {};
   std::vector<IntVec> pts = flags;
   std::sort(pts.begin(), pts.end(), [](IntVec a, IntVec b) {
@@ -228,14 +279,17 @@ inline std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
   });
   pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   std::vector<Box> out;
-  detail::cluster_recursive(pts, 0, pts.size(), level, cfg, 0, out);
+  detail::cluster_recursive(pts, 0, pts.size(), level, cfg, 0, out, census);
   return out;
 }
 
 // ---------------------------------------------------------------------------
 // Synthetic trace, flagged cell by cell
 
-inline BoxList boxes_at_epoch(const TraceConfig& cfg, int epoch) {
+/// `census`, when given, accumulates the branches of every level's
+/// clustering.
+inline BoxList boxes_at_epoch(const TraceConfig& cfg, int epoch,
+                              ClusterCensus* census = nullptr) {
   constexpr real_t kPi = 3.14159265358979323846;
   const SyntheticAmrTrace trace(cfg);
   BoxList out;
@@ -278,8 +332,8 @@ inline BoxList boxes_at_epoch(const TraceConfig& cfg, int epoch) {
       }
     }
     if (flags.empty()) break;
-    const auto coarse_boxes =
-        oracle::cluster_flags(flags, static_cast<level_t>(l), cfg.cluster);
+    const auto coarse_boxes = oracle::cluster_flags(
+        flags, static_cast<level_t>(l), cfg.cluster, census);
     std::vector<Box> clipped;
     for (const Box& b : coarse_boxes)
       for (const Box& pb : parent_union) {

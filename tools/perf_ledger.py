@@ -4,10 +4,11 @@
     python3 tools/perf_ledger.py
 
 Runs every BENCHMARK.json workload once through perfbench (seed 1,
---trace 0, --seconds from BENCHMARK.json's run_seconds), then times the
-tier-1 suite with `ctest --test-dir build -j4` (build/ must already be
-built), and appends one record to the JSON list in BENCH_trajectory.json
-at the repo root:
+--trace 0, --seconds from BENCHMARK.json's run_seconds), brings build/
+up to date with `cmake --build build -j4` (untimed; build/ must already
+be configured), then times the tier-1 suite with
+`ctest --test-dir build -j4`, and appends one record to the JSON list in
+BENCH_trajectory.json at the repo root:
 
     {"commit": "<HEAD, 12 hex digits>[-dirty]",
      "workloads": {"<name>": {"host_factor": ..., "iters_per_s": ...,
@@ -22,8 +23,8 @@ host_factor (perfbench/metrics.host_factor of the launch's raw run file)
 says how fast the host ran against the reference.  The two test times are
 host seconds.
 
-Nothing is written when a run fails, an op fails its checks, or a test
-fails; the exit code is then 1.  The trajectory is for reading:
+Nothing is written when a run fails, an op fails its checks, the build
+fails, or a test fails; the exit code is then 1.  The trajectory is for reading:
 BENCHMARK.json's bounds stay the only gate.  Stdlib only; takes no flags.
 """
 
@@ -110,6 +111,11 @@ def measure(run, root):
                / f"run-{w}-seed{SEED}-trace0.json")
         workloads[w] = {"host_factor": metrics.host_factor(
             json.loads(raw.read_text())), **values}
+    # The timed tests must be the checkout's own, not a stale build's.
+    rc, out, _ = run(["cmake", "--build", str(root / "build"), "-j4"])
+    if rc != 0:
+        raise LedgerError(f"building build/ exited with {rc}:\n"
+                          + out[-2000:])
     rc, out, wall = run(["ctest", "--test-dir", str(root / "build"), "-j4"])
     if rc != 0:
         raise LedgerError(f"tier-1 ctest exited with {rc}:\n" + out[-2000:])

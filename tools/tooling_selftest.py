@@ -339,6 +339,7 @@ class PerfLedgerTest(unittest.TestCase):
                 {"probe_ns": [40_000_000, 50_000_000, 60_000_000]}))
         self.perfbench_out = self.PERFBENCH_OUT
         self.ctest = (0, self.CTEST_OUT)
+        self.build = (0, "[100%] Built target ssamr\n")
         self.status = ""
         self.calls = []
 
@@ -347,6 +348,8 @@ class PerfLedgerTest(unittest.TestCase):
         self.calls.append(cmd)
         if cmd[0] == "ctest":
             return self.ctest[0], self.ctest[1], 40.0
+        if cmd[0] == "cmake":
+            return self.build[0], self.build[1], 90.0
         if cmd[0] == "git":
             return 0, (self.status if "status" in cmd
                        else "0123456789ab\n"), 0.0
@@ -366,6 +369,13 @@ class PerfLedgerTest(unittest.TestCase):
         self.assertEqual(bench[0][2:], ["--workload", "paper-sensing",
                                         "--seed", "1", "--trace", "0",
                                         "--seconds", "25"])
+        # build/ is brought up to date right before the timed ctest, and
+        # the build's 90 s stay out of tier1_s.
+        tools = [c[0] for c in self.calls if c[0] in ("cmake", "ctest")]
+        self.assertEqual(tools, ["cmake", "ctest"])
+        build = next(c for c in self.calls if c[0] == "cmake")
+        self.assertEqual(build[1:], ["--build", str(self.root / "build"),
+                                     "-j4"])
 
     def test_uncommitted_changes_mark_the_commit_dirty(self):
         self.status = " M src/sim/timeline.cpp\n"
@@ -398,6 +408,12 @@ class PerfLedgerTest(unittest.TestCase):
         self.ctest = (8, self.CTEST_OUT.replace("Passed   31.25",
                                                 "***Failed  31.25"))
         self.assert_nothing_written()
+
+    def test_failed_build_writes_nothing(self):
+        self.build = (2, "cluster_br.cpp:10: error: expected ';'\n"
+                         "gmake: *** [Makefile:146: all] Error 2\n")
+        self.assert_nothing_written()
+        self.assertFalse([c for c in self.calls if c[0] == "ctest"])
 
     def test_missing_golden_line_writes_nothing(self):
         self.ctest = (0, "100% tests passed, 0 tests failed out of 1\n")

@@ -161,7 +161,7 @@ ScaleRow run_scale(int nprocs, int iterations) {
   // Read through the executor's cache, which the warm-up advance below
   // then reuses instead of discovering the same flows again.
   row.ghost_flows =
-      static_cast<std::int64_t>(exec.ghost_flows(current).size());
+      static_cast<std::int64_t>(exec.costs().ghost_flows(current).size());
 
   Seconds t{0};
   // One untimed warm-up advance: the executor fills its per-topology

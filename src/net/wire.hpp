@@ -51,6 +51,10 @@ class WireReader {
   std::int64_t i64() { return take<std::int64_t>(); }
   double f64() { return take<double>(); }
 
+  /// Bytes not yet consumed (decoders bound counts by this before they
+  /// allocate).
+  std::size_t remaining() const { return size_ - off_; }
+
   /// Every byte consumed (decoders assert this to catch drifting schemas).
   bool done() const { return off_ == size_; }
 

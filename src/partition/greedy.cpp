@@ -1,5 +1,6 @@
 #include "partition/greedy.hpp"
 
+#include <numeric>
 #include <utility>
 
 namespace ssamr {
@@ -11,10 +12,12 @@ PartitionResult GreedyPartitioner::partition(
 
   // Price each box once (particle-coupled models make box_work a count),
   // then place the largest boxes first, emitting them in placement order.
-  LptPlacement lpt = lpt_place(per_box_work(boxes, work), capacities);
+  const std::vector<real_t> works = per_box_work(boxes, work);
+  LptPlacement lpt = lpt_place(works, capacities);
   PartitionResult result;
-  result.target_work =
-      capacity_targets(total_work(boxes, work), capacities, cap_sum);
+  result.target_work = capacity_targets(
+      std::accumulate(works.begin(), works.end(), real_t{0}), capacities,
+      cap_sum);
   result.assigned_work = std::move(lpt.loads);
   result.assignments.reserve(boxes.size());
   for (std::size_t i : lpt.order)

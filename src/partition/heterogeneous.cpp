@@ -38,8 +38,9 @@ PartitionResult HeterogeneousPartitioner::partition(
                      return capacities[static_cast<std::size_t>(a)] <
                             capacities[static_cast<std::size_t>(b)];
                    });
-  const std::vector<real_t> rank_targets =
-      capacity_targets(total_work(boxes, work), capacities, cap_sum);
+  const std::vector<real_t> rank_targets = capacity_targets(
+      std::accumulate(works.begin(), works.end(), real_t{0}), capacities,
+      cap_sum);
   std::vector<real_t> targets(nproc);
   for (std::size_t p = 0; p < nproc; ++p)
     targets[p] = rank_targets[static_cast<std::size_t>(proc_order[p])];

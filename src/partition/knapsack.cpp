@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 namespace ssamr {
 
@@ -122,8 +123,9 @@ PartitionResult KnapsackPartitioner::partition(
 
   PartitionResult result;
   result.assigned_work.assign(nproc, 0);
-  result.target_work =
-      capacity_targets(total_work(boxes, work), capacities, cap_sum);
+  result.target_work = capacity_targets(
+      std::accumulate(works.begin(), works.end(), real_t{0}), capacities,
+      cap_sum);
   // Emit in input order and recompute W_k from final ownership, so the
   // bookkeeping is a plain left-to-right sum over the input list rather
   // than the move history.

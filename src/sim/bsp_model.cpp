@@ -13,7 +13,7 @@ Seconds BspModel::sense(Seconds t, Seconds sweep_s, int iteration) {
 }
 
 Seconds BspModel::regrid(Seconds t, std::size_t boxes, int iteration) {
-  const Seconds cost = exec_.regrid_time(boxes) + exec_.partition_time(boxes);
+  const Seconds cost = exec_.regrid_cost(boxes);
   lanes_.serial_regrid(t, cost, iteration);
   return cost;
 }
@@ -30,7 +30,7 @@ Seconds BspModel::migrate(const PartitionResult& previous,
 StepCost BspModel::advance(const PartitionResult& r, Seconds t,
                            int iteration) {
   const auto comp = exec_.compute_times(r, t);
-  const auto comm = exec_.effective_comm_times(r, t);
+  const auto comm = exec_.comm_times(r, t);
   Seconds worst_total{0};
   std::size_t worst_k = 0;
   for (std::size_t k = 0; k < comp.size(); ++k) {

@@ -12,23 +12,9 @@ EventExecutor::EventExecutor(const Cluster& cluster,
                              const ExecutorConfig& cfg, SpanLog log)
     : cluster_(cluster), exec_(cluster, cfg), lanes_(cluster.size(), log) {}
 
-std::vector<MbitsPerSec> EventExecutor::bandwidths_at(Seconds t) const {
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  std::vector<MbitsPerSec> bw(n, MbitsPerSec{0});
-  for (std::size_t k = 0; k < n; ++k) {
-    // Crashed nodes are priced at their rejoin-time bandwidth: the compute
-    // lane charges the crash pause, so pricing transfers at the down-state
-    // bandwidth floor would double-charge the outage.
-    const auto rank = static_cast<rank_t>(k);
-    bw[k] = cluster_.state_at(rank, cluster_.resume_time(rank, t))
-                .bandwidth_mbps;
-  }
-  return bw;
-}
-
 void EventExecutor::run_network(std::vector<Transfer>& transfers, Seconds t) {
-  const std::vector<MbitsPerSec> bw = bandwidths_at(t);
-  events_ += simulate_transfers(transfers, bw, cluster_.network(), net_ws_);
+  events_ += simulate_transfers(transfers, exec_.bandwidths_at(t),
+                                cluster_.network(), net_ws_);
 }
 
 Seconds EventExecutor::sense(Seconds t, Seconds sweep_s, int iteration) {
@@ -47,7 +33,7 @@ Seconds EventExecutor::sense(Seconds t, Seconds sweep_s, int iteration) {
 Seconds EventExecutor::regrid(Seconds t, std::size_t boxes, int iteration) {
   // Global barrier: every rank synchronizes (idle), then all perform the
   // flagging/clustering/partitioning work together.
-  const Seconds cost = exec_.regrid_time(boxes) + exec_.partition_time(boxes);
+  const Seconds cost = exec_.regrid_cost(boxes);
   const Seconds barrier = std::max(t, lanes_.horizon());
   for (std::size_t k = 0; k < lanes_.nranks(); ++k) {
     lanes_.rank(k).advance(barrier, SpanKind::kIdle, iteration);
@@ -107,7 +93,7 @@ StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
   // receiving rank still needs all its incoming messages before its next
   // span.  Transfers contend for endpoint bandwidth.
   const real_t overlap = exec_.config().comm_overlap.value();
-  const std::vector<RankFlow>& flows = ghost_flows(r);
+  const std::vector<RankFlow>& flows = exec_.ghost_flows(r);
   std::vector<Transfer>& transfers = transfer_buf_;
   transfers.clear();
   transfers.reserve(flows.size());

@@ -57,25 +57,15 @@ class EventExecutor final : public ExecutionModel {
   /// completion per transfer that entered the fluid simulation).
   std::size_t events_processed() const { return events_; }
 
-  /// The ghost flows (pairwise_comm_bytes) of `r`, through the cache the
-  /// next advance() over `r` reads, so that advance does not recompute
-  /// them.  Valid until the next call with a different partition.
-  const std::vector<RankFlow>& ghost_flows(const PartitionResult& r) {
-    return ghost_flows_.flows(r, exec_.config());
-  }
-
  private:
-  /// Deliverable bandwidth of every rank at virtual time t.
-  std::vector<MbitsPerSec> bandwidths_at(Seconds t) const;
-  /// Run `transfers` through the fluid network at time-t bandwidths on
-  /// the reused workspace, accumulating events_.
+  /// Run `transfers` through the fluid network at the time-t bandwidths
+  /// of the cost core on the reused workspace, accumulating events_.
   void run_network(std::vector<Transfer>& transfers, Seconds t);
 
   const Cluster& cluster_;
   VirtualExecutor exec_;
   LaneSet lanes_;
   std::size_t events_ = 0;
-  GhostFlowCache ghost_flows_;
   // Simulation scratch, reused across advance()/migrate() calls: at
   // P = 16384 one network step churns ~40 MB of simulator state, and
   // re-allocating it every iteration costs as much as a tenth of the

@@ -4,7 +4,7 @@
 ///
 /// AdaptiveRuntime::run() decides *what* happens — sense, adopt
 /// capacities, partition, migrate, advance — and an ExecutionModel decides
-/// *what it costs* on the virtual cluster.  Two implementations ship:
+/// *what it costs* on the virtual cluster.  Three implementations ship:
 ///
 ///  - BspModel (bsp_model.hpp): the closed-form BSP accounting extracted
 ///    from the original runtime loop, bit-identical to it.  Every stage is
@@ -23,6 +23,10 @@
 ///
 /// All models expose the same stage interface; each stage returns the
 /// virtual time it adds to the driver's global clock.
+///
+/// Every fact the three share — a partition's ghost flows, rejoin-time
+/// bandwidths, compute and comm times, the regrid charge — comes from one
+/// VirtualExecutor (sim/executor.hpp), so it is computed in one place.
 
 #include <memory>
 #include <string>
@@ -93,8 +97,8 @@ class ExecutionModel {
   /// leaves spans empty.
   virtual void finish(RunTrace& trace, Seconds t_end) = 0;
 
-  /// The closed-form cost library both models share (memory footprints,
-  /// per-rank rates, migration volumes).
+  /// The cost core all three models share (per-rank compute and comm
+  /// times, ghost and migration flows, bandwidths, the regrid charge).
   virtual const VirtualExecutor& costs() const = 0;
 };
 

@@ -20,6 +20,19 @@ constexpr Seconds kPartitionCostPerBox{0.0005};
 /// CPU fraction stolen by the resource monitor on every node (NWS: < 3 %).
 constexpr Fraction kMonitorIntrusionCpu{0.02};
 
+/// Bytes each of `n` ranks sends plus receives over `flows`: one integer
+/// pass over the flow list, so the per-rank totals do not depend on flow
+/// order (flow endpoints are distinct ranks inside the cluster).
+std::vector<std::int64_t> incident_bytes(const std::vector<RankFlow>& flows,
+                                         std::size_t n) {
+  std::vector<std::int64_t> incident(n, 0);
+  for (const RankFlow& f : flows) {
+    incident[static_cast<std::size_t>(f.src)] += f.bytes;
+    incident[static_cast<std::size_t>(f.dst)] += f.bytes;
+  }
+  return incident;
+}
+
 }  // namespace
 
 VirtualExecutor::VirtualExecutor(const Cluster& cluster, ExecutorConfig cfg)
@@ -66,45 +79,49 @@ std::vector<Seconds> VirtualExecutor::compute_times(const PartitionResult& r,
 
 std::vector<Seconds> VirtualExecutor::comm_times(const PartitionResult& r,
                                                  Seconds t) const {
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  // One flow extraction (local-view neighbor discovery, O(N log N)) and an
-  // integer incident-sum per rank give every rank's ghost bytes — flow
-  // bytes are cells × cell_bytes, so the incident sums factor exactly.
-  // The historical per-rank rescans were O(N²·P).
-  std::vector<std::int64_t> incident(n, 0);
-  for (const RankFlow& f : pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp)) {
-    if (f.src >= 0 && static_cast<std::size_t>(f.src) < n)
-      incident[static_cast<std::size_t>(f.src)] += f.bytes;
-    if (f.dst >= 0 && static_cast<std::size_t>(f.dst) < n)
-      incident[static_cast<std::size_t>(f.dst)] += f.bytes;
-  }
-  std::vector<Seconds> out(n, Seconds{0});
-  ThreadPool::global().parallel_for(n, [&](std::size_t k) {
-    const auto rank = static_cast<rank_t>(k);
-    // Price traffic at the node's rejoin-time bandwidth (the compute side
-    // already charges the crash pause; a down node's bandwidth floor would
-    // double-charge it as absurd transfer times).
-    const NodeState s = cluster_.state_at(rank, cluster_.resume_time(rank, t));
-    out[k] = cluster_.network().exchange_time(Bytes{incident[k]},
-                                              s.bandwidth_mbps);
-  });
-  return out;
-}
-
-std::vector<Seconds> VirtualExecutor::effective_comm_times(
-    const PartitionResult& r, Seconds t) const {
-  auto comm = comm_times(r, t);
+  SSAMR_REQUIRE(r.assigned_work.size() ==
+                    static_cast<std::size_t>(cluster_.size()),
+                "partition arity must match cluster size");
+  std::vector<Seconds> comm = exchange_times(ghost_flows(r), t);
   const real_t visible = 1.0 - cfg_.comm_overlap.value();
   for (Seconds& c : comm) c *= visible;
   return comm;
 }
 
-Seconds VirtualExecutor::regrid_time(std::size_t boxes) const {
-  return kRegridCostBase + kRegridCostPerBox * static_cast<real_t>(boxes);
+const std::vector<RankFlow>& VirtualExecutor::ghost_flows(
+    const PartitionResult& r) const {
+  if (!(flows_key_ == r)) {
+    flows_ = pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp);
+    flows_key_ = r;
+  }
+  return flows_;
 }
 
-Seconds VirtualExecutor::partition_time(std::size_t boxes) const {
-  return kPartitionCostPerBox * static_cast<real_t>(boxes);
+std::vector<MbitsPerSec> VirtualExecutor::bandwidths_at(Seconds t) const {
+  const auto n = static_cast<std::size_t>(cluster_.size());
+  std::vector<MbitsPerSec> bw(n, MbitsPerSec{0});
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto rank = static_cast<rank_t>(k);
+    bw[k] = cluster_.state_at(rank, cluster_.resume_time(rank, t))
+                .bandwidth_mbps;
+  }
+  return bw;
+}
+
+std::vector<Seconds> VirtualExecutor::exchange_times(
+    const std::vector<RankFlow>& flows, Seconds t) const {
+  const std::vector<std::int64_t> incident =
+      incident_bytes(flows, static_cast<std::size_t>(cluster_.size()));
+  const std::vector<MbitsPerSec> bw = bandwidths_at(t);
+  std::vector<Seconds> out(incident.size(), Seconds{0});
+  for (std::size_t k = 0; k < out.size(); ++k)
+    out[k] = cluster_.network().exchange_time(Bytes{incident[k]}, bw[k]);
+  return out;
+}
+
+Seconds VirtualExecutor::regrid_cost(std::size_t boxes) const {
+  const auto b = static_cast<real_t>(boxes);
+  return (kRegridCostBase + kRegridCostPerBox * b) + kPartitionCostPerBox * b;
 }
 
 std::vector<RankFlow> VirtualExecutor::migration_flows(
@@ -124,35 +141,10 @@ std::vector<RankFlow> VirtualExecutor::migration_flows(
 Seconds VirtualExecutor::migration_time(const PartitionResult& previous,
                                         const PartitionResult& next,
                                         Seconds t) const {
-  // One flow extraction, integer incident sums per rank (identical to the
-  // historical per-rank rescans), then the max over ranks combined in
-  // fixed rank order (bit-identical to the serial loop).
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  std::vector<std::int64_t> incident(n, 0);
-  for (const RankFlow& f : migration_flows(previous, next)) {
-    incident[static_cast<std::size_t>(f.src)] += f.bytes;
-    if (f.dst != f.src) incident[static_cast<std::size_t>(f.dst)] += f.bytes;
-  }
-  return ThreadPool::global().transform_reduce_ordered(
-      n, Seconds{0},
-      [&](std::size_t k) {
-        const auto rank = static_cast<rank_t>(k);
-        const NodeState s =
-            cluster_.state_at(rank, cluster_.resume_time(rank, t));
-        return cluster_.network().exchange_time(Bytes{incident[k]},
-                                                s.bandwidth_mbps);
-      },
-      [](Seconds a, Seconds b) { return std::max(a, b); });
-}
-
-const std::vector<RankFlow>& GhostFlowCache::flows(const PartitionResult& r,
-                                                   const ExecutorConfig& cfg) {
-  if (!valid_ || !(key_ == r)) {
-    flows_ = pairwise_comm_bytes(r, cfg.ghost, cfg.ncomp);
-    key_ = r;
-    valid_ = true;
-  }
-  return flows_;
+  Seconds worst{0};
+  for (const Seconds s : exchange_times(migration_flows(previous, next), t))
+    worst = std::max(worst, s);
+  return worst;
 }
 
 }  // namespace ssamr

@@ -1,8 +1,8 @@
 #pragma once
 /// \file executor.hpp
-/// The virtual-time execution model (DESIGN.md §2, substitution for the
-/// physical cluster): BSP accounting of one SAMR coarse timestep on the
-/// simulated heterogeneous cluster.
+/// The virtual-time cost core (DESIGN.md §2, substitution for the physical
+/// cluster, and §6): the per-rank costs of one SAMR coarse timestep on the
+/// simulated heterogeneous cluster, shared by every execution model.
 ///
 /// Per coarse step:
 ///   T_step = max_k [ W_k / R_k(t) + T_comm,k(t) ]
@@ -70,7 +70,16 @@ struct ExecutorConfig {
   ProcOptions proc;
 };
 
-/// Computes virtual-time costs of executing a partitioned SAMR hierarchy.
+/// Computes virtual-time costs of executing a partitioned SAMR hierarchy:
+/// the one cost core the bsp, event and proc models share.  Each fact they
+/// all price — a partition's ghost flows, a rank's rejoin-time bandwidth,
+/// its incident bytes, the time to exchange them, the regrid charge — has
+/// exactly one path here.
+///
+/// Threading: ghost_flows() refills a mutable cache, so one executor is
+/// driven by one thread at a time (every model owns its own), like
+/// SfcKeyIndex's query statistics.  The pool work inside compute_times()
+/// only reads.
 class VirtualExecutor {
  public:
   VirtualExecutor(const Cluster& cluster, ExecutorConfig cfg);
@@ -79,19 +88,28 @@ class VirtualExecutor {
   std::vector<Seconds> compute_times(const PartitionResult& r,
                                      Seconds t) const;
 
-  /// Per-rank raw (un-overlapped) communication time of one iteration.
+  /// Per-rank visible communication time of one iteration at time t: the
+  /// rank's ghost bytes exchanged at its rejoin-time bandwidth, of which
+  /// (1 − comm_overlap) is not hidden behind computation.
   std::vector<Seconds> comm_times(const PartitionResult& r, Seconds t) const;
 
-  /// Per-rank communication time after overlap with computation:
-  /// (1 − comm_overlap) · raw.
-  std::vector<Seconds> effective_comm_times(const PartitionResult& r,
-                                            Seconds t) const;
+  /// The ghost flows of `r` (partition/metrics.hpp).  The flow set is a pure
+  /// function of the partition, which is stable between regrids, so
+  /// neighbor discovery reruns only when `r` differs bit-exactly from the
+  /// previous call's partition, not once per iteration.  Valid until the
+  /// next call with a different partition.
+  const std::vector<RankFlow>& ghost_flows(const PartitionResult& r) const;
 
-  /// Cost of a regrid event for a composite list of `boxes` boxes.
-  Seconds regrid_time(std::size_t boxes) const;
+  /// Deliverable bandwidth of every rank at virtual time t.  A crashed
+  /// node is priced at its rejoin-time bandwidth: the compute side already
+  /// charges the crash pause, so the down-state bandwidth floor would
+  /// double-charge the outage as absurd transfer times.
+  std::vector<MbitsPerSec> bandwidths_at(Seconds t) const;
 
-  /// Cost of running the partitioner on `boxes` boxes.
-  Seconds partition_time(std::size_t boxes) const;
+  /// Charge of one regrid event over `boxes` composite boxes: the regrid
+  /// (flagging + clustering: a fixed base plus a per-box term) and then
+  /// the partitioner (per box).
+  Seconds regrid_cost(std::size_t boxes) const;
 
   /// Time to migrate data between two assignments (cells whose owner
   /// changed, slowest-rank transfer under current bandwidths at time t).
@@ -114,23 +132,17 @@ class VirtualExecutor {
   /// application base plus every component at every time level.
   MegaBytes memory_from_cells(std::int64_t cells) const;
 
+  /// Per-rank time to exchange every byte of `flows` incident to the rank
+  /// at its bandwidth of time t.
+  std::vector<Seconds> exchange_times(const std::vector<RankFlow>& flows,
+                                      Seconds t) const;
+
   const Cluster& cluster_;
   ExecutorConfig cfg_;
-};
-
-/// The ghost flows (pairwise_comm_bytes) of the last partition seen.  The
-/// flow set is a pure function of the partition, which is stable between
-/// regrids, so neighbor discovery reruns only when the assignment changes
-/// (bit-exact comparison), not once per iteration.
-class GhostFlowCache {
- public:
-  const std::vector<RankFlow>& flows(const PartitionResult& r,
-                                     const ExecutorConfig& cfg);
-
- private:
-  PartitionResult key_;
-  std::vector<RankFlow> flows_;
-  bool valid_ = false;
+  // ghost_flows() cache: the last partition seen and its flows.  It starts
+  // as the empty partition, whose flow list is empty, so it is never stale.
+  mutable PartitionResult flows_key_;
+  mutable std::vector<RankFlow> flows_;
 };
 
 }  // namespace ssamr

@@ -269,26 +269,14 @@ Seconds ProcModel::regrid(Seconds t, std::size_t boxes, int iteration) {
   // the actual partitioner); their virtual charge stays the closed-form
   // model shared with BSP so the event-vs-proc comparison isolates the
   // phases the ranks execute.
-  const Seconds cost = exec_.regrid_time(boxes) + exec_.partition_time(boxes);
+  const Seconds cost = exec_.regrid_cost(boxes);
   lanes_.serial_regrid(t, cost, iteration);
   return cost;
 }
 
 Seconds ProcModel::migrate(const PartitionResult& previous,
                            const PartitionResult& next, Seconds t) {
-  const int n = cluster_.size();
-  std::vector<PhasePlan> plans(static_cast<std::size_t>(n));
-  // The repartition payload every rank receives: new ownership in SFC
-  // order plus the work targets the capacity vector produced.
-  std::vector<std::int32_t> owners;
-  owners.reserve(next.assignments.size());
-  for (const BoxAssignment& a : next.assignments) owners.push_back(a.owner);
-  for (int k = 0; k < n; ++k) {
-    PhasePlan& p = plans[static_cast<std::size_t>(k)];
-    p.kind = PhaseKind::kMigrate;
-    p.owners = owners;
-    p.capacities.assign(next.target_work.begin(), next.target_work.end());
-  }
+  std::vector<PhasePlan> plans(static_cast<std::size_t>(cluster_.size()));
   plan_wire_flows(plans, exec_.migration_flows(previous, next),
                   opt_.bytes_scale);
   double window = 0;
@@ -303,16 +291,10 @@ StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
   const int n = cluster_.size();
   const std::vector<Seconds> comp = exec_.compute_times(r, t);
   std::vector<PhasePlan> plans(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    PhasePlan& p = plans[static_cast<std::size_t>(k)];
-    p.kind = PhaseKind::kAdvance;
-    p.iteration = iteration;
-    const double sleep_s =
+  for (int k = 0; k < n; ++k)
+    plans[static_cast<std::size_t>(k)].compute_wall_s =
         comp[static_cast<std::size_t>(k)].value() * opt_.time_scale;
-    p.compute_wall_s = sleep_s;
-  }
-  plan_wire_flows(plans, ghost_flows_.flows(r, exec_.config()),
-                  opt_.bytes_scale);
+  plan_wire_flows(plans, exec_.ghost_flows(r), opt_.bytes_scale);
 
   double window = 0;
   const std::vector<PhaseReport> reports = run_phase(plans, &window);

@@ -7,10 +7,10 @@
 /// wired to the coordinator by an AF_UNIX control socket (loopback TCP
 /// fallback) and to every peer by a data socket.  Each advance/migrate
 /// stage becomes a real phase — the coordinator ships a PhasePlan frame per
-/// rank (compute budget, exact per-peer byte counts, and on repartitions
-/// the new ownership + capacity vectors), ranks emulate compute with
-/// nanosleep and move the planned bytes through a nonblocking exchange
-/// engine, and the measured wall-clock comes back as PhaseReport frames.
+/// rank (compute budget and exact per-peer byte counts, both priced by the
+/// shared cost core), ranks emulate compute with nanosleep and move the
+/// planned bytes through a nonblocking exchange engine, and the measured
+/// wall-clock comes back as PhaseReport frames.
 ///
 /// Measured wall time is normalized by ProcOptions::time_scale back into
 /// virtual seconds so the stage interface, RankTimeline lanes and
@@ -89,8 +89,6 @@ class ProcModel final : public ExecutionModel {
   std::vector<pid_t> pids_;
   std::vector<int> ctrl_fds_;  ///< coordinator end, per rank
   std::vector<net::FrameDecoder> ctrl_decoders_;
-
-  GhostFlowCache ghost_flows_;
 
   std::uint64_t wire_bytes_total_ = 0;
   double phase_wall_total_ = 0;

@@ -14,13 +14,14 @@
 ///   ranks: emulate compute (nanosleep), exchange planned bytes with peers
 ///   rank --kMsgDone(PhaseReport)--> coordinator
 ///
-/// The plan carries everything a rank needs for one phase: its compute
-/// budget in wall seconds, the exact per-peer byte counts to send and to
-/// expect (both sides get coordinator-computed numbers, so they always
-/// agree), and — on repartition phases — the new box-ownership vector and
-/// the capacity vector the partitioner consumed, so the rank lifecycle
-/// stays explicit for later malleability work.
+/// The plan carries everything a rank needs for one phase and nothing
+/// more: its compute budget in wall seconds and the exact per-peer byte
+/// counts to send and to expect (both sides get coordinator-computed
+/// numbers, so they always agree).  The frame CRC covers only the header,
+/// so decode_phase_plan bounds every flow count by the payload bytes left
+/// before it allocates.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,30 +39,23 @@ enum ProcMsg : std::uint32_t {
   kMsgData = 5,      ///< rank -> rank: one chunk of phase payload bytes
 };
 
-/// What a phase asks of one rank.
-enum class PhaseKind : std::uint32_t {
-  kAdvance = 0,  ///< compute emulation + ghost exchange
-  kMigrate = 1,  ///< data migration traffic (no compute)
-  kBarrier = 2,  ///< rendezvous only (tests, liveness checks)
-};
-
 /// One directed peer transfer within a phase (wire bytes, post-scaling).
 struct WireFlow {
   std::int32_t peer = 0;
   std::uint64_t bytes = 0;
+
+  bool operator==(const WireFlow&) const = default;
 };
+
+/// Encoded size of one WireFlow: i32 peer + u64 bytes.
+inline constexpr std::size_t kWireFlowBytes =
+    sizeof(std::int32_t) + sizeof(std::uint64_t);
 
 /// Coordinator -> rank: one phase of work.
 struct PhasePlan {
-  PhaseKind kind = PhaseKind::kBarrier;
-  std::int32_t iteration = -1;
   double compute_wall_s = 0;     ///< nanosleep budget (wall seconds)
   std::vector<WireFlow> sends;   ///< bytes this rank pushes, per peer
   std::vector<WireFlow> recvs;   ///< bytes this rank expects, per peer
-  /// Repartition payload (kMigrate only): owner per box in SFC order and
-  /// the capacity vector behind the new cut.  Empty otherwise.
-  std::vector<std::int32_t> owners;
-  std::vector<double> capacities;
 };
 
 /// Rank -> coordinator: measured wall-clock split of one phase.
@@ -74,13 +68,9 @@ struct PhaseReport {
 
 inline std::vector<std::uint8_t> encode_phase_plan(const PhasePlan& p) {
   net::WireWriter w;
-  w.u32(static_cast<std::uint32_t>(p.kind));
-  w.i32(p.iteration);
   w.f64(p.compute_wall_s);
   w.u32(static_cast<std::uint32_t>(p.sends.size()));
   w.u32(static_cast<std::uint32_t>(p.recvs.size()));
-  w.u32(static_cast<std::uint32_t>(p.owners.size()));
-  w.u32(static_cast<std::uint32_t>(p.capacities.size()));
   for (const WireFlow& f : p.sends) {
     w.i32(f.peer);
     w.u64(f.bytes);
@@ -89,36 +79,33 @@ inline std::vector<std::uint8_t> encode_phase_plan(const PhasePlan& p) {
     w.i32(f.peer);
     w.u64(f.bytes);
   }
-  for (const std::int32_t o : p.owners) w.i32(o);
-  for (const double c : p.capacities) w.f64(c);
   return w.bytes();
+}
+
+/// Read `count` encoded WireFlows.  The count is checked against the bytes
+/// left before anything is allocated: one corrupt 32-bit count would
+/// otherwise ask for up to 64 GiB.
+inline std::vector<WireFlow> read_wire_flows(net::WireReader& r,
+                                             std::uint32_t count) {
+  SSAMR_REQUIRE(count <= r.remaining() / kWireFlowBytes,
+                "proc: PhasePlan flow count exceeds its payload");
+  std::vector<WireFlow> flows(count);
+  for (WireFlow& f : flows) {
+    f.peer = r.i32();
+    f.bytes = r.u64();
+  }
+  return flows;
 }
 
 inline PhasePlan decode_phase_plan(const std::uint8_t* data,
                                    std::size_t size) {
   net::WireReader r(data, size);
   PhasePlan p;
-  p.kind = static_cast<PhaseKind>(r.u32());
-  p.iteration = r.i32();
   p.compute_wall_s = r.f64();
   const std::uint32_t nsend = r.u32();
   const std::uint32_t nrecv = r.u32();
-  const std::uint32_t nown = r.u32();
-  const std::uint32_t ncap = r.u32();
-  p.sends.resize(nsend);
-  for (WireFlow& f : p.sends) {
-    f.peer = r.i32();
-    f.bytes = r.u64();
-  }
-  p.recvs.resize(nrecv);
-  for (WireFlow& f : p.recvs) {
-    f.peer = r.i32();
-    f.bytes = r.u64();
-  }
-  p.owners.resize(nown);
-  for (std::int32_t& o : p.owners) o = r.i32();
-  p.capacities.resize(ncap);
-  for (double& c : p.capacities) c = r.f64();
+  p.sends = read_wire_flows(r, nsend);
+  p.recvs = read_wire_flows(r, nrecv);
   SSAMR_REQUIRE(r.done(), "proc: trailing bytes in PhasePlan");
   return p;
 }

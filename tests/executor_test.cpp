@@ -97,18 +97,20 @@ TEST(Executor, OverlapHidesCommunication) {
   cfg.comm_overlap = Fraction{0.75};
   VirtualExecutor ex_overlap(c, cfg);
   VirtualExecutor ex_raw(c, test_config());
-  const auto raw =
-      ex_raw.effective_comm_times(simple_partition(), Seconds{0.0});
+  const auto raw = ex_raw.comm_times(simple_partition(), Seconds{0.0});
   const auto hidden =
-      ex_overlap.effective_comm_times(simple_partition(), Seconds{0.0});
+      ex_overlap.comm_times(simple_partition(), Seconds{0.0});
   EXPECT_NEAR(hidden[0].value(), raw[0].value() * 0.25, 1e-12);
 }
 
 TEST(Executor, RegridAndPartitionCostsScaleWithBoxes) {
   Cluster c = Cluster::homogeneous(2);
   VirtualExecutor ex(c, test_config());
-  EXPECT_NEAR(ex.regrid_time(10).value(), 0.05 + 0.002 * 10, 1e-12);
-  EXPECT_NEAR(ex.partition_time(10).value(), 0.0005 * 10, 1e-12);
+  // Regrid (base + per box), then the partitioner (per box), in that
+  // order of summation.
+  EXPECT_DOUBLE_EQ(ex.regrid_cost(10).value(),
+                   (0.05 + 0.002 * 10) + 0.0005 * 10);
+  EXPECT_DOUBLE_EQ(ex.regrid_cost(0).value(), 0.05);
 }
 
 /// Bytes a rank sends plus receives: the sum of its incident flows.

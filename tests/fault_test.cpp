@@ -1,8 +1,9 @@
 // Tests for the fault-injection subsystem and the fault-tolerant sensing
 // loop: FaultPlan determinism and precedence, probe retry/backoff/timeout
 // accounting, staleness fallback, quarantine/readmission, degraded-capacity
-// safety (no NaN / zero-sum vectors), forced repartitioning, and the
-// bit-identity of the zero-fault path.
+// safety (no NaN / zero-sum vectors), forced repartitioning, rejoin-time
+// pricing of a crashed rank's traffic, and the bit-identity of the
+// zero-fault path.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <limits>
 
 #include "core/ssamr.hpp"
+#include "sim/event_executor.hpp"
 #include "util/error.hpp"
 
 namespace ssamr {
@@ -146,6 +148,80 @@ TEST(Cluster, CrashEpisodeZeroesStateAndFloorsBandwidth) {
   EXPECT_DOUBLE_EQ(c.state_at(0, Seconds{20.0}).cpu_available.value(), 1.0);
   EXPECT_DOUBLE_EQ(c.resume_time(0, Seconds{15.0}).value(), 20.0);
   EXPECT_DOUBLE_EQ(c.resume_time(1, Seconds{15.0}).value(), 15.0);
+}
+
+// ---- Pricing inside a crash episode ---------------------------------------
+//
+// Rank 1 crashes over [10 s, 20 s) and, until 17 s, background traffic eats
+// 50 of its 100 Mbit/s.  At t = 15 s the down-state floor, the time-t
+// bandwidth (50) and the rejoin-time bandwidth (100) are three different
+// prices; every model must charge the last, because the compute side
+// already charges the pause until rejoin.
+
+Cluster traffic_cluster(bool crash) {
+  Cluster c = Cluster::homogeneous(2);
+  LoadRamp traffic;
+  traffic.stop_time = Seconds{17.0};
+  traffic.rate = 0;  // full level from the start
+  traffic.traffic_mbps = MbitsPerSec{50.0};
+  c.add_load(1, traffic);
+  if (crash) {
+    FaultPlan plan;
+    plan.add(episode(1, FaultKind::kCrash, 10.0, 20.0));
+    c.set_fault_plan(plan);
+  }
+  return c;
+}
+
+PartitionResult two_slabs() {
+  PartitionResult r;
+  r.assignments.push_back(
+      {Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0), 0});
+  r.assignments.push_back(
+      {Box::from_extent(IntVec(8, 0, 0), IntVec(8, 8, 8), 0), 1});
+  r.assigned_work = {512.0, 512.0};
+  r.target_work = {512.0, 512.0};
+  return r;
+}
+
+TEST(CrashPricing, CommTimesUseRejoinBandwidth) {
+  const Cluster crashed = traffic_cluster(true);
+  const Cluster healthy = traffic_cluster(false);
+  const VirtualExecutor down(crashed, ExecutorConfig{});
+  const VirtualExecutor up(healthy, ExecutorConfig{});
+  const auto got = down.comm_times(two_slabs(), Seconds{15.0});
+  const auto at_t = up.comm_times(two_slabs(), Seconds{15.0});
+  const auto at_rejoin = up.comm_times(two_slabs(), Seconds{20.0});
+  EXPECT_EQ(got[1], at_rejoin[1]);
+  EXPECT_LT(at_rejoin[1], at_t[1]);  // the time-t price differs
+  EXPECT_EQ(got[0], at_t[0]);        // the live rank is priced at t
+}
+
+TEST(CrashPricing, MigrationTimeUsesRejoinBandwidth) {
+  const Cluster crashed = traffic_cluster(true);
+  const Cluster healthy = traffic_cluster(false);
+  const VirtualExecutor down(crashed, ExecutorConfig{});
+  const VirtualExecutor up(healthy, ExecutorConfig{});
+  // Initial scatter: rank 1's slab travels 0 -> 1.
+  const Seconds got = down.migration_time({}, two_slabs(), Seconds{15.0});
+  const Seconds at_rejoin =
+      up.migration_time({}, two_slabs(), Seconds{20.0});
+  EXPECT_EQ(got, at_rejoin);
+  EXPECT_LT(at_rejoin, up.migration_time({}, two_slabs(), Seconds{15.0}));
+}
+
+TEST(CrashPricing, EventMigrateUsesRejoinBandwidth) {
+  const Cluster crashed = traffic_cluster(true);
+  const Cluster healthy = traffic_cluster(false);
+  // Fresh executors: every migration starts at virtual time 0, so only
+  // the bandwidths read at t can differ.
+  sim::EventExecutor down(crashed, ExecutorConfig{});
+  sim::EventExecutor up_rejoin(healthy, ExecutorConfig{});
+  sim::EventExecutor up_t(healthy, ExecutorConfig{});
+  const Seconds got = down.migrate({}, two_slabs(), Seconds{15.0});
+  const Seconds at_rejoin = up_rejoin.migrate({}, two_slabs(), Seconds{20.0});
+  EXPECT_EQ(got, at_rejoin);
+  EXPECT_LT(at_rejoin, up_t.migrate({}, two_slabs(), Seconds{15.0}));
 }
 
 // ---- Monitor: retries, backoff, staleness, quarantine ---------------------

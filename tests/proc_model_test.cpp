@@ -1,8 +1,9 @@
 // Tests of the proc execution model (sim/proc_model.hpp): the fork /
 // Hello / phase / Shutdown lifecycle, plausible measured accounting, child
-// reaping on normal destruction, and orphan reaping when the coordinator
-// dies from SIGTERM mid-run (the PDEATHSIG path CI relies on to never
-// hang).
+// reaping on normal destruction, the PhasePlan codec's rejection of
+// truncated, padded and oversized payloads, and orphan reaping when the
+// coordinator dies from SIGTERM mid-run (the PDEATHSIG path CI relies on
+// to never hang).
 
 #include <errno.h>
 #include <signal.h>
@@ -11,13 +12,16 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/proc_exit.hpp"
+#include "net/wire.hpp"
 #include "sim/executor_audit.hpp"
 #include "sim/proc_model.hpp"
+#include "sim/proc_protocol.hpp"
 #include "util/error.hpp"
 #include "util/wallclock.hpp"
 
@@ -201,6 +205,55 @@ TEST(ProcOptions, ToVirtualIsTheNormalizationSeam) {
   EXPECT_DOUBLE_EQ(opt.to_virtual(2e-3).value(), 2.0);
   opt.time_scale = 1.0;
   EXPECT_DOUBLE_EQ(opt.to_virtual(0.25).value(), 0.25);
+}
+
+// ---- PhasePlan codec (sim/proc_protocol.hpp) -------------------------------
+
+sim::PhasePlan sample_plan() {
+  sim::PhasePlan p;
+  p.compute_wall_s = 0.125;
+  p.sends = {{1, 4096}, {3, 1ull << 40}};
+  p.recvs = {{2, 64}};
+  return p;
+}
+
+TEST(ProcProtocol, PhasePlanRoundTrips) {
+  const sim::PhasePlan p = sample_plan();
+  const std::vector<std::uint8_t> bytes = sim::encode_phase_plan(p);
+  // f64 budget, two u32 counts, 12 bytes per flow.
+  EXPECT_EQ(bytes.size(), 8 + 4 + 4 + 3 * sim::kWireFlowBytes);
+  const sim::PhasePlan q = sim::decode_phase_plan(bytes.data(), bytes.size());
+  EXPECT_EQ(q.compute_wall_s, p.compute_wall_s);
+  EXPECT_EQ(q.sends, p.sends);
+  EXPECT_EQ(q.recvs, p.recvs);
+}
+
+TEST(ProcProtocol, TruncatedPhasePlanThrows) {
+  const std::vector<std::uint8_t> bytes = sim::encode_phase_plan(sample_plan());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut)
+    EXPECT_THROW(sim::decode_phase_plan(bytes.data(), cut), Error)
+        << "payload cut to " << cut << " bytes";
+}
+
+TEST(ProcProtocol, TrailingBytesInPhasePlanThrow) {
+  std::vector<std::uint8_t> bytes = sim::encode_phase_plan(sample_plan());
+  bytes.push_back(0);
+  EXPECT_THROW(sim::decode_phase_plan(bytes.data(), bytes.size()), Error);
+}
+
+TEST(ProcProtocol, CorruptFlowCountThrowsBeforeAllocating) {
+  // The frame CRC covers only the header, so a payload count can be any
+  // 32-bit value.  Unchecked, 0xFFFFFFFF sends would ask this rank for
+  // 64 GiB; the decoder must refuse it from the 16 bytes actually present.
+  for (const bool in_sends : {true, false}) {
+    net::WireWriter w;
+    w.f64(0.0);
+    w.u32(in_sends ? 0xFFFFFFFFu : 0u);
+    w.u32(in_sends ? 0u : 0xFFFFFFFFu);
+    EXPECT_THROW(sim::decode_phase_plan(w.bytes().data(), w.bytes().size()),
+                 Error)
+        << (in_sends ? "sends" : "recvs");
+  }
 }
 
 // The CI-critical guarantee: if the coordinator dies without running the

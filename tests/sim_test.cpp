@@ -671,17 +671,20 @@ TEST(PairwiseComm, FlowsMatchAggregatePerRank) {
   }
 }
 
-TEST(GhostFlowCache, FollowsEveryChangeOfPartition) {
+TEST(ExecutorGhostFlows, CacheFollowsEveryChangeOfPartition) {
   // A stale entry would keep pricing an earlier partition's ghost traffic.
+  Cluster cluster = Cluster::homogeneous(2);
   const ExecutorConfig cfg;
-  GhostFlowCache cache;
+  const VirtualExecutor exec(cluster, cfg);
   const PartitionResult a = two_adjacent_boxes();
   PartitionResult b = a;
   b.assignments[1].owner = 0;  // rank 0 owns both boxes: no traffic
-  for (const PartitionResult& r : {a, a, b, a})
-    EXPECT_EQ(cache.flows(r, cfg),
+  PartitionResult c = a;
+  c.assigned_work[0] += 1;  // same boxes and owners, different bits
+  for (const PartitionResult& r : {a, a, b, a, c, a})
+    EXPECT_EQ(exec.ghost_flows(r),
               pairwise_comm_bytes(r, cfg.ghost, cfg.ncomp));
-  EXPECT_TRUE(cache.flows(b, cfg).empty());
+  EXPECT_TRUE(exec.ghost_flows(b).empty());
 }
 
 TEST(MigrationFlows, MatchAggregatePerRank) {

@@ -112,6 +112,39 @@ void BM_KnapsackPartitionParticles(benchmark::State& state) {
 }
 BENCHMARK(BM_KnapsackPartitionParticles);
 
+// A trace source draws and indexes its particle cloud once, then only
+// places it at each regrid: time both, so a per-regrid redraw shows up as
+// a placement as slow as a draw.
+TraceConfig particle_trace_config() {
+  TraceConfig cfg = exp::paper_trace_config();
+  cfg.particles.count = 32768;
+  return cfg;
+}
+
+void BM_ParticleCloudDraw(benchmark::State& state) {
+  const TraceConfig cfg = particle_trace_config();
+  for (auto _ : state) {
+    const ParticleField field = ParticleField::gaussian_cloud(
+        cfg.domain, cfg.particles, cfg.interface_x0);
+    benchmark::DoNotOptimize(field.size());
+  }
+}
+BENCHMARK(BM_ParticleCloudDraw);
+
+void BM_ParticleCloudPlace(benchmark::State& state) {
+  const SyntheticAmrTrace trace(particle_trace_config());
+  std::vector<real_t> centers;
+  for (int epoch = 0; epoch < 12; ++epoch)
+    centers.push_back(trace.interface_position(epoch));
+  ParticleField field = trace.particles_at_epoch(0);
+  for (auto _ : state) {
+    for (const real_t center : centers) field.place(center);
+    benchmark::DoNotOptimize(field);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ParticleCloudPlace);
+
 void BM_ImbalanceMetric(benchmark::State& state) {
   HeterogeneousPartitioner p;
   const auto caps = caps_for(8);

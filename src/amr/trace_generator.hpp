@@ -50,9 +50,10 @@ struct TraceConfig {
   real_t band_halfwidth = 2.0;
   ClusterConfig cluster;
   /// Optional particle cloud riding the interface (count 0 = no particles).
-  /// The cloud is regenerated from the same seed at every epoch with its
-  /// center at the interface position, so it drifts coherently with the
-  /// refined band (a shocked tracer-particle sheet).
+  /// Every epoch uses the same seeded draws with the cloud's center at the
+  /// interface position, so it drifts coherently with the refined band (a
+  /// shocked tracer-particle sheet); a source draws it once and then
+  /// places it at each epoch (ParticleField::place).
   ParticleCloudConfig particles;
 };
 

@@ -55,17 +55,21 @@ PartitionResult DistributedSfcPartitioner::partition(
   // shards, each adding its boxes in input order to the running sum.  This
   // is the serial left fold of total_work split at shard boundaries, so the
   // floating-point result is bit-identical to the global-view schemes.
-  Work total{0};
+  // Each box's work is kept for the cut walk.
+  std::vector<real_t> works(n);
+  real_t total = 0;
   for (std::size_t s = 0; s < nshards; ++s) {
     const std::size_t hi = shard_begin(s + 1);
-    for (std::size_t i = shard_begin(s); i < hi; ++i)
-      total += box_cost(boxes[i], work);
+    for (std::size_t i = shard_begin(s); i < hi; ++i) {
+      works[i] = box_work(boxes[i], work);
+      total += works[i];
+    }
   }
 
   // Capacity-proportional quantile targets L_p = C_p / ΣC · L, cut in rank
   // order — same expressions, same order as SfcHeterogeneousPartitioner.
   const std::vector<real_t> targets =
-      capacity_targets(total.value(), capacities, cap_sum);
+      capacity_targets(total, capacities, cap_sum);
   std::vector<rank_t> proc_order(nproc);
   std::iota(proc_order.begin(), proc_order.end(), rank_t{0});
 
@@ -88,7 +92,8 @@ PartitionResult DistributedSfcPartitioner::partition(
     std::pop_heap(heap.begin(), heap.end(), head_after);
     const std::size_t s = heap.back();
     heap.pop_back();
-    walk.feed(boxes[runs[s][cursor[s]]]);
+    const std::size_t i = runs[s][cursor[s]];
+    walk.feed(boxes[i], works[i]);
     if (++cursor[s] < runs[s].size()) {
       heap.push_back(s);
       std::push_heap(heap.begin(), heap.end(), head_after);

@@ -18,18 +18,18 @@ PartitionResult GraceDefaultPartitioner::partition(
 
   // Composite SFC order of the hierarchy.
   const auto perm = sfc_order(boxes.boxes(), sfc_);
-  std::vector<Box> ordered;
-  ordered.reserve(boxes.size());
-  for (std::size_t i : perm) ordered.push_back(boxes[i]);
 
   // Equal work per processor — capacities deliberately ignored (the
-  // baseline assumes homogeneity).
-  const real_t total = total_work(boxes, work);
+  // baseline assumes homogeneity).  Summing the works left from 0 is
+  // total_work bit for bit.
+  const std::vector<real_t> works = per_box_work(boxes, work);
+  const real_t total = std::accumulate(works.begin(), works.end(), real_t{0});
   std::vector<real_t> targets(nproc, total / static_cast<real_t>(nproc));
   std::vector<rank_t> proc_order(nproc);
   std::iota(proc_order.begin(), proc_order.end(), rank_t{0});
 
-  return assign_sequence(ordered, targets, proc_order, work, constraints_);
+  return assign_sequence(boxes, works, perm, targets, proc_order, work,
+                         constraints_);
 }
 
 }  // namespace ssamr

@@ -16,18 +16,15 @@ PartitionResult HeterogeneousPartitioner::partition(
   const std::size_t nproc = capacities.size();
 
   // Sort boxes ascending by work.  Price each box once up front — under a
-  // particle-coupled model box_work counts particles, which the sort
-  // comparator must not re-trigger per comparison.
-  std::vector<real_t> works = per_box_work(boxes, work);
+  // particle-coupled model box_work counts particles, which neither the
+  // sort comparator nor the walk may re-trigger.
+  const std::vector<real_t> works = per_box_work(boxes, work);
   std::vector<std::size_t> perm(boxes.size());
   std::iota(perm.begin(), perm.end(), std::size_t{0});
   std::stable_sort(perm.begin(), perm.end(),
                    [&](std::size_t a, std::size_t b) {
                      return works[a] < works[b];
                    });
-  std::vector<Box> ordered;
-  ordered.reserve(boxes.size());
-  for (std::size_t i : perm) ordered.push_back(boxes[i]);
 
   // Sort processors ascending by capacity; targets L_k = C_k · L
   // (capacities renormalized defensively).
@@ -45,7 +42,8 @@ PartitionResult HeterogeneousPartitioner::partition(
   for (std::size_t p = 0; p < nproc; ++p)
     targets[p] = rank_targets[static_cast<std::size_t>(proc_order[p])];
 
-  return assign_sequence(ordered, targets, proc_order, work, constraints_);
+  return assign_sequence(boxes, works, perm, targets, proc_order, work,
+                         constraints_);
 }
 
 }  // namespace ssamr

@@ -35,42 +35,64 @@ real_t prefix_work(const Box& b, int axis, coord_t planes,
   return box_work(b.split(axis, planes).first, work);
 }
 
-/// Best split of `b` along `axis` for a first-piece work target.  Returns
-/// the number of planes for the first piece, or 0 when no admissible cut
-/// exists on this axis.
-coord_t planes_for_target(const Box& b, int axis, real_t target_work,
-                          const WorkModel& work, coord_t min_size) {
+/// A cut of a box along one axis: the first piece's plane count (0 when
+/// no admissible cut exists) and, under a particle-coupled model, the
+/// first piece's exact work.
+struct Cut {
+  coord_t planes = 0;
+  real_t first_work = 0;
+};
+
+/// Best split of `b` (work `whole_work`) along `axis` for a first-piece
+/// work target.
+Cut planes_for_target(const Box& b, real_t whole_work, int axis,
+                      real_t target_work, const WorkModel& work,
+                      coord_t min_size) {
   const coord_t n = b.extent()[axis];
-  if (n < 2 * min_size) return 0;
+  if (n < 2 * min_size) return {};
 
   if (work.has_particles()) {
-    if (!(box_work(b, work) > 0)) return 0;
+    if (!(whole_work > 0)) return {};
     // Prefix work is monotone non-decreasing in the plane count (cell and
     // particle costs are non-negative), so binary-search the largest
     // admissible cut whose first piece stays within the target; when even
     // the smallest admissible piece exceeds it, take that smallest piece
-    // (mirrors the floating-point clamp below).
-    coord_t lo = min_size, hi = n - min_size;
-    if (prefix_work(b, axis, lo, work) > target_work) return lo;
-    while (lo < hi) {
-      const coord_t mid = lo + (hi - lo + 1) / 2;
-      if (prefix_work(b, axis, mid, work) <= target_work)
-        lo = mid;
+    // (mirrors the floating-point clamp below).  The search prices the
+    // piece it returns, so its work comes with it.
+    Cut cut{min_size, prefix_work(b, axis, min_size, work)};
+    if (cut.first_work > target_work) return cut;
+    coord_t hi = n - min_size;
+    while (cut.planes < hi) {
+      const coord_t mid = cut.planes + (hi - cut.planes + 1) / 2;
+      const real_t mid_work = prefix_work(b, axis, mid, work);
+      if (mid_work <= target_work)
+        cut = {mid, mid_work};
       else
         hi = mid - 1;
     }
-    return lo;
+    return cut;
   }
 
   const real_t pw = plane_work(b, axis, work);
-  if (!(pw > 0)) return 0;
+  if (!(pw > 0)) return {};
   // Clamp in floating point BEFORE converting: target_work / pw can exceed
   // the range of coord_t (huge targets, tiny per-plane work), and casting
   // an out-of-range double to an integer is undefined behaviour.
   const real_t clamped =
       std::clamp(std::floor(target_work / pw), static_cast<real_t>(min_size),
                  static_cast<real_t>(n - min_size));
-  return static_cast<coord_t>(clamped);
+  return {static_cast<coord_t>(clamped), 0};
+}
+
+/// `b` cut by `cut` along `axis`, or nullopt when `cut` is no cut.
+/// Cells-only pieces are priced here, without counting anything.
+std::optional<WorkSplit> cut_box(const Box& b, int axis, const Cut& cut,
+                                 const WorkModel& work) {
+  if (cut.planes == 0) return std::nullopt;
+  const auto [first, second] = b.split(axis, cut.planes);
+  return WorkSplit{first, second,
+                   work.has_particles() ? cut.first_work
+                                        : box_work(first, work)};
 }
 
 }  // namespace
@@ -138,35 +160,35 @@ LptPlacement lpt_place(const std::vector<real_t>& works,
   return out;
 }
 
-std::optional<std::pair<Box, Box>> split_for_work(
-    const Box& b, real_t target_work, const WorkModel& work,
-    const PartitionConstraints& constraints) {
+std::optional<WorkSplit> split_for_work(
+    const Box& b, real_t whole_work, real_t target_work,
+    const WorkModel& work, const PartitionConstraints& constraints) {
   SSAMR_REQUIRE(!b.empty(), "cannot split an empty box");
   SSAMR_REQUIRE(target_work >= 0, "target work must be non-negative");
   const coord_t min_size = std::max<coord_t>(constraints.min_box_size, 1);
 
   if (constraints.longest_axis_only) {
     const int axis = b.longest_axis();
-    const coord_t planes =
-        planes_for_target(b, axis, target_work, work, min_size);
-    if (planes == 0) return std::nullopt;
-    return b.split(axis, planes);
+    return cut_box(b, axis,
+                   planes_for_target(b, whole_work, axis, target_work, work,
+                                     min_size),
+                   work);
   }
 
   // Multi-axis mode: choose the axis whose admissible cut lands closest to
   // the target without exceeding it (ties: prefer the longest axis, which
   // keeps aspect ratios healthy).
   int best_axis = -1;
-  coord_t best_planes = 0;
+  Cut best_cut;
   real_t best_err = std::numeric_limits<real_t>::infinity();
   for (int axis = 0; axis < kDim; ++axis) {
-    const coord_t planes =
-        planes_for_target(b, axis, target_work, work, min_size);
-    if (planes == 0) continue;
+    const Cut cut =
+        planes_for_target(b, whole_work, axis, target_work, work, min_size);
+    if (cut.planes == 0) continue;
     const real_t piece = work.has_particles()
-                             ? prefix_work(b, axis, planes, work)
+                             ? cut.first_work
                              : plane_work(b, axis, work) *
-                                   static_cast<real_t>(planes);
+                                   static_cast<real_t>(cut.planes);
     real_t err = std::abs(piece - target_work);
     // Penalize overshoot slightly: undershoot leaves the remainder for the
     // next processor, overshoot overloads this one.
@@ -178,11 +200,10 @@ std::optional<std::pair<Box, Box>> split_for_work(
     if (better) {
       best_err = err;
       best_axis = axis;
-      best_planes = planes;
+      best_cut = cut;
     }
   }
-  if (best_axis < 0) return std::nullopt;
-  return b.split(best_axis, best_planes);
+  return cut_box(b, best_axis, best_cut, work);
 }
 
 AssignmentWalk::AssignmentWalk(const std::vector<real_t>& targets,
@@ -204,12 +225,13 @@ AssignmentWalk::AssignmentWalk(const std::vector<real_t>& targets,
         targets_[p];
 }
 
-void AssignmentWalk::feed(const Box& box) {
+void AssignmentWalk::feed(const Box& box, real_t w) {
   // This is the historical deque walk of assign_sequence with the queue
   // replaced by one in-flight box: the original only ever re-examined the
   // *front* remainder before consuming the next input box, so a single
   // `cur` carries the identical state — and the identical FP operation
-  // sequence, which the bit-identity tests rely on.
+  // sequence, which the bit-identity tests rely on.  `w` is the work of
+  // `cur`: each box, and each remainder of a split, is priced once.
   const std::size_t nproc = targets_.size();
   Box cur = box;
   for (;;) {
@@ -222,7 +244,6 @@ void AssignmentWalk::feed(const Box& box) {
       continue;
     }
 
-    const real_t w = box_work(cur, work_);
     const real_t remaining = targets_[p_] - assigned;
 
     if (last || w <= remaining) {
@@ -231,12 +252,13 @@ void AssignmentWalk::feed(const Box& box) {
       return;
     }
 
-    const auto pieces = split_for_work(cur, remaining, work_, constraints_);
+    const auto pieces = split_for_work(cur, w, remaining, work_, constraints_);
     if (pieces) {
       ++result_.splits;
       result_.assignments.push_back({pieces->first, rank});
-      assigned += box_work(pieces->first, work_);
+      assigned += pieces->first_work;
       cur = pieces->second;
+      w = box_work(cur, work_);
       ++p_;
       continue;
     }
@@ -256,13 +278,16 @@ void AssignmentWalk::feed(const Box& box) {
 
 PartitionResult AssignmentWalk::take() { return std::move(result_); }
 
-PartitionResult assign_sequence(const std::vector<Box>& ordered_boxes,
+PartitionResult assign_sequence(const BoxList& boxes,
+                                const std::vector<real_t>& works,
+                                const std::vector<std::size_t>& order,
                                 const std::vector<real_t>& targets,
                                 const std::vector<rank_t>& proc_order,
                                 const WorkModel& work,
                                 const PartitionConstraints& constraints) {
+  SSAMR_REQUIRE(works.size() == boxes.size(), "boxes/works size mismatch");
   AssignmentWalk walk(targets, proc_order, work, constraints);
-  for (const Box& b : ordered_boxes) walk.feed(b);
+  for (const std::size_t i : order) walk.feed(boxes[i], works[i]);
   PartitionResult result = walk.take();
 
   // Self-audit the walk in Debug/audit builds: coverage, disjointness and
@@ -275,8 +300,8 @@ PartitionResult assign_sequence(const std::vector<Box>& ordered_boxes,
     if (sum > 0)
       for (std::size_t q = 0; q < nproc; ++q)
         caps[static_cast<std::size_t>(proc_order[q])] = targets[q] / sum;
-    return audit::validate_partition(
-        BoxList(ordered_boxes), result, caps, work, constraints);
+    return audit::validate_partition(boxes, result, caps, work,
+                                     constraints);
   }());
   return result;
 }

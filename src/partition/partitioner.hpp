@@ -10,7 +10,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "amr/workload.hpp"
@@ -115,16 +114,24 @@ struct LptPlacement {
 LptPlacement lpt_place(const std::vector<real_t>& works,
                        const std::vector<real_t>& capacities);
 
-/// Split `b` so that the first piece's work is as close as possible to
-/// `target_work` without (if feasible) exceeding it, cutting along the
-/// longest axis (or, when `constraints.longest_axis_only` is false, along
-/// the axis giving the best fit).  Returns nullopt when the box cannot be
-/// split without violating min_box_size, or when target_work is too small
-/// for even the smallest admissible piece (callers then assign the whole
-/// box).
-std::optional<std::pair<Box, Box>> split_for_work(
-    const Box& b, real_t target_work, const WorkModel& work,
-    const PartitionConstraints& constraints);
+/// A box cut in two by split_for_work, with the work of the first piece.
+struct WorkSplit {
+  Box first, second;
+  real_t first_work = 0;
+};
+
+/// Split `b`, whose work is `whole_work`, so that the first piece's work is
+/// as close as possible to `target_work` without (if feasible) exceeding
+/// it, cutting along the longest axis (or, when
+/// `constraints.longest_axis_only` is false, along the axis giving the best
+/// fit).  Returns nullopt when the box cannot be split without violating
+/// min_box_size, or when target_work is too small for even the smallest
+/// admissible piece (callers then assign the whole box).  Under a
+/// particle-coupled model the search has already priced the first piece,
+/// so its work comes back without another count.
+std::optional<WorkSplit> split_for_work(
+    const Box& b, real_t whole_work, real_t target_work,
+    const WorkModel& work, const PartitionConstraints& constraints);
 
 /// The greedy assignment walk of paper §5.3 as a resumable state machine:
 /// processors are visited in `proc_order`, the p-th visited processor aims
@@ -150,8 +157,9 @@ class AssignmentWalk {
                  const std::vector<rank_t>& proc_order, const WorkModel& work,
                  const PartitionConstraints& constraints);
 
-  /// Consume the next box along the curve order.
-  void feed(const Box& box);
+  /// Consume the next box along the curve order; `w` is its work under
+  /// the walk's model (callers have priced every box already).
+  void feed(const Box& box, real_t w);
 
   /// Finish the walk and surrender the accumulated result.  The walk must
   /// not be fed afterwards.
@@ -167,10 +175,13 @@ class AssignmentWalk {
 };
 
 /// The greedy assignment walk over a fully materialized box order (the
-/// global-view partitioners' entry point): feeds `ordered_boxes` through an
-/// AssignmentWalk front to back.  `targets` and `proc_order` must have
-/// equal, non-zero size.
-PartitionResult assign_sequence(const std::vector<Box>& ordered_boxes,
+/// global-view partitioners' entry point): feeds boxes[order[i]], with
+/// work works[order[i]], through an AssignmentWalk for i = 0, 1, ...
+/// `works` holds per_box_work(boxes, work); `targets` and `proc_order` must
+/// have equal, non-zero size.
+PartitionResult assign_sequence(const BoxList& boxes,
+                                const std::vector<real_t>& works,
+                                const std::vector<std::size_t>& order,
                                 const std::vector<real_t>& targets,
                                 const std::vector<rank_t>& proc_order,
                                 const WorkModel& work,

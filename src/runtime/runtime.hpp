@@ -37,8 +37,10 @@ class WorkloadSource {
   virtual BoxList boxes_for_regrid(int regrid_index) = 0;
   /// Particle field coupled to the same regrid, or nullptr when the
   /// workload carries no particles (the default).  The pointer must stay
-  /// valid until the next boxes_for_regrid/particles_for_regrid call; the
-  /// runtime attaches it to the work model for the repartition.
+  /// valid until the next boxes_for_regrid/particles_for_regrid call, and
+  /// the next particles_for_regrid call may move the field it points to
+  /// in place (TraceWorkloadSource does); the runtime attaches it to the
+  /// work model for the repartition.
   virtual const ParticleField* particles_for_regrid(int regrid_index) {
     (void)regrid_index;
     return nullptr;
@@ -52,12 +54,13 @@ class TraceWorkloadSource final : public WorkloadSource {
   BoxList boxes_for_regrid(int regrid_index) override {
     return trace_.boxes_at_epoch(regrid_index);
   }
+  /// Draws the cloud on the first call and only moves it after that.
   const ParticleField* particles_for_regrid(int regrid_index) override {
     if (trace_.config().particles.count == 0) return nullptr;
-    // Release the previous epoch's field before building the next, so the
-    // two are never alive together.
-    particles_ = ParticleField{};
-    particles_ = trace_.particles_at_epoch(regrid_index);
+    if (particles_.empty())
+      particles_ = trace_.particles_at_epoch(regrid_index);
+    else
+      particles_.place(trace_.interface_position(regrid_index));
     return &particles_;
   }
 

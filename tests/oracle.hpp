@@ -370,6 +370,12 @@ inline real_t reflect_into(real_t v, real_t span) {
   return r;
 }
 
+/// lo + reflect_into(v, span), kept below the open upper face lo + span
+/// (the sum rounds onto it when |lo| is large next to the gap).
+inline real_t position(real_t lo, real_t v, real_t span) {
+  return std::min(lo + reflect_into(v, span), std::nextafter(lo + span, lo));
+}
+
 }  // namespace detail
 
 inline ParticleCloud gaussian_cloud(const Box& domain,
@@ -386,12 +392,12 @@ inline ParticleCloud gaussian_cloud(const Box& domain,
     const real_t px = rng.normal(center_x * ex, cfg.sigma_x);
     const real_t py = rng.normal(ey / 2, cfg.sigma_yz_frac * ey);
     const real_t pz = rng.normal(ez / 2, cfg.sigma_yz_frac * ez);
-    cloud.xs.push_back(static_cast<real_t>(domain.lo().x) +
-                       detail::reflect_into(px, ex));
-    cloud.ys.push_back(static_cast<real_t>(domain.lo().y) +
-                       detail::reflect_into(py, ey));
-    cloud.zs.push_back(static_cast<real_t>(domain.lo().z) +
-                       detail::reflect_into(pz, ez));
+    cloud.xs.push_back(
+        detail::position(static_cast<real_t>(domain.lo().x), px, ex));
+    cloud.ys.push_back(
+        detail::position(static_cast<real_t>(domain.lo().y), py, ey));
+    cloud.zs.push_back(
+        detail::position(static_cast<real_t>(domain.lo().z), pz, ez));
   }
   return cloud;
 }

@@ -1,5 +1,6 @@
-// Differential tests of the bucket-indexed particle count: for every cloud
-// and box, ParticleField::count_in must equal the scan of every particle in
+// Differential tests of the bucket-indexed particle count: for every cloud,
+// freshly drawn or placed at a new center, and every box,
+// ParticleField::count_in must equal the scan of every particle in
 // oracle.hpp, and counts must add up exactly over same-level splits.
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "amr/particles.hpp"
+#include "amr/trace_generator.hpp"
 #include "oracle.hpp"
 #include "util/rng.hpp"
 
@@ -192,6 +194,56 @@ TEST(ParticleIndex, BoxFacesThroughParticlesMatchScan) {
   }
 }
 
+TEST(ParticleIndex, PlacedCloudMatchesFreshCloud) {
+  // A cloud drawn at one center and placed at another must count exactly
+  // as a fresh draw there.  Centers 0, 1, -0.4 and 1.3 put buckets against
+  // and past both walls, so they are placed particle by particle; the
+  // trace's interface walks the cloud to a wall and back.
+  Rng rng(0x91ace5ULL);
+  const SyntheticAmrTrace trace(TraceConfig{});
+  std::vector<real_t> centers{0.0, 1.0, -0.4, 1.3};
+  for (int epoch = 0; epoch < 40; ++epoch)
+    centers.push_back(trace.interface_position(epoch));
+  const std::int64_t counts[] = {0, 1, 2, 7, 13, 100, 1000, 5000};
+  for (int trial = 0; trial < 16; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::int64_t count =
+        trial < 8 ? counts[trial] : rng.uniform_int(0, 5000);
+    const Box domain = random_domain(rng);
+    ParticleCloudConfig cfg = random_cloud(rng, count);
+    // Zero spread along x stacks the cloud on the center, so centers 0
+    // and 1 put every particle exactly on a wall.
+    if (trial % 4 == 2) cfg.sigma_x = 0;
+    std::vector<Box> boxes;
+    std::vector<coord_t> ratios;
+    for (const coord_t ratio : kRatios)
+      for (level_t level = 0; level <= kMaxLevel; ++level)
+        for (int i = 0; i < 2; ++i) {
+          boxes.push_back(random_box(rng, domain, ratio, level));
+          ratios.push_back(ratio);
+        }
+    const real_t first = rng.uniform(-0.2, 1.2);
+    ParticleField field = ParticleField::gaussian_cloud(domain, cfg, first);
+    std::vector<std::int64_t> first_counts;
+    for (std::size_t q = 0; q < boxes.size(); ++q)
+      first_counts.push_back(field.count_in(boxes[q], ratios[q]));
+    for (const real_t center : centers) {
+      SCOPED_TRACE("center " + std::to_string(center));
+      field.place(center);
+      const oracle::ParticleCloud cloud =
+          oracle::gaussian_cloud(domain, cfg, center);
+      ASSERT_EQ(field.count_in(domain, 2), cfg.count);
+      for (std::size_t q = 0; q < boxes.size(); ++q)
+        ASSERT_EQ(field.count_in(boxes[q], ratios[q]),
+                  oracle::count_in(cloud, boxes[q], ratios[q]))
+            << "box " << q;
+    }
+    field.place(first);
+    for (std::size_t q = 0; q < boxes.size(); ++q)
+      EXPECT_EQ(field.count_in(boxes[q], ratios[q]), first_counts[q]);
+  }
+}
+
 TEST(ParticleIndex, CountsAddUpOverRandomSplits) {
   Rng rng(0x5b117ULL);
   for (int trial = 0; trial < 12; ++trial) {
@@ -254,6 +306,23 @@ TEST(ParticleIndex, RejectsNonFiniteParameters) {
     c.sigma_yz_frac = bad;
     EXPECT_THROW(ParticleField::gaussian_cloud(domain, c, 0.5), Error);
   }
+  // Finite parameters whose products overflow: the center or the spreads
+  // in cells, or the draws themselves.
+  EXPECT_THROW(ParticleField::gaussian_cloud(domain, cfg, 1e307), Error);
+  ParticleCloudConfig huge = cfg;
+  huge.sigma_x = 1e308;
+  EXPECT_THROW(ParticleField::gaussian_cloud(domain, huge, 0.5), Error);
+  huge = cfg;
+  huge.sigma_yz_frac = 1e308;
+  EXPECT_THROW(ParticleField::gaussian_cloud(domain, huge, 0.5), Error);
+  // A refused placement leaves the field where it was.
+  ParticleField field = ParticleField::gaussian_cloud(domain, cfg, 0.5);
+  const Box left = Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0);
+  const std::int64_t in_left = field.count_in(left, 2);
+  for (const real_t bad : {nan, inf, 1e307})
+    EXPECT_THROW(field.place(bad), Error);
+  EXPECT_EQ(field.count_in(domain, 2), cfg.count);
+  EXPECT_EQ(field.count_in(left, 2), in_left);
 }
 
 }  // namespace

@@ -28,6 +28,18 @@ namespace {
 
 const WorkModel kWork{};
 
+/// assign_sequence over `boxes` in list order, each priced under kWork.
+PartitionResult assign_in_order(const std::vector<Box>& boxes,
+                                const std::vector<real_t>& targets,
+                                const std::vector<rank_t>& proc_order,
+                                const PartitionConstraints& c) {
+  const BoxList list(boxes);
+  std::vector<std::size_t> order(boxes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  return assign_sequence(list, per_box_work(list, kWork), order, targets,
+                         proc_order, kWork, c);
+}
+
 BoxList uniform_grid_boxes(coord_t n_per_axis, coord_t box_size,
                            level_t level = 0) {
   BoxList out;
@@ -43,7 +55,7 @@ TEST(SplitForWork, FirstPieceApproachesTargetFromBelow) {
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(32, 4, 4));
   PartitionConstraints c;
   c.min_box_size = 2;
-  const auto pieces = split_for_work(b, 100.0, kWork, c);
+  const auto pieces = split_for_work(b, box_work(b, kWork), 100.0, kWork, c);
   ASSERT_TRUE(pieces.has_value());
   // plane work = 16 cells; 100/16 = 6.25 -> 6 planes = 96 work.
   EXPECT_DOUBLE_EQ(box_work(pieces->first, kWork), 96.0);
@@ -55,7 +67,7 @@ TEST(SplitForWork, CutsAlongLongestAxis) {
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(4, 32, 4));
   PartitionConstraints c;
   c.min_box_size = 2;
-  const auto pieces = split_for_work(b, 128.0, kWork, c);
+  const auto pieces = split_for_work(b, box_work(b, kWork), 128.0, kWork, c);
   ASSERT_TRUE(pieces.has_value());
   EXPECT_EQ(pieces->first.extent().x, 4);
   EXPECT_EQ(pieces->first.extent().z, 4);
@@ -67,11 +79,11 @@ TEST(SplitForWork, MinSizeClampsBothSides) {
   PartitionConstraints c;
   c.min_box_size = 4;
   // Tiny target: the cut still leaves >= 4 planes on each side.
-  const auto lo = split_for_work(b, 1.0, kWork, c);
+  const auto lo = split_for_work(b, box_work(b, kWork), 1.0, kWork, c);
   ASSERT_TRUE(lo.has_value());
   EXPECT_EQ(lo->first.extent().x, 4);
   // Huge target: clamped from the other end.
-  const auto hi = split_for_work(b, 1.0e9, kWork, c);
+  const auto hi = split_for_work(b, box_work(b, kWork), 1.0e9, kWork, c);
   ASSERT_TRUE(hi.has_value());
   EXPECT_EQ(hi->second.extent().x, 4);
 }
@@ -86,13 +98,13 @@ TEST(SplitForWork, HugeTargetOverTinyPlaneWorkClampsWithoutOverflow) {
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(64, 4, 4));
   PartitionConstraints c;
   c.min_box_size = 2;
-  const auto pieces = split_for_work(b, 1.0e300, kWork, c);
+  const auto pieces = split_for_work(b, box_work(b, kWork), 1.0e300, kWork, c);
   ASSERT_TRUE(pieces.has_value());
   EXPECT_EQ(pieces->first.extent().x, 62);
   EXPECT_EQ(pieces->second.extent().x, 2);
   // Same overflow through the multi-axis scorer.
   c.longest_axis_only = false;
-  const auto multi = split_for_work(b, 1.0e300, kWork, c);
+  const auto multi = split_for_work(b, box_work(b, kWork), 1.0e300, kWork, c);
   ASSERT_TRUE(multi.has_value());
 }
 
@@ -100,7 +112,8 @@ TEST(SplitForWork, RefusesWhenBoxTooSmall) {
   const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(6, 6, 6));
   PartitionConstraints c;
   c.min_box_size = 4;  // 6 < 2*4 in every direction
-  EXPECT_FALSE(split_for_work(b, 50.0, kWork, c).has_value());
+  EXPECT_FALSE(
+      split_for_work(b, box_work(b, kWork), 50.0, kWork, c).has_value());
 }
 
 TEST(SplitForWork, MultiAxisPicksBestFit) {
@@ -112,7 +125,7 @@ TEST(SplitForWork, MultiAxisPicksBestFit) {
   PartitionConstraints c;
   c.min_box_size = 2;
   c.longest_axis_only = false;
-  const auto pieces = split_for_work(b, 160.0, kWork, c);
+  const auto pieces = split_for_work(b, box_work(b, kWork), 160.0, kWork, c);
   ASSERT_TRUE(pieces.has_value());
   EXPECT_DOUBLE_EQ(box_work(pieces->first, kWork), 160.0);
 }
@@ -123,7 +136,7 @@ TEST(AssignSequence, LastProcessorAbsorbsRemainder) {
       Box::from_extent(IntVec(8, 0, 0), IntVec(4, 4, 4)),
       Box::from_extent(IntVec(16, 0, 0), IntVec(4, 4, 4))};
   const PartitionConstraints c;
-  const auto r = assign_sequence(boxes, {0.0, 0.0}, {0, 1}, kWork, c);
+  const auto r = assign_in_order(boxes, {0.0, 0.0}, {0, 1}, c);
   EXPECT_DOUBLE_EQ(r.assigned_work[1], 3 * 64.0);
   EXPECT_DOUBLE_EQ(r.assigned_work[0], 0.0);
 }
@@ -164,8 +177,7 @@ TEST(AssignSequence, UnsplittableBoxPolicyTable) {
     SCOPED_TRACE(tc.label);
     std::vector<rank_t> order(tc.targets.size());
     std::iota(order.begin(), order.end(), 0);
-    const PartitionResult r =
-        assign_sequence(boxes, tc.targets, order, kWork, c);
+    const PartitionResult r = assign_in_order(boxes, tc.targets, order, c);
     EXPECT_EQ(r.splits, 0);
     EXPECT_EQ(r.assignments.size(), boxes.size());
     ASSERT_EQ(r.assigned_work.size(), tc.expected_work.size());
@@ -175,8 +187,8 @@ TEST(AssignSequence, UnsplittableBoxPolicyTable) {
 }
 
 TEST(AssignSequence, ValidatesArity) {
-  EXPECT_THROW(assign_sequence({}, {}, {}, kWork, {}), Error);
-  EXPECT_THROW(assign_sequence({}, {1.0}, {0, 1}, kWork, {}), Error);
+  EXPECT_THROW(assign_in_order({}, {}, {}, {}), Error);
+  EXPECT_THROW(assign_in_order({}, {1.0}, {0, 1}, {}), Error);
 }
 
 TEST(CapacityTargets, AreCapacitySharesOfTheTotal) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 #include "core/experiment.hpp"
 #include "core/ssamr.hpp"
@@ -175,6 +177,27 @@ TEST(AdaptiveRuntime, HysteresisFreezesCapacitiesUnderNoise) {
     if (loose.senses[i].capacities != loose.senses[0].capacities)
       changed = true;
   EXPECT_TRUE(changed);
+}
+
+TEST(TraceWorkloadSource, PlacedParticlesCountAsFreshEpochs) {
+  // The source draws its cloud once and moves it at every regrid; each
+  // epoch must count exactly as the trace's fresh cloud for that epoch.
+  // The fast interface reaches the far wall and turns back, so the cloud
+  // is folded at both walls along the way.
+  TraceConfig cfg = small_trace();
+  cfg.speed = 0.09;
+  cfg.particles.count = 3000;
+  const SyntheticAmrTrace trace(cfg);
+  TraceWorkloadSource source(cfg);
+  for (int e = 0; e < 12; ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    const BoxList boxes = source.boxes_for_regrid(e);
+    const ParticleField* placed = source.particles_for_regrid(e);
+    ASSERT_NE(placed, nullptr);
+    const ParticleField fresh = trace.particles_at_epoch(e);
+    for (const Box& b : boxes)
+      ASSERT_EQ(placed->count_in(b, cfg.ratio), fresh.count_in(b, cfg.ratio));
+  }
 }
 
 TEST(SolverWorkloadSource, DrivesARealIntegration) {

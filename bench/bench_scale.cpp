@@ -8,9 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "partition/distributed_sfc.hpp"
 #include "partition/metrics.hpp"
 #include "sim/event.hpp"
@@ -20,27 +20,13 @@ namespace {
 
 using namespace ssamr;
 
-/// The exp_scale workload shape: four 8³ level-0 boxes per rank on a
-/// cube-ish lattice, every eighth box carrying a refined child.
+/// The exp_scale workload (exp::scale_lattice), built once per cluster
+/// size.
 const BoxList& scale_boxes(int nprocs) {
   static BoxList cache;
   static int cached_for = 0;
   if (cached_for != nprocs) {
-    cache = BoxList{};
-    const std::int64_t nboxes = 4 * static_cast<std::int64_t>(nprocs);
-    coord_t side = 1;
-    while (static_cast<std::int64_t>(side) * side * side < nboxes) ++side;
-    std::int64_t placed = 0;
-    for (coord_t k = 0; k < side && placed < nboxes; ++k)
-      for (coord_t j = 0; j < side && placed < nboxes; ++j)
-        for (coord_t i = 0; i < side && placed < nboxes; ++i) {
-          cache.push_back(Box::from_extent(IntVec(i * 8, j * 8, k * 8),
-                                           IntVec(8, 8, 8), 0));
-          if (placed % 8 == 0)
-            cache.push_back(Box::from_extent(
-                IntVec(i * 16, j * 16, k * 16), IntVec(8, 8, 4), 1));
-          ++placed;
-        }
+    cache = exp::scale_lattice(nprocs);
     cached_for = nprocs;
   }
   return cache;

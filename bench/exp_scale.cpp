@@ -54,7 +54,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -68,50 +67,11 @@
 #include "sfc/key_index.hpp"
 #include "sim/event_executor.hpp"
 #include "util/csv.hpp"
-#include "util/rng.hpp"
 #include "util/wallclock.hpp"
 
 using namespace ssamr;
 
 namespace {
-
-/// Four 8³ level-0 boxes per rank on a cube-ish lattice; every eighth box
-/// carries a half-depth refined child.  Linear in P, fixed per-rank shape.
-BoxList scale_workload(int nprocs) {
-  const std::int64_t nboxes = 4 * static_cast<std::int64_t>(nprocs);
-  coord_t side = 1;
-  while (static_cast<std::int64_t>(side) * side * side < nboxes) ++side;
-  BoxList boxes;
-  std::int64_t placed = 0;
-  for (coord_t k = 0; k < side && placed < nboxes; ++k)
-    for (coord_t j = 0; j < side && placed < nboxes; ++j)
-      for (coord_t i = 0; i < side && placed < nboxes; ++i) {
-        boxes.push_back(Box::from_extent(IntVec(i * 8, j * 8, k * 8),
-                                         IntVec(8, 8, 8), 0));
-        if (placed % 8 == 0)
-          boxes.push_back(Box::from_extent(
-              IntVec(i * 16, j * 16, k * 16), IntVec(8, 8, 4), 1));
-        ++placed;
-      }
-  return boxes;
-}
-
-constexpr real_t kMultipliers[] = {1.0, 0.75, 1.5, 1.25};
-constexpr std::uint64_t kCapacitySeed = 0x5ca1e;
-
-/// Relative capacities: each node's peak-rate multiplier with a ±10 %
-/// jitter from a fixed seed, normalized.
-std::vector<real_t> rate_capacities(int nprocs) {
-  Rng rng(kCapacitySeed);
-  std::vector<real_t> caps(static_cast<std::size_t>(nprocs));
-  real_t sum = 0;
-  for (std::size_t k = 0; k < caps.size(); ++k) {
-    caps[k] = kMultipliers[k % 4] * rng.uniform(0.9, 1.1);
-    sum += caps[k];
-  }
-  for (real_t& c : caps) c /= sum;
-  return caps;
-}
 
 struct ScaleRow {
   int nprocs = 0;
@@ -135,14 +95,13 @@ ScaleRow run_scale(int nprocs, int iterations) {
   ScaleRow row;
   row.nprocs = nprocs;
 
-  Cluster cluster = Cluster::heterogeneous(
-      nprocs, {std::begin(kMultipliers), std::end(kMultipliers)});
+  Cluster cluster = exp::scale_cluster(nprocs);
   const ExecutorConfig ecfg;
   sim::EventExecutor exec(cluster, ecfg);
 
-  const BoxList boxes = scale_workload(nprocs);
+  const BoxList boxes = exp::scale_lattice(nprocs);
   row.boxes = static_cast<std::int64_t>(boxes.size());
-  std::vector<real_t> caps = rate_capacities(nprocs);
+  std::vector<real_t> caps = exp::scale_capacities(nprocs);
   const DistributedSfcPartitioner partitioner(SfcConfig{}, /*shards=*/64);
   const WorkModel work;
 
@@ -246,7 +205,7 @@ int main() {
                " model ===\n\n";
   const int iterations = exp::run_iterations(40);
   // Validated: a zero or negative cap (e.g. a stray SSAMR_SCALE_MAX_P=-4)
-  // must not underflow scale_workload's 4·P box count — it falls back.
+  // must not underflow scale_lattice's 4·P box count — it falls back.
   const int max_p = exp::env_int("SSAMR_SCALE_MAX_P", 16384, /*min=*/1);
 
   std::vector<int> sweep;

@@ -1,5 +1,7 @@
 #include "amr/flux_register.hpp"
 
+#include <unordered_set>
+
 #include "sfc/morton.hpp"
 #include "util/error.hpp"
 
@@ -15,17 +17,15 @@ key_t FluxRegister::face_key(IntVec cell, int axis) {
 }
 
 FluxRegister::FluxRegister(const GridLevel& coarse, const GridLevel& fine,
-                           const Box& coarse_domain, coord_t ratio,
-                           int ncomp)
-    : ratio_(ratio), ncomp_(ncomp) {
-  SSAMR_REQUIRE(ratio >= 2, "ratio must be >= 2");
+                           const Box& coarse_domain, int ncomp)
+    : ncomp_(ncomp) {
   SSAMR_REQUIRE(ncomp >= 1, "ncomp must be >= 1");
 
   // Coarsened fine region.
   std::vector<Box> shadow;
   shadow.reserve(fine.num_patches());
   for (const Patch& p : fine.patches())
-    shadow.push_back(p.box().coarsened(ratio));
+    shadow.push_back(p.box().coarsened());
   auto in_shadow = [&](IntVec c) {
     for (const Box& b : shadow)
       if (b.contains(c)) return true;
@@ -33,7 +33,9 @@ FluxRegister::FluxRegister(const GridLevel& coarse, const GridLevel& fine,
   };
 
   // Walk the boundary cells of every shadow box; register faces whose
-  // neighbour is outside the fine region but inside the domain.
+  // neighbour is outside the fine region but inside the domain.  Two
+  // shadows can share a boundary face, so each face registers once.
+  std::unordered_set<key_t> registered;
   auto try_register = [&](IntVec inside, IntVec outside, int axis,
                           IntVec face_cell, int sign) {
     if (!coarse_domain.contains(outside)) return;
@@ -41,14 +43,13 @@ FluxRegister::FluxRegister(const GridLevel& coarse, const GridLevel& fine,
     if (coarse.find_patch_containing(outside) == GridLevel::npos) return;
     (void)inside;
     const key_t key = face_key(face_cell, axis);
-    if (index_.contains(key)) return;
+    if (!registered.insert(key).second) return;
     Record rec;
     rec.cell = face_cell;
     rec.axis = axis;
     rec.sign = sign;
     rec.outside = outside;
     rec.delta.assign(static_cast<std::size_t>(ncomp_), 0);
-    index_.insert(key, records_.size());
     records_.push_back(std::move(rec));
   };
 
@@ -111,11 +112,12 @@ void FluxRegister::add_coarse(const std::vector<FaceFluxes>& fluxes,
 void FluxRegister::add_fine(const std::vector<FaceFluxes>& fluxes,
                             real_t dt_f) {
   const real_t area_scale =
-      1.0 / (static_cast<real_t>(ratio_) * static_cast<real_t>(ratio_));
+      1.0 / (static_cast<real_t>(kRefinementRatio) *
+             static_cast<real_t>(kRefinementRatio));
   for (Record& rec : records_) {
     // Fine faces covering the coarse face: along the axis the fine face
     // plane is at cell*r; transverse indices span r each.
-    IntVec base = rec.cell * ratio_;
+    IntVec base = rec.cell * kRefinementRatio;
     for (const FaceFluxes& ff : fluxes) {
       const GridFunction& f = ff.flux(rec.axis);
       // Quick reject: the base face must lie in this fine patch's face box.
@@ -123,8 +125,8 @@ void FluxRegister::add_fine(const std::vector<FaceFluxes>& fluxes,
       const int a = rec.axis;
       const int t1 = (a + 1) % 3;
       const int t2 = (a + 2) % 3;
-      for (coord_t u = 0; u < ratio_; ++u)
-        for (coord_t v = 0; v < ratio_; ++v) {
+      for (coord_t u = 0; u < kRefinementRatio; ++u)
+        for (coord_t v = 0; v < kRefinementRatio; ++v) {
           IntVec face = base;
           face.at(t1) += u;
           face.at(t2) += v;

@@ -23,7 +23,6 @@
 #include "amr/face_flux.hpp"
 #include "amr/level.hpp"
 #include "geom/box.hpp"
-#include "hash/extendible_hash.hpp"
 #include "util/types.hpp"
 
 namespace ssamr {
@@ -35,7 +34,7 @@ class FluxRegister {
   /// region (faces whose outside cell lies beyond the fine region but
   /// inside `coarse_domain`).
   FluxRegister(const GridLevel& coarse, const GridLevel& fine,
-               const Box& coarse_domain, coord_t ratio, int ncomp);
+               const Box& coarse_domain, int ncomp);
 
   /// Record the coarse fluxes of one coarse step (call once, after the
   /// coarse level advanced).  `fluxes[i]` belongs to coarse patch i.
@@ -46,8 +45,8 @@ class FluxRegister {
   void add_fine(const std::vector<FaceFluxes>& fluxes, real_t dt_f);
 
   /// Apply the corrections to the coarse data.  `dx_c` is the coarse mesh
-  /// width (the flux convention makes A/V = 1/dx_c after the ratio-squared
-  /// area factor handled in add_fine).
+  /// width (the flux convention makes A/V = 1/dx_c after the
+  /// kRefinementRatio-squared area factor handled in add_fine).
   void apply(GridLevel& coarse, real_t dx_c) const;
 
   /// Number of registered coarse–fine boundary faces.
@@ -65,10 +64,8 @@ class FluxRegister {
 
   static key_t face_key(IntVec cell, int axis);
 
-  coord_t ratio_;
   int ncomp_;
   std::vector<Record> records_;
-  ExtendibleHash<std::size_t> index_;
 };
 
 }  // namespace ssamr

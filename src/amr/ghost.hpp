@@ -1,12 +1,14 @@
 #pragma once
 /// \file ghost.hpp
-/// Intra-level ghost-cell exchange: planning (who copies what to whom, and
-/// how many bytes that moves between owners) and execution.
+/// Intra-level ghost-cell exchange: planning (who copies what to whom) and
+/// execution.
 ///
-/// The plan is consumed twice: by the data path (actually copying cells so
-/// the solver sees its neighbours) and by the virtual-time executor (the
-/// bytes crossing ownership boundaries are the per-iteration communication
-/// volume of the paper's cost model).
+/// The plan feeds only the data path: it copies cells so the solver sees
+/// its neighbours.  The virtual-time executor does not read it.  It prices
+/// ghost traffic from the partition instead: `pairwise_comm_bytes`
+/// (partition/metrics.hpp) gives the bytes each rank pair exchanges, and
+/// `VirtualExecutor::ghost_flows` (sim/executor.hpp) caches them per
+/// partition.
 
 #include <vector>
 

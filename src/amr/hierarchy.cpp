@@ -10,7 +10,6 @@ namespace ssamr {
 GridHierarchy::GridHierarchy(const HierarchyConfig& cfg) : cfg_(cfg) {
   SSAMR_REQUIRE(!cfg.domain.empty(), "hierarchy needs a non-empty domain");
   SSAMR_REQUIRE(cfg.domain.level() == 0, "domain box must be at level 0");
-  SSAMR_REQUIRE(cfg.ratio >= 2, "refinement ratio must be >= 2");
   SSAMR_REQUIRE(cfg.max_levels >= 1, "need at least one level");
   SSAMR_REQUIRE(cfg.min_box_size >= 1, "min box size must be >= 1");
   levels_.emplace_back(0, cfg.ncomp, cfg.ghost);
@@ -20,7 +19,7 @@ GridHierarchy::GridHierarchy(const HierarchyConfig& cfg) : cfg_(cfg) {
 Box GridHierarchy::domain_at(level_t l) const {
   SSAMR_REQUIRE(l >= 0 && l < cfg_.max_levels, "level out of range");
   if (l == 0) return cfg_.domain;
-  return cfg_.domain.refined(cfg_.ratio, l);
+  return cfg_.domain.refined_by(l);
 }
 
 void GridHierarchy::set_level_boxes(level_t l, const BoxList& boxes) {
@@ -93,7 +92,7 @@ bool GridHierarchy::properly_nested(level_t l, const BoxList& boxes) const {
       levels_[static_cast<std::size_t>(l - 1)].box_list();
   std::vector<Box> parent_boxes(parents.begin(), parents.end());
   for (const Box& b : boxes) {
-    const Box coarse = b.coarsened(cfg_.ratio);
+    const Box coarse = b.coarsened();
     if (!box_difference(coarse, parent_boxes).empty()) return false;
   }
   return true;

@@ -15,8 +15,6 @@ namespace ssamr {
 struct HierarchyConfig {
   /// Domain at the coarsest level (level of the box must be 0).
   Box domain;
-  /// Refinement ratio between consecutive levels (paper: factor 2).
-  coord_t ratio = 2;
   /// Maximum number of levels including the base (paper: 3 levels of
   /// refinement over the base = 4 total; experiments use max_levels = 4).
   int max_levels = 4;

@@ -70,12 +70,12 @@ AuditReport validate_hierarchy(const GridHierarchy& h) {
         const IntVec lo = b.lo(), hi = b.hi();
         bool aligned = true;
         for (int d = 0; d < kDim; ++d)
-          aligned = aligned && lo[d] % cfg.ratio == 0 &&
-                    (hi[d] + 1) % cfg.ratio == 0;
+          aligned = aligned && lo[d] % kRefinementRatio == 0 &&
+                    (hi[d] + 1) % kRefinementRatio == 0;
         if (!aligned)
           r.add(Severity::Warning, "hierarchy.alignment", level_loc(l),
                 "box " + str(b) + " is not aligned to the refinement ratio " +
-                    std::to_string(cfg.ratio));
+                    std::to_string(kRefinementRatio));
         const IntVec ext = b.extent();
         if (std::min({ext.x, ext.y, ext.z}) < cfg.min_box_size)
           r.add(Severity::Warning, "hierarchy.min_box", level_loc(l),

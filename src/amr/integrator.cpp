@@ -35,8 +35,7 @@ BergerOliger::BergerOliger(GridHierarchy& hierarchy, const PatchOperator& op,
 
 real_t BergerOliger::dx_at(level_t l) const {
   real_t dx = cfg_.dx0;
-  for (level_t i = 0; i < l; ++i)
-    dx /= static_cast<real_t>(hier_.config().ratio);
+  for (level_t i = 0; i < l; ++i) dx /= static_cast<real_t>(kRefinementRatio);
   return dx;
 }
 
@@ -74,10 +73,10 @@ real_t BergerOliger::compute_dt() const {
         [&](std::size_t i) { return op_.max_wave_speed(lvl.patch(i)); },
         [](real_t a, real_t b) { return std::max(a, b); });
     if (speed <= 0) continue;
-    // A level-l step is dt0 / ratio^l; require cfl at every level.
+    // A level-l step is dt0 / kRefinementRatio^l; require cfl at every
+    // level.
     real_t scale = 1;
-    for (int i = 0; i < l; ++i)
-      scale *= static_cast<real_t>(hier_.config().ratio);
+    for (int i = 0; i < l; ++i) scale *= static_cast<real_t>(kRefinementRatio);
     dt0 = std::min(dt0, kCfl * dx_at(l) * scale / speed);
   }
   SSAMR_REQUIRE(std::isfinite(dt0),
@@ -102,8 +101,7 @@ real_t BergerOliger::advance_step() {
 
 void BergerOliger::fill_ghosts(int l) {
   GridLevel& lvl = hier_.level(l);
-  if (l > 0)
-    fill_coarse_fine_ghosts(hier_.level(l - 1), lvl, hier_.config().ratio);
+  if (l > 0) fill_coarse_fine_ghosts(hier_.level(l - 1), lvl);
   GhostPlan plan(lvl, hier_.domain_at(l), cfg_.bc);
   plan.exchange(lvl);
   plan.fill_physical(lvl);
@@ -121,8 +119,7 @@ void BergerOliger::advance_level(int l, real_t dt,
   std::unique_ptr<FluxRegister> reg;
   if (want_own_register)
     reg = std::make_unique<FluxRegister>(lvl, hier_.level(l + 1),
-                                         hier_.domain_at(l),
-                                         hier_.config().ratio, op_.ncomp());
+                                         hier_.domain_at(l), op_.ncomp());
 
   // Per-patch advance: ghosts are already filled and each kernel touches
   // only its own patch (and its flux slot), so patches run in parallel.
@@ -146,10 +143,10 @@ void BergerOliger::advance_level(int l, real_t dt,
   if (reg) reg->add_coarse(fluxes, dt);
 
   if (has_child) {
-    const coord_t r = hier_.config().ratio;
-    for (coord_t sub = 0; sub < r; ++sub)
-      advance_level(l + 1, dt / static_cast<real_t>(r), reg.get());
-    restrict_level(hier_.level(l + 1), lvl, r);
+    for (coord_t sub = 0; sub < kRefinementRatio; ++sub)
+      advance_level(l + 1, dt / static_cast<real_t>(kRefinementRatio),
+                    reg.get());
+    restrict_level(hier_.level(l + 1), lvl);
     if (reg) reg->apply(lvl, dx);
   }
 }
@@ -175,7 +172,7 @@ void BergerOliger::regrid_level_above(int l) {
   ClusterConfig ccfg = cfg_.cluster;
   ccfg.min_box_size =
       std::max<coord_t>(ccfg.min_box_size,
-                        hier_.config().min_box_size / hier_.config().ratio);
+                        hier_.config().min_box_size / kRefinementRatio);
   auto coarse_boxes = cluster_flags(buffered, l, ccfg);
   // Cluster bounding boxes can bridge gaps between disjoint parent
   // patches; clip against the parent union so the new level nests.
@@ -190,7 +187,7 @@ void BergerOliger::regrid_level_above(int l) {
   }
   BoxList fine_boxes;
   for (const Box& b : coarse_boxes)
-    fine_boxes.push_back(b.refined(hier_.config().ratio));
+    fine_boxes.push_back(b.refined());
 
   // Preserve data: remember the old level (if any), install the new boxes,
   // then fill by copy-overlap + prolongation.
@@ -203,7 +200,7 @@ void BergerOliger::regrid_level_above(int l) {
   // references taken before the call — re-acquire the parent, do not reuse
   // `parent` from above.
   GridLevel& fresh = hier_.level(l + 1);
-  prolong_level(hier_.level(l), fresh, hier_.config().ratio);
+  prolong_level(hier_.level(l), fresh);
   if (existed) copy_overlap(old_level, fresh);
 }
 

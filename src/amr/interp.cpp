@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "geom/box_algebra.hpp"
-#include "util/error.hpp"
 
 namespace ssamr {
 
@@ -37,16 +36,15 @@ real_t slope(const GridFunction& u, int c, IntVec cell, int axis,
 
 }  // namespace
 
-void prolong_region(const GridLevel& coarse, Patch& fine, const Box& region,
-                    coord_t ratio) {
-  SSAMR_REQUIRE(ratio >= 2, "ratio must be >= 2");
+void prolong_region(const GridLevel& coarse, Patch& fine, const Box& region) {
   GridFunction& uf = fine.data();
   for (coord_t k = region.lo().z; k <= region.hi().z; ++k) {
     for (coord_t j = region.lo().y; j <= region.hi().y; ++j) {
       for (coord_t i = region.lo().x; i <= region.hi().x; ++i) {
         if (!uf.storage_box().contains(IntVec(i, j, k))) continue;
-        const IntVec cc(floor_div(i, ratio), floor_div(j, ratio),
-                        floor_div(k, ratio));
+        const IntVec cc(floor_div(i, kRefinementRatio),
+                        floor_div(j, kRefinementRatio),
+                        floor_div(k, kRefinementRatio));
         const std::size_t pi = coarse.find_patch_containing(cc);
         if (pi == GridLevel::npos) continue;
         const GridFunction& uc = coarse.patch(pi).data();
@@ -54,16 +52,19 @@ void prolong_region(const GridLevel& coarse, Patch& fine, const Box& region,
         for (int c = 0; c < uf.ncomp(); ++c) {
           real_t v = uc(c, cc.x, cc.y, cc.z);
           // Offset of the fine cell centre from the coarse cell centre, in
-          // coarse-cell units: ((sub + 0.5) / ratio) - 0.5.
-          const real_t fx = (static_cast<real_t>(i - cc.x * ratio) + 0.5) /
-                                static_cast<real_t>(ratio) -
-                            0.5;
-          const real_t fy = (static_cast<real_t>(j - cc.y * ratio) + 0.5) /
-                                static_cast<real_t>(ratio) -
-                            0.5;
-          const real_t fz = (static_cast<real_t>(k - cc.z * ratio) + 0.5) /
-                                static_cast<real_t>(ratio) -
-                            0.5;
+          // coarse-cell units: ((sub + 0.5) / kRefinementRatio) - 0.5.
+          const real_t fx =
+              (static_cast<real_t>(i - cc.x * kRefinementRatio) + 0.5) /
+                  static_cast<real_t>(kRefinementRatio) -
+              0.5;
+          const real_t fy =
+              (static_cast<real_t>(j - cc.y * kRefinementRatio) + 0.5) /
+                  static_cast<real_t>(kRefinementRatio) -
+              0.5;
+          const real_t fz =
+              (static_cast<real_t>(k - cc.z * kRefinementRatio) + 0.5) /
+                  static_cast<real_t>(kRefinementRatio) -
+              0.5;
           v += fx * slope(uc, c, cc, 0, cb) + fy * slope(uc, c, cc, 1, cb) +
                fz * slope(uc, c, cc, 2, cb);
           uf(c, i, j, k) = v;
@@ -73,10 +74,8 @@ void prolong_region(const GridLevel& coarse, Patch& fine, const Box& region,
   }
 }
 
-void prolong_level(const GridLevel& coarse, GridLevel& fine_lvl,
-                   coord_t ratio) {
-  for (Patch& p : fine_lvl.patches())
-    prolong_region(coarse, p, p.box(), ratio);
+void prolong_level(const GridLevel& coarse, GridLevel& fine_lvl) {
+  for (Patch& p : fine_lvl.patches()) prolong_region(coarse, p, p.box());
 }
 
 void copy_overlap(const GridLevel& old_lvl, GridLevel& fine_lvl) {
@@ -88,26 +87,24 @@ void copy_overlap(const GridLevel& old_lvl, GridLevel& fine_lvl) {
   }
 }
 
-void fill_coarse_fine_ghosts(const GridLevel& coarse, GridLevel& fine_lvl,
-                             coord_t ratio) {
+void fill_coarse_fine_ghosts(const GridLevel& coarse, GridLevel& fine_lvl) {
   for (Patch& p : fine_lvl.patches()) {
     const Box ghost_box = p.box().grown(p.data().ghost());
     // Prolong only the ghost shell (grown box minus interior); cells that
     // sibling patches cover will be overwritten by the subsequent
     // intra-level exchange with the exact fine values.
     for (const Box& shell : box_difference(ghost_box, p.box()))
-      prolong_region(coarse, p, shell, ratio);
+      prolong_region(coarse, p, shell);
   }
 }
 
-void restrict_level(const GridLevel& fine_lvl, GridLevel& coarse,
-                    coord_t ratio) {
-  SSAMR_REQUIRE(ratio >= 2, "ratio must be >= 2");
-  const real_t inv = 1.0 / static_cast<real_t>(ratio * ratio * ratio);
+void restrict_level(const GridLevel& fine_lvl, GridLevel& coarse) {
+  constexpr coord_t r = kRefinementRatio;
+  const real_t inv = 1.0 / static_cast<real_t>(r * r * r);
   for (Patch& cp : coarse.patches()) {
     GridFunction& uc = cp.data();
     for (const Patch& fp : fine_lvl.patches()) {
-      const Box shadow = fp.box().coarsened(ratio).intersection(cp.box());
+      const Box shadow = fp.box().coarsened().intersection(cp.box());
       if (shadow.empty()) continue;
       const GridFunction& uf = fp.data();
       for (int c = 0; c < uc.ncomp(); ++c) {
@@ -115,11 +112,10 @@ void restrict_level(const GridLevel& fine_lvl, GridLevel& coarse,
           for (coord_t j = shadow.lo().y; j <= shadow.hi().y; ++j) {
             for (coord_t i = shadow.lo().x; i <= shadow.hi().x; ++i) {
               real_t sum = 0;
-              for (coord_t dk = 0; dk < ratio; ++dk)
-                for (coord_t dj = 0; dj < ratio; ++dj)
-                  for (coord_t di = 0; di < ratio; ++di)
-                    sum += uf(c, i * ratio + di, j * ratio + dj,
-                              k * ratio + dk);
+              for (coord_t dk = 0; dk < r; ++dk)
+                for (coord_t dj = 0; dj < r; ++dj)
+                  for (coord_t di = 0; di < r; ++di)
+                    sum += uf(c, i * r + di, j * r + dj, k * r + dk);
               uc(c, i, j, k) = sum * inv;
             }
           }

@@ -14,10 +14,11 @@
 ///   * Determinism: equal (config, center) always produces the identical
 ///     particle set (util/rng.hpp, fixed draw order).
 ///   * Exact additivity: a particle lies in a level-l box iff its scaled
-///     position p * ratio^l falls in the box's half-open index interval
-///     [lo, hi+1) per dimension.  Splitting a box partitions that integer
-///     interval, so counts over split pieces sum to the parent's count
-///     exactly — particle work is conserved bit-for-bit under splitting.
+///     position p * kRefinementRatio^l falls in the box's half-open index
+///     interval [lo, hi+1) per dimension.  Splitting a box partitions that
+///     integer interval, so counts over split pieces sum to the parent's
+///     count exactly — particle work is conserved bit-for-bit under
+///     splitting.
 ///
 /// Counting is sublinear: the field keeps its particles grouped into the
 /// buckets of a uniform grid over the cloud, each with the tight per-axis
@@ -26,7 +27,7 @@
 /// monotone in IEEE arithmetic, so a bucket whose scaled bounds lie inside
 /// (or outside) the interval holds only particles that the per-particle
 /// test accepts (or rejects): counts equal a scan of every particle, at
-/// every level and ratio.
+/// every level.
 ///
 /// A cloud is drawn and indexed once and then placed: along x the field
 /// keeps each particle's draw offset t = sigma_x * n from the center, and
@@ -86,9 +87,9 @@ class ParticleField {
   void place(real_t center_x);
 
   /// Number of particles inside box `b` (level `b.level()`, refinement
-  /// `ratio` between levels) at the current placement.  Exactly additive
-  /// over same-level splits.
-  std::int64_t count_in(const Box& b, coord_t ratio) const;
+  /// kRefinementRatio between levels) at the current placement.  Exactly
+  /// additive over same-level splits.
+  std::int64_t count_in(const Box& b) const;
 
   std::int64_t size() const {
     return static_cast<std::int64_t>(pos_[0].size());

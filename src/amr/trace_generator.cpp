@@ -24,7 +24,6 @@ SyntheticAmrTrace::SyntheticAmrTrace(TraceConfig cfg) : cfg_(cfg) {
   SSAMR_REQUIRE(!cfg.domain.empty(), "trace needs a non-empty domain");
   SSAMR_REQUIRE(cfg.domain.level() == 0, "trace domain must be level 0");
   SSAMR_REQUIRE(cfg.max_levels >= 1, "need at least one level");
-  SSAMR_REQUIRE(cfg.ratio >= 2, "ratio must be >= 2");
   SSAMR_REQUIRE(cfg.band_halfwidth > 0, "band half-width must be positive");
   // std::clamp passes NaN through, so a non-finite band edge would reach
   // the integer casts in boxes_at_epoch.
@@ -66,7 +65,7 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
   for (int l = 0; l + 1 < cfg_.max_levels; ++l) {
     // Flag cells of level l within the perturbed band around the interface.
     coord_t scale = 1;
-    for (int i = 0; i < l; ++i) scale *= cfg_.ratio;
+    for (int i = 0; i < l; ++i) scale *= kRefinementRatio;
     const real_t nx = static_cast<real_t>(ext0.x * scale);
     const real_t ny = static_cast<real_t>(ext0.y * scale);
     const real_t nz = static_cast<real_t>(ext0.z * scale);
@@ -141,7 +140,7 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
     clipped = coalesce(std::move(clipped));
     std::vector<Box> next_union;
     for (const Box& b : clipped) {
-      const Box fine = b.refined(cfg_.ratio);
+      const Box fine = b.refined();
       out.push_back(fine);
       next_union.push_back(fine);
     }

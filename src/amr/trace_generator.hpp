@@ -26,7 +26,6 @@ namespace ssamr {
 struct TraceConfig {
   /// Base-level domain (paper: 128×32×32).
   Box domain = Box::from_extent(IntVec(0, 0, 0), IntVec(128, 32, 32), 0);
-  coord_t ratio = 2;
   /// Total levels including the base (paper: base + 3 refinements = 4).
   int max_levels = 4;
   /// Initial interface position as a fraction of the domain x-extent.

@@ -3,17 +3,17 @@
 /// Computational work estimation for SAMR box lists.
 ///
 /// Under Berger–Oliger subcycling a level-ℓ grid is updated r^ℓ times per
-/// coarsest timestep, so its load per coarse step is cells · r^ℓ (§3.1 of
-/// the paper: refined grids "not only have a larger number of grid elements
-/// but are also updated more frequently").  The partitioners distribute
-/// exactly this quantity.
+/// coarsest timestep (r = kRefinementRatio, geom/box.hpp), so its load per
+/// coarse step is cells · r^ℓ (§3.1 of the paper: refined grids "not only
+/// have a larger number of grid elements but are also updated more
+/// frequently").  The partitioners distribute exactly this quantity.
 ///
 /// The model is dual-constraint (AMReX load-balancing study, PAPERS.md):
 /// a box's cost is its cell-update cost plus the cost of the particles it
 /// covers, both priced in `Work` units:
 ///
-///   cost(b) = cells(b) · ratio^level
-///           + particles_in(b) · ratio^level · cost_per_particle
+///   cost(b) = cells(b) · kRefinementRatio^level
+///           + particles_in(b) · kRefinementRatio^level · cost_per_particle
 ///
 /// One cell update is one `Work` unit; node speeds (NodeSpec::peak_rate)
 /// carry every other scale.
@@ -36,8 +36,6 @@ namespace ssamr {
 
 /// Work model parameters.
 struct WorkModel {
-  /// Refinement ratio between levels.
-  coord_t ratio = 2;
   /// Work units per particle update; only priced when a particle field is
   /// attached.
   Work cost_per_particle{0.0};
@@ -52,15 +50,9 @@ struct WorkModel {
   }
 };
 
-/// Dual-constraint cost of one box per coarsest timestep.
-Work box_cost(const Box& b, const WorkModel& m);
-
-/// Total cost of a box list.
-Work total_cost(const BoxList& boxes, const WorkModel& m);
-
-/// Work of one box per coarsest timestep: cells · ratio^level (+ particle
-/// term when a field is attached).  Raw-valued view of
-/// box_cost for the partitioner arithmetic.
+/// Dual-constraint work of one box per coarsest timestep, in `Work` units:
+/// cells · kRefinementRatio^level (+ the particle term when a field is
+/// attached).
 real_t box_work(const Box& b, const WorkModel& m);
 
 /// Total work of a box list.

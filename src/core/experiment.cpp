@@ -2,8 +2,10 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ssamr::exp {
 
@@ -52,7 +54,6 @@ int run_iterations(int default_iters) {
 TraceConfig paper_trace_config() {
   TraceConfig cfg;
   cfg.domain = Box::from_extent(IntVec(0, 0, 0), IntVec(128, 32, 32), 0);
-  cfg.ratio = 2;
   cfg.max_levels = 4;  // base + 3 levels of factor-2 refinement
   cfg.interface_x0 = 0.25;
   cfg.speed = 0.03;
@@ -167,6 +168,50 @@ void apply_dynamic_loads(Cluster& cluster, real_t timescale_s) {
 
 namespace {
 
+/// Peak-rate multipliers of the scale sweep's nodes, repeating every four
+/// ranks.
+constexpr real_t kScaleMultipliers[] = {1.0, 0.75, 1.5, 1.25};
+
+}  // namespace
+
+Cluster scale_cluster(int nprocs) {
+  return Cluster::heterogeneous(
+      nprocs, {std::begin(kScaleMultipliers), std::end(kScaleMultipliers)});
+}
+
+BoxList scale_lattice(int nprocs) {
+  const std::int64_t nboxes = 4 * static_cast<std::int64_t>(nprocs);
+  coord_t side = 1;
+  while (static_cast<std::int64_t>(side) * side * side < nboxes) ++side;
+  BoxList boxes;
+  std::int64_t placed = 0;
+  for (coord_t k = 0; k < side && placed < nboxes; ++k)
+    for (coord_t j = 0; j < side && placed < nboxes; ++j)
+      for (coord_t i = 0; i < side && placed < nboxes; ++i) {
+        boxes.push_back(Box::from_extent(IntVec(i * 8, j * 8, k * 8),
+                                         IntVec(8, 8, 8), 0));
+        if (placed % 8 == 0)
+          boxes.push_back(Box::from_extent(
+              IntVec(i * 16, j * 16, k * 16), IntVec(8, 8, 4), 1));
+        ++placed;
+      }
+  return boxes;
+}
+
+std::vector<real_t> scale_capacities(int nprocs) {
+  Rng rng(0x5ca1e);
+  std::vector<real_t> caps(static_cast<std::size_t>(nprocs));
+  real_t sum = 0;
+  for (std::size_t k = 0; k < caps.size(); ++k) {
+    caps[k] = kScaleMultipliers[k % 4] * rng.uniform(0.9, 1.1);
+    sum += caps[k];
+  }
+  for (real_t& c : caps) c /= sum;
+  return caps;
+}
+
+namespace {
+
 /// Process-wide model selection (bench drivers pick once in main()).
 ExecModelKind g_exec_model = ExecModelKind::kBsp;
 bool g_exec_model_forced = false;
@@ -209,7 +254,6 @@ RuntimeConfig paper_runtime_config(int iterations, int sensing_interval) {
   cfg.regrid_interval = 5;
   cfg.sensing.interval = sensing_interval;
   cfg.weights = CapacityWeights::equal();
-  cfg.work.ratio = 2;
   cfg.monitor.probe_cost_s = Seconds{1.0};
   cfg.monitor.noise.cpu_sigma = 0.05;
   cfg.monitor.noise.memory_sigma = 0.02;

@@ -62,6 +62,21 @@ void apply_static_loads(Cluster& cluster);
 /// times on two of every four nodes.
 void apply_dynamic_loads(Cluster& cluster, real_t timescale_s);
 
+/// The scale sweep's cluster (exp_scale; EXPERIMENTS.md, scale sweep):
+/// node peak rates repeat the multipliers 1, 0.75, 1.5, 1.25.
+Cluster scale_cluster(int nprocs);
+
+/// The scale sweep's workload: four 8³ level-0 boxes per rank on a
+/// cube-ish lattice, every eighth box carrying a half-depth level-1 child.
+/// Linear in P, fixed per-rank shape.
+BoxList scale_lattice(int nprocs);
+
+/// The scale sweep's relative capacities: each node's peak-rate multiplier
+/// (as in scale_cluster) with a ±10 % jitter from a fixed seed,
+/// normalized.  The t = 0 Eq. 1 capacities would be uniform, since Eq. 1
+/// does not sense peak rate.
+std::vector<real_t> scale_capacities(int nprocs);
+
 /// Baseline runtime configuration of the paper runs.  Uses the execution
 /// model selected via select_exec_model()/set_exec_model() (default: BSP,
 /// which reproduces the golden CSVs bit-for-bit).

@@ -63,14 +63,13 @@ Box Box::shifted(IntVec offset) const {
   return Box(lo_ + offset, hi_ + offset, level_);
 }
 
-Box Box::refined(coord_t ratio, int levels_up) const {
-  SSAMR_REQUIRE(ratio >= 2, "refinement ratio must be >= 2");
-  SSAMR_REQUIRE(levels_up >= 1, "levels_up must be >= 1");
-  if (empty()) return Box(lo_, hi_, level_ + levels_up);
+Box Box::refined_by(int levels) const {
+  SSAMR_REQUIRE(levels >= 1, "levels must be >= 1");
+  if (empty()) return Box(lo_, hi_, level_ + levels);
   coord_t r = 1;
-  for (int i = 0; i < levels_up; ++i) r *= ratio;
+  for (int i = 0; i < levels; ++i) r *= kRefinementRatio;
   return Box(lo_ * r, (hi_ + IntVec::splat(1)) * r - IntVec::splat(1),
-             level_ + levels_up);
+             level_ + levels);
 }
 
 namespace {
@@ -81,14 +80,15 @@ coord_t floor_div(coord_t a, coord_t b) {
 }
 }  // namespace
 
-Box Box::coarsened(coord_t ratio) const {
-  SSAMR_REQUIRE(ratio >= 2, "refinement ratio must be >= 2");
+Box Box::coarsened() const {
   SSAMR_REQUIRE(level_ >= 1, "cannot coarsen a level-0 box");
   if (empty()) return Box(lo_, hi_, level_ - 1);
-  const IntVec lo(floor_div(lo_.x, ratio), floor_div(lo_.y, ratio),
-                  floor_div(lo_.z, ratio));
-  const IntVec hi(floor_div(hi_.x, ratio), floor_div(hi_.y, ratio),
-                  floor_div(hi_.z, ratio));
+  const IntVec lo(floor_div(lo_.x, kRefinementRatio),
+                  floor_div(lo_.y, kRefinementRatio),
+                  floor_div(lo_.z, kRefinementRatio));
+  const IntVec hi(floor_div(hi_.x, kRefinementRatio),
+                  floor_div(hi_.y, kRefinementRatio),
+                  floor_div(hi_.z, kRefinementRatio));
   return Box(lo, hi, level_ - 1);
 }
 

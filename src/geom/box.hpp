@@ -16,6 +16,10 @@
 
 namespace ssamr {
 
+/// Refinement ratio between consecutive levels: a level-l cell splits into
+/// kRefinementRatio cells per direction at level l+1 (paper: factor 2).
+inline constexpr coord_t kRefinementRatio = 2;
+
 /// A rectilinear region of cells at one refinement level.
 ///
 /// Bounds are inclusive: the box covers cells lo..hi in each direction.
@@ -66,13 +70,17 @@ class Box {
   /// Translate by the given offset.
   Box shifted(IntVec offset) const;
 
-  /// Map to the index space `levels_up` levels finer (each cell becomes
-  /// ratio^levels_up cells per direction).
-  Box refined(coord_t ratio, int levels_up = 1) const;
+  /// Map to the index space one level finer (each cell becomes
+  /// kRefinementRatio cells per direction).
+  Box refined() const { return refined_by(1); }
+
+  /// Map to the index space `levels` levels finer (each cell becomes
+  /// kRefinementRatio^levels cells per direction).
+  Box refined_by(int levels) const;
 
   /// Map to the index space one level coarser (floor/ceil so the coarse box
   /// covers the fine one).
-  Box coarsened(coord_t ratio) const;
+  Box coarsened() const;
 
   /// Direction with the largest extent (ties broken toward x).
   int longest_axis() const;

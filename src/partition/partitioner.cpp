@@ -16,14 +16,14 @@ namespace {
 
 /// Work of one index-space plane of `b` perpendicular to `axis`, cells
 /// only — valid when the model has no particle term.
-real_t plane_work(const Box& b, int axis, const WorkModel& work) {
+real_t plane_work(const Box& b, int axis) {
   const IntVec e = b.extent();
   std::int64_t cells_per_plane = 1;
   for (int d = 0; d < kDim; ++d)
     if (d != axis) cells_per_plane *= e[d];
   real_t updates = 1;
   for (level_t l = 0; l < b.level(); ++l)
-    updates *= static_cast<real_t>(work.ratio);
+    updates *= static_cast<real_t>(kRefinementRatio);
   return static_cast<real_t>(cells_per_plane) * updates;
 }
 
@@ -73,7 +73,7 @@ Cut planes_for_target(const Box& b, real_t whole_work, int axis,
     return cut;
   }
 
-  const real_t pw = plane_work(b, axis, work);
+  const real_t pw = plane_work(b, axis);
   if (!(pw > 0)) return {};
   // Clamp in floating point BEFORE converting: target_work / pw can exceed
   // the range of coord_t (huge targets, tiny per-plane work), and casting
@@ -187,7 +187,7 @@ std::optional<WorkSplit> split_for_work(
     if (cut.planes == 0) continue;
     const real_t piece = work.has_particles()
                              ? cut.first_work
-                             : plane_work(b, axis, work) *
+                             : plane_work(b, axis) *
                                    static_cast<real_t>(cut.planes);
     real_t err = std::abs(piece - target_work);
     // Penalize overshoot slightly: undershoot leaves the remainder for the

@@ -17,7 +17,8 @@ key_t sfc_box_key(const Box& b, const SfcConfig& cfg) {
   // scaled to the finest index space (also in half-cells, so rounding cannot
   // collapse distinct centroids).
   coord_t scale = 1;
-  for (level_t l = b.level(); l < cfg.finest_level; ++l) scale *= cfg.ratio;
+  for (level_t l = b.level(); l < cfg.finest_level; ++l)
+    scale *= kRefinementRatio;
   const IntVec c2 = b.lo() + b.hi() + IntVec::splat(1);  // 2 * centroid
   IntVec p(c2.x * scale / 2, c2.y * scale / 2, c2.z * scale / 2);
   if (cfg.curve == CurveKind::Morton) return morton_encode(p);

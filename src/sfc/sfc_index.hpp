@@ -22,8 +22,6 @@ enum class CurveKind { Morton, Hilbert };
 /// Parameters for composite SFC ordering.
 struct SfcConfig {
   CurveKind curve = CurveKind::Hilbert;
-  /// Refinement ratio between consecutive levels.
-  coord_t ratio = 2;
   /// The finest level that must be representable (keys are computed in this
   /// level's index space).
   level_t finest_level = 3;

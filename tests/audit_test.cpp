@@ -237,7 +237,6 @@ TEST(ValidatePartition, WarnsOnLoadFarFromTarget) {
 HierarchyConfig small_hierarchy_config() {
   HierarchyConfig cfg;
   cfg.domain = Box::from_extent(IntVec(0, 0, 0), IntVec(32, 32, 32), 0);
-  cfg.ratio = 2;
   cfg.max_levels = 3;
   cfg.ncomp = 1;
   cfg.ghost = 2;

@@ -279,7 +279,6 @@ TraceConfig fuzz_trace_config(Rng& rng) {
   const IntVec ext(rng.uniform_int(8, 32), rng.uniform_int(2, 12),
                    rng.uniform_int(1, 8));
   cfg.domain = Box::from_extent(lo, ext, 0);
-  cfg.ratio = rng.uniform_int(2, 4);
   cfg.max_levels = static_cast<int>(rng.uniform_int(1, 5));
   const real_t extreme[] = {1e6, 1e19, 1e300};
   const bool wide = rng.uniform() < 0.1;
@@ -298,7 +297,7 @@ TraceConfig fuzz_trace_config(Rng& rng) {
   cfg.cluster = fuzz_cluster_config(rng);
   const auto finest = [&cfg](int dims) {
     std::int64_t s = 1;
-    for (int l = 1; l < cfg.max_levels; ++l) s *= cfg.ratio;
+    for (int l = 1; l < cfg.max_levels; ++l) s *= kRefinementRatio;
     std::int64_t n = cfg.domain.extent().y * cfg.domain.extent().z * s * s;
     if (dims == 3) n *= cfg.domain.extent().x * s;
     return n;

@@ -15,18 +15,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/ssamr.hpp"
+#include "core/experiment.hpp"
 #include "partition/distributed_sfc.hpp"
 #include "sim/event_executor.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ssamr {
@@ -218,43 +216,6 @@ TEST(ExecModel, EventHeterogeneousBeatsDefaultUnderLoad) {
   EXPECT_LT(t_het.total_time, t_def.total_time);
 }
 
-constexpr real_t kScaleMultipliers[] = {1.0, 0.75, 1.5, 1.25};
-
-/// exp_scale's lattice: four 8³ level-0 boxes per rank on a cube-ish grid,
-/// every eighth carrying a half-depth refined child.
-BoxList scale_lattice(int nprocs) {
-  const std::int64_t nboxes = 4 * static_cast<std::int64_t>(nprocs);
-  coord_t side = 1;
-  while (static_cast<std::int64_t>(side) * side * side < nboxes) ++side;
-  BoxList boxes;
-  std::int64_t placed = 0;
-  for (coord_t k = 0; k < side && placed < nboxes; ++k)
-    for (coord_t j = 0; j < side && placed < nboxes; ++j)
-      for (coord_t i = 0; i < side && placed < nboxes; ++i) {
-        boxes.push_back(Box::from_extent(IntVec(i * 8, j * 8, k * 8),
-                                         IntVec(8, 8, 8), 0));
-        if (placed % 8 == 0)
-          boxes.push_back(Box::from_extent(IntVec(i * 16, j * 16, k * 16),
-                                           IntVec(8, 8, 4), 1));
-        ++placed;
-      }
-  return boxes;
-}
-
-/// exp_scale's capacities: each node's peak-rate multiplier with a ±10 %
-/// jitter from its fixed seed, normalized.
-std::vector<real_t> scale_capacities(int nprocs) {
-  Rng rng(0x5ca1e);
-  std::vector<real_t> caps(static_cast<std::size_t>(nprocs));
-  real_t sum = 0;
-  for (std::size_t k = 0; k < caps.size(); ++k) {
-    caps[k] = kScaleMultipliers[k % 4] * rng.uniform(0.9, 1.1);
-    sum += caps[k];
-  }
-  for (real_t& c : caps) c /= sum;
-  return caps;
-}
-
 std::uint64_t bits(Seconds s) {
   return std::bit_cast<std::uint64_t>(s.value());
 }
@@ -265,16 +226,15 @@ TEST(ExecModel, DirectEventExecutorPricesLikeTheFactoryOneWithoutSpans) {
   // advances.  The directly built executor drops spans; nothing it
   // returns may differ from the span-keeping one the factory builds.
   constexpr int kProcs = 64;
-  const Cluster cluster = Cluster::heterogeneous(
-      kProcs, {std::begin(kScaleMultipliers), std::end(kScaleMultipliers)});
+  const Cluster cluster = exp::scale_cluster(kProcs);
   const ExecutorConfig cfg;
   sim::EventExecutor direct(cluster, cfg);
   const std::unique_ptr<ExecutionModel> built =
       make_execution_model(ExecModelKind::kEvent, cluster, cfg);
   auto& factory = dynamic_cast<sim::EventExecutor&>(*built);
 
-  const BoxList boxes = scale_lattice(kProcs);
-  std::vector<real_t> caps = scale_capacities(kProcs);
+  const BoxList boxes = exp::scale_lattice(kProcs);
+  std::vector<real_t> caps = exp::scale_capacities(kProcs);
   const DistributedSfcPartitioner partitioner(SfcConfig{}, /*shards=*/64);
   const WorkModel work;
   PartitionResult current = partitioner.partition(boxes, caps, work);

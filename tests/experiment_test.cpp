@@ -112,7 +112,6 @@ TEST(Experiment, PaperTraceIsPaperScale) {
   const TraceConfig cfg = exp::paper_trace_config();
   EXPECT_EQ(cfg.domain.extent(), IntVec(128, 32, 32));
   EXPECT_EQ(cfg.max_levels, 4);  // 3 levels of factor-2 refinement
-  EXPECT_EQ(cfg.ratio, 2);
   SyntheticAmrTrace t(cfg);
   const BoxList b0 = t.boxes_at_epoch(0);
   EXPECT_GT(b0.size(), 3u);
@@ -124,6 +123,69 @@ TEST(Experiment, PaperClusterIsFastEthernet) {
   EXPECT_EQ(c.size(), 4);
   EXPECT_DOUBLE_EQ(c.spec(0).bandwidth_mbps.value(), 100.0);
   EXPECT_EQ(c.spec(0).peak_rate, c.spec(3).peak_rate);
+}
+
+TEST(Experiment, ScaleLatticeHasFourBoxesPerRank) {
+  for (const int nprocs : {1, 3, 4, 7, 64}) {
+    const BoxList boxes = exp::scale_lattice(nprocs);
+    std::size_t base = 0, children = 0;
+    for (const Box& b : boxes) {
+      if (b.level() == 0) {
+        ++base;
+        EXPECT_EQ(b.extent(), IntVec(8, 8, 8)) << b;
+      } else {
+        ++children;
+        EXPECT_EQ(b.level(), 1) << b;
+        EXPECT_EQ(b.extent(), IntVec(8, 8, 4)) << b;
+      }
+    }
+    const std::size_t nboxes = 4 * static_cast<std::size_t>(nprocs);
+    EXPECT_EQ(base, nboxes) << nprocs << " ranks";
+    EXPECT_EQ(children, (nboxes + 7) / 8) << nprocs << " ranks";
+    EXPECT_FALSE(boxes.has_overlap()) << nprocs << " ranks";
+  }
+}
+
+TEST(Experiment, ScaleLatticeChildrenNestInsideTheirParents) {
+  // Each child follows the level-0 box it refines, inside it.
+  const BoxList boxes = exp::scale_lattice(64);
+  ASSERT_FALSE(boxes.empty());
+  EXPECT_EQ(boxes[0].level(), 0);
+  for (std::size_t i = 1; i < boxes.size(); ++i) {
+    if (boxes[i].level() == 0) continue;
+    ASSERT_EQ(boxes[i - 1].level(), 0) << boxes[i];
+    EXPECT_TRUE(boxes[i - 1].contains(boxes[i].coarsened())) << boxes[i];
+  }
+}
+
+TEST(Experiment, ScaleCapacitiesAreNormalizedJitteredMultipliers) {
+  constexpr real_t kMultipliers[] = {1.0, 0.75, 1.5, 1.25};
+  const auto caps = exp::scale_capacities(64);
+  ASSERT_EQ(caps.size(), 64u);
+  EXPECT_NEAR(std::accumulate(caps.begin(), caps.end(), 0.0), 1.0, 1e-12);
+  // Node k's share over node 0's is its multiplier ratio times a jitter
+  // ratio within [0.9/1.1, 1.1/0.9].
+  for (std::size_t k = 1; k < caps.size(); ++k) {
+    const real_t jitter = (caps[k] / caps[0]) / kMultipliers[k % 4];
+    EXPECT_GE(jitter, 0.9 / 1.1) << k;
+    EXPECT_LE(jitter, 1.1 / 0.9) << k;
+  }
+  EXPECT_EQ(exp::scale_capacities(64), caps);  // fixed seed
+  // Every rank count draws the same stream: a smaller sweep's capacities
+  // are a rescaled prefix of a larger one's.
+  const auto small = exp::scale_capacities(8);
+  for (std::size_t k = 1; k < small.size(); ++k)
+    EXPECT_NEAR(small[k] / small[0], caps[k] / caps[0], 1e-12) << k;
+}
+
+TEST(Experiment, ScaleClusterRepeatsTheMultipliers) {
+  constexpr real_t kMultipliers[] = {1.0, 0.75, 1.5, 1.25};
+  const Cluster c = exp::scale_cluster(10);
+  ASSERT_EQ(c.size(), 10);
+  for (int k = 0; k < c.size(); ++k)
+    EXPECT_DOUBLE_EQ(c.spec(k).peak_rate.value() / c.spec(0).peak_rate.value(),
+                     kMultipliers[k % 4])
+        << k;
 }
 
 TEST(Experiment, StaticLoadsDifferentiateNodes) {

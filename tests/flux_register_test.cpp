@@ -25,7 +25,7 @@ TEST(FluxRegister, CountsBoundaryFacesOfAnInteriorBox) {
   fine.add_patch(Box::from_extent(IntVec(8, 8, 8), IntVec(8, 8, 8), 1));
   FluxRegister reg(coarse, fine,
                    Box::from_extent(IntVec(0, 0, 0), IntVec(16, 16, 16), 0),
-                   2, 1);
+                   1);
   EXPECT_EQ(reg.num_faces(), 6u * 16u);  // 6 faces of a 4x4x4 cube
 }
 
@@ -36,8 +36,7 @@ TEST(FluxRegister, DomainBoundaryFacesAreNotRegistered) {
   // Fine region touches the low-x domain face.
   fine.add_patch(Box::from_extent(IntVec(0, 4, 4), IntVec(8, 8, 8), 1));
   FluxRegister reg(coarse, fine,
-                   Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0), 2,
-                   1);
+                   Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0), 1);
   // Coarsened box is 4x4x4 at (0,2,2): one x-face is on the domain
   // boundary, so only 5 sides x 16 faces remain.
   EXPECT_EQ(reg.num_faces(), 5u * 16u);
@@ -52,9 +51,97 @@ TEST(FluxRegister, InternalFacesBetweenFineBoxesExcluded) {
   fine.add_patch(Box::from_extent(IntVec(16, 8, 8), IntVec(8, 8, 8), 1));
   FluxRegister reg(coarse, fine,
                    Box::from_extent(IntVec(0, 0, 0), IntVec(16, 16, 16), 0),
-                   2, 1);
+                   1);
   // Coarsened slab 8x4x4: surface = 2*(4*4) + 2*(8*4) + 2*(8*4) = 160.
   EXPECT_EQ(reg.num_faces(), 160u);
+}
+
+TEST(FluxRegister, OverlappingShadowsRegisterEachFaceOnce) {
+  GridLevel coarse(0, 1, 1);
+  coarse.add_patch(Box::from_extent(IntVec(0, 0, 0), IntVec(16, 16, 16), 0));
+  GridLevel fine(1, 1, 1);
+  // Odd x bounds: the fine boxes cover fine x in [8,10] and [11,15], so
+  // both coarsened shadows hold the coarse plane x = 5, and the y and z
+  // faces around that plane border both shadows.
+  fine.add_patch(Box::from_extent(IntVec(8, 8, 8), IntVec(3, 8, 8), 1));
+  fine.add_patch(Box::from_extent(IntVec(11, 8, 8), IntVec(5, 8, 8), 1));
+  FluxRegister reg(coarse, fine,
+                   Box::from_extent(IntVec(0, 0, 0), IntVec(16, 16, 16), 0),
+                   1);
+  // The shadows' union is the 4x4x4 cube at (4,4,4): 6 sides x 16 faces.
+  EXPECT_EQ(reg.num_faces(), 6u * 16u);
+}
+
+TEST(FluxRegister, FacesWithoutACoarseNeighbourAreNotRegistered) {
+  GridLevel coarse(0, 1, 1);
+  // The coarse level stops at x = 7, inside the 16^3 domain.
+  coarse.add_patch(Box::from_extent(IntVec(0, 0, 0), IntVec(8, 16, 16), 0));
+  GridLevel fine(1, 1, 1);
+  fine.add_patch(Box::from_extent(IntVec(8, 8, 8), IntVec(8, 8, 8), 1));
+  FluxRegister reg(coarse, fine,
+                   Box::from_extent(IntVec(0, 0, 0), IntVec(16, 16, 16), 0),
+                   1);
+  // The shadow [4,7]^3 ends at the coarse level's edge: its high-x
+  // neighbours (x = 8) lie in no coarse patch, so 5 sides x 16 faces.
+  EXPECT_EQ(reg.num_faces(), 5u * 16u);
+}
+
+/// One coarse step of the register around the interior fine box of
+/// CountsBoundaryFacesOfAnInteriorBox: every coarse face carries flux
+/// `coarse_flux` for dt 1, every fine face `fine_flux` over two subcycles
+/// of dt 1/2; returns the coarse level after apply (data zero before).
+GridLevel reflux_interior_box(real_t coarse_flux, real_t fine_flux) {
+  const Box domain = Box::from_extent(IntVec(0, 0, 0), IntVec(16, 16, 16), 0);
+  GridLevel coarse(0, 1, 1);
+  coarse.add_patch(domain);
+  GridLevel fine(1, 1, 1);
+  fine.add_patch(Box::from_extent(IntVec(8, 8, 8), IntVec(8, 8, 8), 1));
+  FluxRegister reg(coarse, fine, domain, 1);
+  std::vector<FaceFluxes> cf{FaceFluxes(coarse.patch(0).box(), 1)};
+  std::vector<FaceFluxes> ff{FaceFluxes(fine.patch(0).box(), 1)};
+  for (int d = 0; d < kDim; ++d) {
+    cf[0].flux(d).fill(coarse_flux);
+    ff[0].flux(d).fill(fine_flux);
+  }
+  reg.add_coarse(cf, 1.0);
+  reg.add_fine(ff, 0.5);
+  reg.add_fine(ff, 0.5);
+  reg.apply(coarse, 1.0);
+  return coarse;
+}
+
+TEST(FluxRegister, MatchingFluxesLeaveCoarseDataUnchanged) {
+  // kRefinementRatio^2 fine faces per coarse face, each weighted by
+  // 1/kRefinementRatio^2, over subcycles summing to the coarse dt: equal
+  // fluxes cancel exactly.
+  const GridLevel coarse = reflux_interior_box(1.0, 1.0);
+  for (const real_t v : coarse.patch(0).data().raw()) EXPECT_EQ(v, 0.0);
+}
+
+TEST(FluxRegister, FineFluxExcessCorrectsTheOutsideCells) {
+  // Fine flux 2 against coarse flux 1: each face's mismatch is +1 (time
+  // and area averaged), added to the high-side outside cell and taken from
+  // the low-side one.
+  const GridLevel coarse = reflux_interior_box(1.0, 2.0);
+  const GridFunction& u = coarse.patch(0).data();
+  EXPECT_EQ(u(0, 3, 5, 5), -1.0);  // low x
+  EXPECT_EQ(u(0, 8, 5, 5), 1.0);   // high x
+  EXPECT_EQ(u(0, 6, 3, 4), -1.0);  // low y
+  EXPECT_EQ(u(0, 4, 8, 7), 1.0);   // high y
+  EXPECT_EQ(u(0, 5, 6, 3), -1.0);  // low z
+  EXPECT_EQ(u(0, 7, 4, 8), 1.0);   // high z
+  EXPECT_EQ(u(0, 5, 5, 5), 0.0);   // under the fine box
+  EXPECT_EQ(u(0, 3, 3, 5), 0.0);   // diagonal to the shadow: no face
+  real_t sum = 0, touched = 0;
+  const Box& b = coarse.patch(0).box();
+  for (coord_t k = b.lo().z; k <= b.hi().z; ++k)
+    for (coord_t j = b.lo().y; j <= b.hi().y; ++j)
+      for (coord_t i = b.lo().x; i <= b.hi().x; ++i) {
+        sum += u(0, i, j, k);
+        touched += std::abs(u(0, i, j, k));
+      }
+  EXPECT_EQ(sum, 0.0);
+  EXPECT_EQ(touched, 6.0 * 16.0);
 }
 
 // ---- conservation ----------------------------------------------------------
@@ -62,7 +149,7 @@ TEST(FluxRegister, InternalFacesBetweenFineBoxesExcluded) {
 /// Composite mass of component `comp`: fine cells where refined, coarse
 /// cells elsewhere.
 real_t composite_mass(const GridHierarchy& h, real_t dx0, int comp) {
-  const coord_t r = h.config().ratio;
+  const coord_t r = kRefinementRatio;
   real_t mass = 0;
   // Fine level contribution.
   std::vector<Box> shadow;
@@ -70,7 +157,7 @@ real_t composite_mass(const GridHierarchy& h, real_t dx0, int comp) {
     const real_t dxf = dx0 / static_cast<real_t>(r);
     const real_t vol_f = dxf * dxf * dxf;
     for (const Patch& p : h.level(1).patches()) {
-      shadow.push_back(p.box().coarsened(r));
+      shadow.push_back(p.box().coarsened());
       const Box& b = p.box();
       for (coord_t k = b.lo().z; k <= b.hi().z; ++k)
         for (coord_t j = b.lo().y; j <= b.hi().y; ++j)

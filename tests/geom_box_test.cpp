@@ -98,7 +98,7 @@ TEST(Box, GrownAndShifted) {
 
 TEST(Box, RefineDoublesEachDirection) {
   const Box b(IntVec(1, 1, 1), IntVec(2, 2, 2), 0);
-  const Box f = b.refined(2);
+  const Box f = b.refined();
   EXPECT_EQ(f.level(), 1);
   EXPECT_EQ(f.lo(), IntVec(2, 2, 2));
   EXPECT_EQ(f.hi(), IntVec(5, 5, 5));
@@ -107,21 +107,21 @@ TEST(Box, RefineDoublesEachDirection) {
 
 TEST(Box, RefineMultipleLevels) {
   const Box b(IntVec(0, 0, 0), IntVec(1, 1, 1), 0);
-  const Box f = b.refined(2, 2);
+  const Box f = b.refined_by(2);
   EXPECT_EQ(f.level(), 2);
   EXPECT_EQ(f.cells(), b.cells() * 64);
 }
 
 TEST(Box, CoarsenCoversFineBox) {
   const Box f(IntVec(3, 5, 7), IntVec(8, 9, 11), 1);
-  const Box c = f.coarsened(2);
+  const Box c = f.coarsened();
   EXPECT_EQ(c.level(), 0);
-  EXPECT_TRUE(c.refined(2).contains(f));
+  EXPECT_TRUE(c.refined().contains(f));
 }
 
 TEST(Box, CoarsenNegativeCoordsFloor) {
   const Box f(IntVec(-3, -3, -3), IntVec(-1, -1, -1), 1);
-  const Box c = f.coarsened(2);
+  const Box c = f.coarsened();
   EXPECT_EQ(c.lo(), IntVec(-2, -2, -2));
   EXPECT_EQ(c.hi(), IntVec(-1, -1, -1));
 }
@@ -134,8 +134,65 @@ TEST(Box, RefineCoarsenRoundtrip) {
     const IntVec ext(rng.uniform_int(1, 10), rng.uniform_int(1, 10),
                      rng.uniform_int(1, 10));
     const Box b = Box::from_extent(lo, ext, 0);
-    EXPECT_EQ(b.refined(2).coarsened(2), b);
+    EXPECT_EQ(b.refined().coarsened(), b);
   }
+}
+
+TEST(Box, RefinedByComposesOneLevelSteps) {
+  Rng rng(7);
+  for (int trial = 0; trial < 40; ++trial) {
+    const IntVec lo(rng.uniform_int(-20, 20), rng.uniform_int(-20, 20),
+                    rng.uniform_int(-20, 20));
+    const IntVec ext(rng.uniform_int(1, 6), rng.uniform_int(1, 6),
+                     rng.uniform_int(1, 6));
+    const Box b = Box::from_extent(lo, ext, 1);
+    Box stepped = b;
+    for (int levels = 1; levels <= 4; ++levels) {
+      stepped = stepped.refined();
+      EXPECT_EQ(b.refined_by(levels), stepped) << b << " by " << levels;
+      EXPECT_EQ(stepped.level(), 1 + levels);
+    }
+  }
+}
+
+TEST(Box, RefinedByRejectsNonPositiveLevels) {
+  const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(2, 2, 2), 0);
+  EXPECT_THROW(b.refined_by(0), Error);
+  EXPECT_THROW(b.refined_by(-1), Error);
+}
+
+TEST(Box, CoarsenRejectsLevelZero) {
+  const Box b = Box::from_extent(IntVec(0, 0, 0), IntVec(2, 2, 2), 0);
+  EXPECT_THROW(b.coarsened(), Error);
+}
+
+TEST(Box, CoarsenIsTheTightestCover) {
+  // The coarse box's refinement covers the fine box and overhangs it by
+  // less than one coarse cell on every face, signs of the bounds alike.
+  Rng rng(31);
+  const IntVec slack = IntVec::splat(kRefinementRatio - 1);
+  for (int trial = 0; trial < 60; ++trial) {
+    const IntVec lo(rng.uniform_int(-25, 25), rng.uniform_int(-25, 25),
+                    rng.uniform_int(-25, 25));
+    const IntVec ext(rng.uniform_int(1, 9), rng.uniform_int(1, 9),
+                     rng.uniform_int(1, 9));
+    const Box f = Box::from_extent(lo, ext, 2);
+    const Box cover = f.coarsened().refined();
+    ASSERT_TRUE(cover.contains(f)) << f;
+    EXPECT_TRUE((f.lo() - cover.lo()).all_le(slack)) << f;
+    EXPECT_TRUE((cover.hi() - f.hi()).all_le(slack)) << f;
+  }
+}
+
+TEST(Box, EmptyBoxStaysEmptyAcrossLevels) {
+  const Box e(IntVec(4, 4, 4), IntVec(3, 3, 3), 1);
+  ASSERT_TRUE(e.empty());
+  EXPECT_TRUE(e.refined().empty());
+  EXPECT_EQ(e.refined().level(), 2);
+  EXPECT_TRUE(e.refined_by(3).empty());
+  EXPECT_EQ(e.refined_by(3).level(), 4);
+  EXPECT_TRUE(e.coarsened().empty());
+  EXPECT_EQ(e.coarsened().level(), 0);
 }
 
 TEST(Box, LongestShortestAxis) {

@@ -114,7 +114,7 @@ TEST(Interp, TrilinearReproducesLinearFieldsInTheInterior) {
   GridLevel fine(1, 1, 1);
   Patch& fp =
       fine.add_patch(Box::from_extent(IntVec(4, 4, 4), IntVec(8, 8, 8), 1));
-  prolong_level(coarse, fine, 2);
+  prolong_level(coarse, fine);
   // Fine cell (i,j,k) centre sits at coarse coordinate ((i+0.5)/2 - 0.5);
   // a linear function must be reproduced exactly away from the clamped
   // boundary slopes.
@@ -137,7 +137,7 @@ TEST(Interp, RestrictionAveragesChildren) {
       fine.add_patch(Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 1));
   fp.data().fill(3.0);
   fp.data()(0, 0, 0, 0) = 11.0;  // one child deviates
-  restrict_level(fine, coarse, 2);
+  restrict_level(fine, coarse);
   EXPECT_NEAR(cp.data()(0, 0, 0, 0), (11.0 + 7 * 3.0) / 8.0, 1e-12);
   EXPECT_NEAR(cp.data()(0, 1, 1, 1), 3.0, 1e-12);
 }
@@ -151,7 +151,7 @@ TEST(Interp, RestrictionOnlyTouchesShadowedCells) {
   Patch& fp =
       fine.add_patch(Box::from_extent(IntVec(0, 0, 0), IntVec(4, 4, 4), 1));
   fp.data().fill(9.0);
-  restrict_level(fine, coarse, 2);
+  restrict_level(fine, coarse);
   EXPECT_EQ(cp.data()(0, 0, 0, 0), 9.0);  // shadowed
   EXPECT_EQ(cp.data()(0, 3, 3, 3), 1.0);  // untouched
 }
@@ -177,7 +177,7 @@ TEST(Interp, CoarseFineGhostFillLeavesInteriorIntact) {
   Patch& fp =
       fine.add_patch(Box::from_extent(IntVec(4, 4, 4), IntVec(4, 4, 4), 1));
   fp.data().fill(42.0);
-  fill_coarse_fine_ghosts(coarse, fine, 2);
+  fill_coarse_fine_ghosts(coarse, fine);
   // Interior untouched.
   EXPECT_EQ(fp.data()(0, 5, 5, 5), 42.0);
   // Ghost cells got coarse data: the parent of (3,4,4) is the interior

@@ -11,7 +11,6 @@ namespace {
 HierarchyConfig small_config() {
   HierarchyConfig cfg;
   cfg.domain = Box::from_extent(IntVec(0, 0, 0), IntVec(16, 16, 16), 0);
-  cfg.ratio = 2;
   cfg.max_levels = 4;
   cfg.ncomp = 1;
   cfg.ghost = 1;
@@ -28,9 +27,6 @@ TEST(Hierarchy, StartsWithBaseLevelCoveringDomain) {
 TEST(Hierarchy, RejectsBadConfigs) {
   HierarchyConfig cfg = small_config();
   cfg.domain = Box();
-  EXPECT_THROW(GridHierarchy{cfg}, Error);
-  cfg = small_config();
-  cfg.ratio = 1;
   EXPECT_THROW(GridHierarchy{cfg}, Error);
   cfg = small_config();
   cfg.domain = Box::from_extent(IntVec(0, 0, 0), IntVec(4, 4, 4), 1);

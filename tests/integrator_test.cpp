@@ -16,7 +16,6 @@ namespace {
 HierarchyConfig adv_config(int max_levels = 2) {
   HierarchyConfig cfg;
   cfg.domain = Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0);
-  cfg.ratio = 2;
   cfg.max_levels = max_levels;
   cfg.ncomp = 1;
   cfg.ghost = 1;

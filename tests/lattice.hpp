@@ -62,10 +62,10 @@ inline std::vector<Box> touching_lattice(Rng& rng, IntVec origin) {
         const Box parent(IntVec(xlo, ylo, zlo), IntVec(xhi, yhi, zhi), 0);
         out.push_back(parent);
         if (rng.uniform() < 0.5) {
-          const Box child = detail::shrunk(rng, parent.refined(2));
+          const Box child = detail::shrunk(rng, parent.refined());
           out.push_back(child);
           if (rng.uniform() < 0.3)
-            out.push_back(detail::shrunk(rng, child.refined(2)));
+            out.push_back(detail::shrunk(rng, child.refined()));
         }
       }
   if (out.empty())

@@ -302,7 +302,7 @@ inline BoxList boxes_at_epoch(const TraceConfig& cfg, int epoch,
   std::vector<Box> parent_union{cfg.domain};
   for (int l = 0; l + 1 < cfg.max_levels; ++l) {
     coord_t scale = 1;
-    for (int i = 0; i < l; ++i) scale *= cfg.ratio;
+    for (int i = 0; i < l; ++i) scale *= kRefinementRatio;
     const real_t nx = static_cast<real_t>(ext0.x * scale);
     const real_t ny = static_cast<real_t>(ext0.y * scale);
     const real_t nz = static_cast<real_t>(ext0.z * scale);
@@ -343,7 +343,7 @@ inline BoxList boxes_at_epoch(const TraceConfig& cfg, int epoch,
     clipped = oracle::coalesce(std::move(clipped));
     std::vector<Box> next_union;
     for (const Box& b : clipped) {
-      const Box fine = b.refined(cfg.ratio);
+      const Box fine = b.refined();
       out.push_back(fine);
       next_union.push_back(fine);
     }
@@ -402,12 +402,11 @@ inline ParticleCloud gaussian_cloud(const Box& domain,
   return cloud;
 }
 
-inline std::int64_t count_in(const ParticleCloud& cloud, const Box& b,
-                             coord_t ratio) {
+inline std::int64_t count_in(const ParticleCloud& cloud, const Box& b) {
   if (cloud.xs.empty() || b.empty()) return 0;
   real_t scale = 1;
   for (level_t l = 0; l < b.level(); ++l)
-    scale *= static_cast<real_t>(ratio);
+    scale *= static_cast<real_t>(kRefinementRatio);
   const real_t lox = static_cast<real_t>(b.lo().x);
   const real_t loy = static_cast<real_t>(b.lo().y);
   const real_t loz = static_cast<real_t>(b.lo().z);

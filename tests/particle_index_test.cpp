@@ -18,14 +18,13 @@
 namespace ssamr {
 namespace {
 
-constexpr coord_t kRatios[] = {2, 3, 4};
 constexpr level_t kMaxLevel = 4;
 
 /// A random non-empty box at `level` around the level's image of
 /// `domain`: single cells, boxes inside, straddling a face, or wholly
 /// outside.
-Box random_box(Rng& rng, const Box& domain, coord_t ratio, level_t level) {
-  const Box dom = level == 0 ? domain : domain.refined(ratio, level);
+Box random_box(Rng& rng, const Box& domain, level_t level) {
+  const Box dom = level == 0 ? domain : domain.refined_by(level);
   IntVec lo, ext;
   for (int d = 0; d < kDim; ++d) {
     const coord_t n = dom.extent()[d];
@@ -54,8 +53,7 @@ Box random_domain(Rng& rng) {
       0);
 }
 
-/// Compares the index against the scan on `boxes` random boxes per
-/// (ratio, level).
+/// Compares the index against the scan on `boxes` random boxes per level.
 void expect_matches_scan(const Box& domain, const ParticleCloudConfig& cfg,
                          real_t center_x, Rng& rng, int boxes) {
   const ParticleField field =
@@ -64,16 +62,15 @@ void expect_matches_scan(const Box& domain, const ParticleCloudConfig& cfg,
       oracle::gaussian_cloud(domain, cfg, center_x);
   ASSERT_EQ(field.size(), cfg.count);
   ASSERT_EQ(static_cast<std::int64_t>(cloud.xs.size()), cfg.count);
-  EXPECT_EQ(field.count_in(domain, 2), cfg.count);
-  for (const coord_t ratio : kRatios)
-    for (level_t level = 0; level <= kMaxLevel; ++level)
-      for (int i = 0; i < boxes; ++i) {
-        const Box b = random_box(rng, domain, ratio, level);
-        ASSERT_EQ(field.count_in(b, ratio), oracle::count_in(cloud, b, ratio))
-            << "ratio " << ratio << " level " << level << " box lo ("
-            << b.lo().x << "," << b.lo().y << "," << b.lo().z << ") hi ("
-            << b.hi().x << "," << b.hi().y << "," << b.hi().z << ")";
-      }
+  EXPECT_EQ(field.count_in(domain), cfg.count);
+  for (level_t level = 0; level <= kMaxLevel; ++level)
+    for (int i = 0; i < boxes; ++i) {
+      const Box b = random_box(rng, domain, level);
+      ASSERT_EQ(field.count_in(b), oracle::count_in(cloud, b))
+          << "level " << level << " box lo (" << b.lo().x << "," << b.lo().y
+          << "," << b.lo().z << ") hi (" << b.hi().x << "," << b.hi().y
+          << "," << b.hi().z << ")";
+    }
 }
 
 TEST(ParticleIndex, MatchesScanOnFuzzedClouds) {
@@ -120,24 +117,21 @@ TEST(ParticleIndex, FaceAlignedParticlesMatchScan) {
                    static_cast<coord_t>(cloud.ys[0]),
                    static_cast<coord_t>(cloud.zs[0]));
     ASSERT_EQ(static_cast<real_t>(p.x), cloud.xs[0]);
-    for (const coord_t ratio : kRatios) {
-      coord_t scale = 1;
-      for (level_t level = 0; level <= kMaxLevel; ++level) {
-        // Every box whose faces lie within two cells of the point.
-        const IntVec c = p * scale;
-        for (coord_t dlo = -2; dlo <= 2; ++dlo)
-          for (coord_t dhi = -2; dhi <= 2; ++dhi)
-            for (int axis = 0; axis < kDim; ++axis) {
-              IntVec lo = c - IntVec::splat(1), hi = c + IntVec::splat(1);
-              lo.at(axis) = c[axis] + dlo;
-              hi.at(axis) = c[axis] + dhi;
-              const Box b(lo, hi, level);
-              EXPECT_EQ(field.count_in(b, ratio),
-                        oracle::count_in(cloud, b, ratio));
-            }
-        EXPECT_EQ(field.count_in(Box(c, c, level), ratio), cfg.count);
-        scale *= ratio;
-      }
+    coord_t scale = 1;
+    for (level_t level = 0; level <= kMaxLevel; ++level) {
+      // Every box whose faces lie within two cells of the point.
+      const IntVec c = p * scale;
+      for (coord_t dlo = -2; dlo <= 2; ++dlo)
+        for (coord_t dhi = -2; dhi <= 2; ++dhi)
+          for (int axis = 0; axis < kDim; ++axis) {
+            IntVec lo = c - IntVec::splat(1), hi = c + IntVec::splat(1);
+            lo.at(axis) = c[axis] + dlo;
+            hi.at(axis) = c[axis] + dhi;
+            const Box b(lo, hi, level);
+            EXPECT_EQ(field.count_in(b), oracle::count_in(cloud, b));
+          }
+      EXPECT_EQ(field.count_in(Box(c, c, level)), cfg.count);
+      scale *= kRefinementRatio;
     }
   }
 }
@@ -159,38 +153,36 @@ TEST(ParticleIndex, BoxFacesThroughParticlesMatchScan) {
       oracle::gaussian_cloud(domain, cfg, 0.5);
   ASSERT_EQ(cloud.xs[0], std::floor(cloud.xs[0]));
   Rng rng(0xfacedULL);
-  for (const coord_t ratio : kRatios) {
-    real_t scale = 1;
-    for (level_t level = 0; level <= kMaxLevel; ++level) {
-      for (int i = 0; i < 200; ++i) {
-        const auto q = static_cast<std::size_t>(
-            rng.uniform_int(0, cfg.count - 1));
-        const IntVec c(static_cast<coord_t>(cloud.xs[q] * scale),
-                       static_cast<coord_t>(cloud.ys[q] * scale),
-                       static_cast<coord_t>(cloud.zs[q] * scale));
-        const Box around = random_box(rng, domain, ratio, level);
-        IntVec lo = around.lo(), hi = around.hi();
-        const int axis = static_cast<int>(rng.uniform_int(0, kDim - 1));
-        switch (rng.uniform_int(0, 2)) {
-          case 0:  // particle on the closed lower face
-            lo.at(axis) = c[axis];
-            hi.at(axis) = std::max(hi[axis], c[axis]);
-            break;
-          case 1:  // particle just past the open upper face
-            hi.at(axis) = c[axis] - 1;
-            lo.at(axis) = std::min(lo[axis], c[axis] - 1);
-            break;
-          default:  // particle in the last cell
-            hi.at(axis) = c[axis];
-            lo.at(axis) = std::min(lo[axis], c[axis]);
-            break;
-        }
-        const Box b(lo, hi, level);
-        ASSERT_EQ(field.count_in(b, ratio), oracle::count_in(cloud, b, ratio))
-            << "ratio " << ratio << " level " << level << " box " << i;
+  real_t scale = 1;
+  for (level_t level = 0; level <= kMaxLevel; ++level) {
+    for (int i = 0; i < 200; ++i) {
+      const auto q =
+          static_cast<std::size_t>(rng.uniform_int(0, cfg.count - 1));
+      const IntVec c(static_cast<coord_t>(cloud.xs[q] * scale),
+                     static_cast<coord_t>(cloud.ys[q] * scale),
+                     static_cast<coord_t>(cloud.zs[q] * scale));
+      const Box around = random_box(rng, domain, level);
+      IntVec lo = around.lo(), hi = around.hi();
+      const int axis = static_cast<int>(rng.uniform_int(0, kDim - 1));
+      switch (rng.uniform_int(0, 2)) {
+        case 0:  // particle on the closed lower face
+          lo.at(axis) = c[axis];
+          hi.at(axis) = std::max(hi[axis], c[axis]);
+          break;
+        case 1:  // particle just past the open upper face
+          hi.at(axis) = c[axis] - 1;
+          lo.at(axis) = std::min(lo[axis], c[axis] - 1);
+          break;
+        default:  // particle in the last cell
+          hi.at(axis) = c[axis];
+          lo.at(axis) = std::min(lo[axis], c[axis]);
+          break;
       }
-      scale *= static_cast<real_t>(ratio);
+      const Box b(lo, hi, level);
+      ASSERT_EQ(field.count_in(b), oracle::count_in(cloud, b))
+          << "level " << level << " box " << i;
     }
+    scale *= static_cast<real_t>(kRefinementRatio);
   }
 }
 
@@ -215,32 +207,27 @@ TEST(ParticleIndex, PlacedCloudMatchesFreshCloud) {
     // and 1 put every particle exactly on a wall.
     if (trial % 4 == 2) cfg.sigma_x = 0;
     std::vector<Box> boxes;
-    std::vector<coord_t> ratios;
-    for (const coord_t ratio : kRatios)
-      for (level_t level = 0; level <= kMaxLevel; ++level)
-        for (int i = 0; i < 2; ++i) {
-          boxes.push_back(random_box(rng, domain, ratio, level));
-          ratios.push_back(ratio);
-        }
+    for (level_t level = 0; level <= kMaxLevel; ++level)
+      for (int i = 0; i < 2; ++i)
+        boxes.push_back(random_box(rng, domain, level));
     const real_t first = rng.uniform(-0.2, 1.2);
     ParticleField field = ParticleField::gaussian_cloud(domain, cfg, first);
     std::vector<std::int64_t> first_counts;
     for (std::size_t q = 0; q < boxes.size(); ++q)
-      first_counts.push_back(field.count_in(boxes[q], ratios[q]));
+      first_counts.push_back(field.count_in(boxes[q]));
     for (const real_t center : centers) {
       SCOPED_TRACE("center " + std::to_string(center));
       field.place(center);
       const oracle::ParticleCloud cloud =
           oracle::gaussian_cloud(domain, cfg, center);
-      ASSERT_EQ(field.count_in(domain, 2), cfg.count);
+      ASSERT_EQ(field.count_in(domain), cfg.count);
       for (std::size_t q = 0; q < boxes.size(); ++q)
-        ASSERT_EQ(field.count_in(boxes[q], ratios[q]),
-                  oracle::count_in(cloud, boxes[q], ratios[q]))
+        ASSERT_EQ(field.count_in(boxes[q]), oracle::count_in(cloud, boxes[q]))
             << "box " << q;
     }
     field.place(first);
     for (std::size_t q = 0; q < boxes.size(); ++q)
-      EXPECT_EQ(field.count_in(boxes[q], ratios[q]), first_counts[q]);
+      EXPECT_EQ(field.count_in(boxes[q]), first_counts[q]);
   }
 }
 
@@ -252,28 +239,25 @@ TEST(ParticleIndex, CountsAddUpOverRandomSplits) {
     const ParticleField field = ParticleField::gaussian_cloud(
         domain, random_cloud(rng, rng.uniform_int(1, 20000)),
         rng.uniform(0.0, 1.0));
-    for (const coord_t ratio : kRatios)
-      for (level_t level = 0; level <= kMaxLevel; ++level) {
-        // Carve a box into pieces by random cuts; the pieces' counts must
-        // sum to the whole's.
-        const Box whole = random_box(rng, domain, ratio, level);
-        std::vector<Box> pieces{whole};
-        for (int cut = 0; cut < 24; ++cut) {
-          const auto at = static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(pieces.size()) - 1));
-          const int axis = static_cast<int>(rng.uniform_int(0, kDim - 1));
-          const coord_t n = pieces[at].extent()[axis];
-          if (n < 2) continue;
-          const auto [a, b] =
-              pieces[at].split(axis, rng.uniform_int(1, n - 1));
-          pieces[at] = a;
-          pieces.push_back(b);
-        }
-        std::int64_t sum = 0;
-        for (const Box& piece : pieces) sum += field.count_in(piece, ratio);
-        EXPECT_EQ(sum, field.count_in(whole, ratio))
-            << "ratio " << ratio << " level " << level;
+    for (level_t level = 0; level <= kMaxLevel; ++level) {
+      // Carve a box into pieces by random cuts; the pieces' counts must
+      // sum to the whole's.
+      const Box whole = random_box(rng, domain, level);
+      std::vector<Box> pieces{whole};
+      for (int cut = 0; cut < 24; ++cut) {
+        const auto at = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(pieces.size()) - 1));
+        const int axis = static_cast<int>(rng.uniform_int(0, kDim - 1));
+        const coord_t n = pieces[at].extent()[axis];
+        if (n < 2) continue;
+        const auto [a, b] = pieces[at].split(axis, rng.uniform_int(1, n - 1));
+        pieces[at] = a;
+        pieces.push_back(b);
       }
+      std::int64_t sum = 0;
+      for (const Box& piece : pieces) sum += field.count_in(piece);
+      EXPECT_EQ(sum, field.count_in(whole)) << "level " << level;
+    }
   }
 }
 
@@ -281,11 +265,11 @@ TEST(ParticleIndex, EmptyFieldCountsNothing) {
   const Box domain = Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0);
   const ParticleField none;
   EXPECT_TRUE(none.empty());
-  EXPECT_EQ(none.count_in(domain, 2), 0);
+  EXPECT_EQ(none.count_in(domain), 0);
   const ParticleField disabled =
       ParticleField::gaussian_cloud(domain, ParticleCloudConfig{}, 0.5);
   EXPECT_TRUE(disabled.empty());
-  EXPECT_EQ(disabled.count_in(domain, 2), 0);
+  EXPECT_EQ(disabled.count_in(domain), 0);
 }
 
 TEST(ParticleIndex, RejectsNonFiniteParameters) {
@@ -318,11 +302,11 @@ TEST(ParticleIndex, RejectsNonFiniteParameters) {
   // A refused placement leaves the field where it was.
   ParticleField field = ParticleField::gaussian_cloud(domain, cfg, 0.5);
   const Box left = Box::from_extent(IntVec(0, 0, 0), IntVec(16, 8, 8), 0);
-  const std::int64_t in_left = field.count_in(left, 2);
+  const std::int64_t in_left = field.count_in(left);
   for (const real_t bad : {nan, inf, 1e307})
     EXPECT_THROW(field.place(bad), Error);
-  EXPECT_EQ(field.count_in(domain, 2), cfg.count);
-  EXPECT_EQ(field.count_in(left, 2), in_left);
+  EXPECT_EQ(field.count_in(domain), cfg.count);
+  EXPECT_EQ(field.count_in(left), in_left);
 }
 
 }  // namespace

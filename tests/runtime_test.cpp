@@ -196,7 +196,7 @@ TEST(TraceWorkloadSource, PlacedParticlesCountAsFreshEpochs) {
     ASSERT_NE(placed, nullptr);
     const ParticleField fresh = trace.particles_at_epoch(e);
     for (const Box& b : boxes)
-      ASSERT_EQ(placed->count_in(b, cfg.ratio), fresh.count_in(b, cfg.ratio));
+      ASSERT_EQ(placed->count_in(b), fresh.count_in(b));
   }
 }
 

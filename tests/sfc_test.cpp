@@ -138,7 +138,6 @@ INSTANTIATE_TEST_SUITE_P(BothCurves, SfcOrderTest,
 TEST(SfcIndex, CrossLevelKeysInterleaveSpatially) {
   SfcConfig cfg;
   cfg.finest_level = 1;
-  cfg.ratio = 2;
   // A fine box sitting inside a coarse box keys near that coarse box.
   const Box coarse_left = Box::from_extent(IntVec(0, 0, 0), IntVec(8, 8, 8), 0);
   const Box coarse_right =

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "amr/particles.hpp"
 #include "amr/trace_generator.hpp"
 #include "amr/workload.hpp"
 #include "geom/box_algebra.hpp"
@@ -51,9 +52,9 @@ TEST(SyntheticTrace, BoxesStayInsideTheirLevelDomain) {
   SyntheticAmrTrace t(small_trace());
   for (int e = 0; e < 20; ++e) {
     for (const Box& b : t.boxes_at_epoch(e)) {
-      const Box dom =
-          b.level() == 0 ? small_trace().domain
-                         : small_trace().domain.refined(2, b.level());
+      const Box dom = b.level() == 0
+                          ? small_trace().domain
+                          : small_trace().domain.refined_by(b.level());
       EXPECT_TRUE(dom.contains(b)) << "epoch " << e << " box " << b;
     }
   }
@@ -68,7 +69,7 @@ TEST(SyntheticTrace, ProperNestingAcrossLevels) {
       by_level[static_cast<std::size_t>(b.level())].push_back(b);
     for (level_t l = 2; l < 3; ++l) {
       for (const Box& b : by_level[static_cast<std::size_t>(l)]) {
-        const Box coarse = b.coarsened(2);
+        const Box coarse = b.coarsened();
         EXPECT_TRUE(
             box_difference(coarse, by_level[static_cast<std::size_t>(l - 1)])
                 .empty())
@@ -160,6 +161,67 @@ TEST(WorkModel, TotalAndPerBoxConsistent) {
   const auto per = per_box_work(l, wm);
   ASSERT_EQ(per.size(), 2u);
   EXPECT_DOUBLE_EQ(per[0] + per[1], total_work(l, wm));
+}
+
+/// A particle-priced work model over small_trace()'s domain.
+struct ParticleWork {
+  ParticleField field;
+  WorkModel model;
+
+  explicit ParticleWork(real_t center_x) {
+    ParticleCloudConfig pc;
+    pc.count = 2000;
+    pc.sigma_x = 4.0;
+    field = ParticleField::gaussian_cloud(small_trace().domain, pc, center_x);
+    model.cost_per_particle = Work{3.0};
+    model.particles = &field;
+  }
+  ParticleWork(const ParticleWork&) = delete;
+  ParticleWork& operator=(const ParticleWork&) = delete;
+};
+
+TEST(WorkModel, ParticleTermScalesWithLevelLikeCells) {
+  // cells · r^l + particles_in · r^l · cost_per_particle: one region
+  // refined level by level holds the same particles, updated r^l times.
+  const ParticleWork pw(0.5);
+  ASSERT_TRUE(pw.model.has_particles());
+  const Box b0 = Box::from_extent(IntVec(12, 2, 2), IntVec(8, 4, 4), 0);
+  const std::int64_t np = pw.field.count_in(b0);
+  ASSERT_GT(np, 0);
+  real_t updates = 1;
+  for (int l = 0; l <= 3; ++l) {
+    const Box b = l == 0 ? b0 : b0.refined_by(l);
+    EXPECT_EQ(pw.field.count_in(b), np) << b;
+    EXPECT_EQ(box_work(b, WorkModel{}),
+              static_cast<real_t>(b.cells()) * updates)
+        << b;
+    EXPECT_EQ(box_work(b, pw.model),
+              static_cast<real_t>(b.cells()) * updates +
+                  static_cast<real_t>(np) * updates * 3.0)
+        << b;
+    updates *= static_cast<real_t>(kRefinementRatio);
+  }
+}
+
+TEST(WorkModel, TotalWorkIsTheLeftFoldOfBoxWork) {
+  // Partitioners that hold per-box works fold them left from 0 where they
+  // once called total_work, so the two must agree bit for bit.
+  const ParticleWork pw(0.3);
+  SyntheticAmrTrace t(small_trace());
+  for (const int e : {0, 7}) {
+    const BoxList l = t.boxes_at_epoch(e);
+    ASSERT_GT(l.size(), 3u);
+    for (const WorkModel& wm : {WorkModel{}, pw.model}) {
+      const auto per = per_box_work(l, wm);
+      ASSERT_EQ(per.size(), l.size());
+      real_t fold = 0;
+      for (std::size_t i = 0; i < l.size(); ++i) {
+        EXPECT_EQ(per[i], box_work(l[i], wm)) << l[i];
+        fold += per[i];
+      }
+      EXPECT_EQ(total_work(l, wm), fold) << "epoch " << e;
+    }
+  }
 }
 
 }  // namespace

@@ -63,13 +63,14 @@ FaultPlan plan_for_rate(real_t rate, int nodes, real_t horizon) {
 }
 
 RunTrace run_one(const Partitioner& p, const FaultPlan& plan, real_t tau,
-                 int iterations) {
+                 int iterations, ExecModelKind model) {
   Cluster cluster = exp::paper_cluster(4);
   exp::apply_dynamic_loads(cluster, tau);
   if (!plan.benign()) cluster.set_fault_plan(plan);
   TraceWorkloadSource source(exp::paper_trace_config());
   RuntimeConfig cfg = exp::paper_runtime_config(iterations,
                                                 /*sensing_interval=*/5);
+  cfg.exec_model = model;
   AdaptiveRuntime runtime(cluster, source, p, cfg);
   return runtime.run();
 }
@@ -77,13 +78,13 @@ RunTrace run_one(const Partitioner& p, const FaultPlan& plan, real_t tau,
 }  // namespace
 
 int main(int argc, char** argv) {
-  exp::select_exec_model(argc, argv);
+  const ExecModelKind model = exp::select_exec_model(argc, argv);
   std::cout << "=== Ablation: probe failure rate (system-sensitive vs "
                "homogeneous baseline,\n    identical dynamic loads and "
                "fault plans; sensing every 5 iterations) ===\n\n";
 
   const int iterations = exp::run_iterations(200);
-  const real_t tau = exp::calibrate_timescale(4, iterations, 5);
+  const real_t tau = exp::calibrate_timescale(4, iterations, 5, model);
   const std::vector<real_t> rates = env_rates();
 
   // One het + one default run per rate, all independent: run in parallel.
@@ -96,9 +97,9 @@ int main(int argc, char** argv) {
     HeterogeneousPartitioner h;
     GraceDefaultPartitioner d;
     if (j % 2 == 0)
-      het[i] = run_one(h, plan, tau, iterations);
+      het[i] = run_one(h, plan, tau, iterations, model);
     else
-      def[i] = run_one(d, plan, tau, iterations);
+      def[i] = run_one(d, plan, tau, iterations, model);
   });
 
   Table t({"fault rate", "system (s)", "default (s)", "gain %", "stale",

@@ -43,7 +43,8 @@ int main() {
 
   const real_t noise = 0.10;
   const int iterations = exp::run_iterations(200);
-  const real_t tau = exp::calibrate_timescale(4, iterations, 10);
+  const real_t tau =
+      exp::calibrate_timescale(4, iterations, 10, ExecModelKind::kBsp);
 
   Table t({"threshold", "total (s)", "migrate (s)", "compute (s)"});
   CsvWriter csv(exp::results_path("ablation_hysteresis.csv"),

@@ -77,9 +77,8 @@ int main(int argc, char** argv) {
 
   // The measured side defaults to proc; --exec-model / SSAMR_EXEC_MODEL
   // override it (running event-vs-event is a useful null check).
-  ExecModelKind measured_kind = ExecModelKind::kProc;
-  exp::set_exec_model(measured_kind);
-  measured_kind = exp::select_exec_model(argc, argv);
+  const ExecModelKind measured_kind =
+      exp::select_exec_model(argc, argv, ExecModelKind::kProc);
 
   std::cout << "P = " << nprocs << ", " << iterations
             << " iterations, measured model = "

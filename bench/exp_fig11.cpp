@@ -28,15 +28,10 @@ int main(int argc, char** argv) {
   // iterations yields exactly two mid-run samplings.
   const int iterations = exp::run_iterations(150);
   const int sensing = 50;
-  const real_t tau = exp::calibrate_timescale(4, iterations, sensing);
-
-  Cluster cluster = exp::paper_cluster(4);
-  exp::apply_dynamic_loads(cluster, tau);
-  TraceWorkloadSource source(exp::paper_trace_config());
-  HeterogeneousPartitioner het;
-  AdaptiveRuntime runtime(cluster, source, het,
-                          exp::paper_runtime_config(iterations, sensing));
-  const RunTrace trace = runtime.run();
+  const real_t tau =
+      exp::calibrate_timescale(4, iterations, sensing, model);
+  const RunTrace trace =
+      exp::run_dynamic_het(4, iterations, sensing, tau, model);
 
   std::cout << "capacity samplings (the figure's percentage labels):\n";
   Table st({"iteration", "C0", "C1", "C2", "C3"});

@@ -161,14 +161,10 @@ int main(int argc, char** argv) {
   const int iterations = exp::run_iterations(100);
   const auto& zoo = partitioner_zoo();
 
-  // The fault family needs a calibrated dynamic-load timescale per model
-  // (calibration runs under the globally selected model, so do it before
-  // the parallel phase).
+  // The fault family needs a calibrated dynamic-load timescale per model.
   std::map<ExecModelKind, real_t> tau;
-  for (ExecModelKind kind : kinds) {
-    exp::set_exec_model(kind);
-    tau[kind] = exp::calibrate_timescale(kProcs, iterations, 5);
-  }
+  for (ExecModelKind kind : kinds)
+    tau[kind] = exp::calibrate_timescale(kProcs, iterations, 5, kind);
 
   // Every partition the matrix produces must pass the audit invariants.
   const int audit_errors = audit_matrix(/*epoch=*/10);

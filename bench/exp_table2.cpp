@@ -46,10 +46,10 @@ int main(int argc, char** argv) {
     // Match the load-dynamics timescale to the run duration, then face
     // both sensing policies with the *same* load script.
     const real_t tau =
-        exp::calibrate_timescale(p, iterations, dynamic_interval);
+        exp::calibrate_timescale(p, iterations, dynamic_interval, model);
     trials[i].dyn = exp::run_dynamic_het(p, iterations, dynamic_interval,
-                                         tau);
-    trials[i].stat = exp::run_dynamic_het(p, iterations, 0, tau);
+                                         tau, model);
+    trials[i].stat = exp::run_dynamic_het(p, iterations, 0, tau, model);
   });
   for (int i = 0; i < 4; ++i) {
     const int p = procs[i];

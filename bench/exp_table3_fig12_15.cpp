@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const int paper_times[] = {316, 277, 286, 293};
   // One timescale for all runs: identical load dynamics across
   // frequencies.
-  const real_t tau = exp::calibrate_timescale(4, iterations, 20);
+  const real_t tau = exp::calibrate_timescale(4, iterations, 20, model);
 
   Table t({"Frequency of calculating capacities", "Execution time (s)",
            "paper (s)"});
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   const int freqs[] = {10, 20, 30, 40};
   std::vector<RunTrace> traces(4);
   ThreadPool::global().parallel_for(4, [&](std::size_t i) {
-    traces[i] = exp::run_dynamic_het(4, iterations, freqs[i], tau);
+    traces[i] = exp::run_dynamic_het(4, iterations, freqs[i], tau, model);
   });
   real_t best_time = 1e30;
   int best_freq = 0;

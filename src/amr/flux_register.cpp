@@ -36,12 +36,11 @@ FluxRegister::FluxRegister(const GridLevel& coarse, const GridLevel& fine,
   // neighbour is outside the fine region but inside the domain.  Two
   // shadows can share a boundary face, so each face registers once.
   std::unordered_set<key_t> registered;
-  auto try_register = [&](IntVec inside, IntVec outside, int axis,
-                          IntVec face_cell, int sign) {
+  auto try_register = [&](IntVec outside, int axis, IntVec face_cell,
+                          int sign) {
     if (!coarse_domain.contains(outside)) return;
     if (in_shadow(outside)) return;
     if (coarse.find_patch_containing(outside) == GridLevel::npos) return;
-    (void)inside;
     const key_t key = face_key(face_cell, axis);
     if (!registered.insert(key).second) return;
     Record rec;
@@ -69,9 +68,8 @@ FluxRegister::FluxRegister(const GridLevel& coarse, const GridLevel& fine,
         for (coord_t j = low.lo().y; j <= low.hi().y; ++j)
           for (coord_t i = low.lo().x; i <= low.hi().x; ++i) {
             const IntVec inside(i, j, k);
-            const IntVec outside = inside - e;
             // Outside is the LOW-side cell: mass into it is −F·A.
-            try_register(inside, outside, axis, inside, -1);
+            try_register(inside - e, axis, inside, -1);
           }
       // High side: inside cells on the high plane; outside = inside + e;
       // the shared face is the low face of `outside`.
@@ -84,10 +82,9 @@ FluxRegister::FluxRegister(const GridLevel& coarse, const GridLevel& fine,
       for (coord_t k = high.lo().z; k <= high.hi().z; ++k)
         for (coord_t j = high.lo().y; j <= high.hi().y; ++j)
           for (coord_t i = high.lo().x; i <= high.hi().x; ++i) {
-            const IntVec inside(i, j, k);
-            const IntVec outside = inside + e;
+            const IntVec outside = IntVec(i, j, k) + e;
             // Outside is the HIGH-side cell: mass into it is +F·A.
-            try_register(inside, outside, axis, outside, +1);
+            try_register(outside, axis, outside, +1);
           }
     }
   }

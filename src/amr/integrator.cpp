@@ -34,9 +34,7 @@ BergerOliger::BergerOliger(GridHierarchy& hierarchy, const PatchOperator& op,
 }
 
 real_t BergerOliger::dx_at(level_t l) const {
-  real_t dx = cfg_.dx0;
-  for (level_t i = 0; i < l; ++i) dx /= static_cast<real_t>(kRefinementRatio);
-  return dx;
+  return cfg_.dx0 / static_cast<real_t>(refinement_scale(l));
 }
 
 void BergerOliger::initialize() {
@@ -75,9 +73,8 @@ real_t BergerOliger::compute_dt() const {
     if (speed <= 0) continue;
     // A level-l step is dt0 / kRefinementRatio^l; require cfl at every
     // level.
-    real_t scale = 1;
-    for (int i = 0; i < l; ++i) scale *= static_cast<real_t>(kRefinementRatio);
-    dt0 = std::min(dt0, kCfl * dx_at(l) * scale / speed);
+    dt0 = std::min(dt0, kCfl * dx_at(l) *
+                            static_cast<real_t>(refinement_scale(l)) / speed);
   }
   SSAMR_REQUIRE(std::isfinite(dt0),
                 "no finite wave speed anywhere — cannot pick a timestep");

@@ -9,12 +9,6 @@ namespace ssamr {
 
 namespace {
 
-coord_t floor_div(coord_t a, coord_t b) {
-  coord_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-
 /// minmod limiter for trilinear slopes.
 real_t minmod(real_t a, real_t b) {
   if (a * b <= 0) return 0;
@@ -42,9 +36,7 @@ void prolong_region(const GridLevel& coarse, Patch& fine, const Box& region) {
     for (coord_t j = region.lo().y; j <= region.hi().y; ++j) {
       for (coord_t i = region.lo().x; i <= region.hi().x; ++i) {
         if (!uf.storage_box().contains(IntVec(i, j, k))) continue;
-        const IntVec cc(floor_div(i, kRefinementRatio),
-                        floor_div(j, kRefinementRatio),
-                        floor_div(k, kRefinementRatio));
+        const IntVec cc = coarse_cell(IntVec(i, j, k));
         const std::size_t pi = coarse.find_patch_containing(cc);
         if (pi == GridLevel::npos) continue;
         const GridFunction& uc = coarse.patch(pi).data();

@@ -248,9 +248,7 @@ void ParticleField::place(real_t center_x) {
 
 std::int64_t ParticleField::count_in(const Box& b) const {
   if (empty() || b.empty()) return 0;
-  real_t scale = 1;
-  for (level_t l = 0; l < b.level(); ++l)
-    scale *= static_cast<real_t>(kRefinementRatio);
+  const auto scale = static_cast<real_t>(refinement_scale(b.level()));
   // Half-open interval [lo, hi+1) per dimension in the box's own index
   // space; the same scaled coordinate is compared against every box, so
   // counts are exactly additive across a partition of the index space.

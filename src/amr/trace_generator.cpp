@@ -64,8 +64,7 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
 
   for (int l = 0; l + 1 < cfg_.max_levels; ++l) {
     // Flag cells of level l within the perturbed band around the interface.
-    coord_t scale = 1;
-    for (int i = 0; i < l; ++i) scale *= kRefinementRatio;
+    const coord_t scale = refinement_scale(l);
     const real_t nx = static_cast<real_t>(ext0.x * scale);
     const real_t ny = static_cast<real_t>(ext0.y * scale);
     const real_t nz = static_cast<real_t>(ext0.z * scale);

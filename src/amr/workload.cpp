@@ -3,9 +3,7 @@
 namespace ssamr {
 
 real_t box_work(const Box& b, const WorkModel& m) {
-  real_t updates = 1;
-  for (level_t l = 0; l < b.level(); ++l)
-    updates *= static_cast<real_t>(kRefinementRatio);
+  const auto updates = static_cast<real_t>(refinement_scale(b.level()));
   // Keep the historical multiplication order (cells · updates) so the
   // cells-only cost is bit-identical to the pre-particle model.
   real_t w = static_cast<real_t>(b.cells()) * updates;

@@ -210,35 +210,18 @@ std::vector<real_t> scale_capacities(int nprocs) {
   return caps;
 }
 
-namespace {
-
-/// Process-wide model selection (bench drivers pick once in main()).
-ExecModelKind g_exec_model = ExecModelKind::kBsp;
-bool g_exec_model_forced = false;
-
-}  // namespace
-
-void set_exec_model(ExecModelKind kind) {
-  g_exec_model = kind;
-  g_exec_model_forced = true;
-}
-
-ExecModelKind current_exec_model() {
-  if (g_exec_model_forced) return g_exec_model;
+ExecModelKind select_exec_model(int argc, char** argv,
+                                ExecModelKind fallback) {
+  const std::string flag = "--exec-model=";
+  for (int i = argc - 1; i >= 1; --i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(flag, 0) == 0)
+      return parse_exec_model_name(arg.substr(flag.size()));
+  }
   if (const char* env = std::getenv("SSAMR_EXEC_MODEL");
       env != nullptr && *env != '\0')
     return parse_exec_model_name(env);
-  return ExecModelKind::kBsp;
-}
-
-ExecModelKind select_exec_model(int argc, char** argv) {
-  const std::string flag = "--exec-model=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(flag, 0) == 0)
-      set_exec_model(parse_exec_model_name(arg.substr(flag.size())));
-  }
-  return current_exec_model();
+  return fallback;
 }
 
 std::string maybe_export_trace(const RunTrace& trace) {
@@ -262,7 +245,6 @@ RuntimeConfig paper_runtime_config(int iterations, int sensing_interval) {
   cfg.executor.ncomp = 5;
   cfg.executor.ghost = 1;  // first-order Rusanov stencil
   cfg.executor.comm_overlap = Fraction{0.8};
-  cfg.exec_model = current_exec_model();
   return cfg;
 }
 
@@ -274,10 +256,11 @@ real_t Comparison::improvement() const {
 
 Comparison compare_partitioners(int nprocs, int iterations,
                                 int sensing_interval, bool dynamic_loads,
+                                ExecModelKind model,
                                 real_t dynamic_timescale_s) {
   Comparison out;
-  const RuntimeConfig cfg =
-      paper_runtime_config(iterations, sensing_interval);
+  RuntimeConfig cfg = paper_runtime_config(iterations, sensing_interval);
+  cfg.exec_model = model;
 
   auto run_one = [&](const Partitioner& p) {
     Cluster cluster = paper_cluster(nprocs);
@@ -298,24 +281,24 @@ Comparison compare_partitioners(int nprocs, int iterations,
 }
 
 RunTrace run_dynamic_het(int nprocs, int iterations, int sensing_interval,
-                         real_t tau) {
+                         real_t tau, ExecModelKind model) {
   Cluster cluster = paper_cluster(nprocs);
   apply_dynamic_loads(cluster, tau);
   TraceWorkloadSource source(paper_trace_config());
   HeterogeneousPartitioner het;
-  const RuntimeConfig cfg =
-      paper_runtime_config(iterations, sensing_interval);
+  RuntimeConfig cfg = paper_runtime_config(iterations, sensing_interval);
+  cfg.exec_model = model;
   AdaptiveRuntime runtime(cluster, source, het, cfg);
   return runtime.run();
 }
 
 real_t calibrate_timescale(int nprocs, int iterations, int sensing_interval,
-                           int passes) {
+                           ExecModelKind model, int passes) {
   SSAMR_REQUIRE(passes >= 1, "need at least one pass");
   real_t tau = 300.0;
   for (int i = 0; i < passes; ++i) {
     const RunTrace t =
-        run_dynamic_het(nprocs, iterations, sensing_interval, tau);
+        run_dynamic_het(nprocs, iterations, sensing_interval, tau, model);
     tau = 0.95 * t.total_time.value();
   }
   return tau;

@@ -77,25 +77,19 @@ BoxList scale_lattice(int nprocs);
 /// does not sense peak rate.
 std::vector<real_t> scale_capacities(int nprocs);
 
-/// Baseline runtime configuration of the paper runs.  Uses the execution
-/// model selected via select_exec_model()/set_exec_model() (default: BSP,
-/// which reproduces the golden CSVs bit-for-bit).
+/// Baseline runtime configuration of the paper runs, under the BSP model
+/// (which reproduces the golden CSVs bit-for-bit); a driver running
+/// another model sets `exec_model` itself.
 /// \param iterations total coarse iterations
 /// \param sensing_interval iterations between probes (0 = sense once)
 RuntimeConfig paper_runtime_config(int iterations, int sensing_interval);
 
-/// Select the execution model for subsequent paper_runtime_config() calls:
-/// a `--exec-model=bsp|event|proc` argument wins, else the
-/// SSAMR_EXEC_MODEL environment variable, else the BSP default.  Bench
-/// drivers call this from main(); returns the selection so drivers can
-/// print it.
-ExecModelKind select_exec_model(int argc, char** argv);
-
-/// Force the execution model programmatically (overrides the environment).
-void set_exec_model(ExecModelKind kind);
-
-/// The execution model subsequent paper_runtime_config() calls will use.
-ExecModelKind current_exec_model();
+/// The execution model a driver's command line asks for: the last
+/// `--exec-model=bsp|event|proc` argument wins, else the SSAMR_EXEC_MODEL
+/// environment variable, else `fallback`.  Stores nothing; drivers pass
+/// the result to the runs they start.
+ExecModelKind select_exec_model(int argc, char** argv,
+                                ExecModelKind fallback = ExecModelKind::kBsp);
 
 /// When $SSAMR_TRACE_JSON names a file, export `trace` there as Chrome
 /// trace-event JSON (load it in chrome://tracing or ui.perfetto.dev).
@@ -111,22 +105,25 @@ struct Comparison {
 };
 
 /// Run the default and the system-sensitive partitioner under identical
-/// cluster/load/workload conditions (fresh, deterministic state per run).
+/// cluster/load/workload conditions (fresh, deterministic state per run)
+/// on execution model `model`.
 Comparison compare_partitioners(int nprocs, int iterations,
                                 int sensing_interval, bool dynamic_loads,
+                                ExecModelKind model,
                                 real_t dynamic_timescale_s = 120.0);
 
 /// One run of the system-sensitive partitioner under the dynamic load
-/// script with timescale `tau` (fresh deterministic state).
+/// script with timescale `tau` (fresh deterministic state) on execution
+/// model `model`.
 RunTrace run_dynamic_het(int nprocs, int iterations, int sensing_interval,
-                         real_t tau);
+                         real_t tau, ExecModelKind model);
 
-/// Fixed-point calibration of the dynamic-load timescale: iterate until
-/// the scripted load events span the actual run duration.  The returned τ
-/// is then reused across the runs being compared, so every configuration
-/// faces the *same* load dynamics (paper §6.2.3: "The synthetic load
-/// dynamics are the same in each case").
+/// Fixed-point calibration of the dynamic-load timescale on execution
+/// model `model`: iterate until the scripted load events span the actual
+/// run duration.  The returned τ is then reused across the runs being
+/// compared, so every configuration faces the *same* load dynamics (paper
+/// §6.2.3: "The synthetic load dynamics are the same in each case").
 real_t calibrate_timescale(int nprocs, int iterations, int sensing_interval,
-                           int passes = 3);
+                           ExecModelKind model, int passes = 3);
 
 }  // namespace ssamr::exp

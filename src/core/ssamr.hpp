@@ -31,6 +31,7 @@
 #include "geom/box_list.hpp"        // IWYU pragma: export
 #include "monitor/monitor_audit.hpp"    // IWYU pragma: export
 #include "monitor/monitor_service.hpp"  // IWYU pragma: export
+#include "partition/distributed_sfc.hpp"  // IWYU pragma: export
 #include "partition/grace_default.hpp"  // IWYU pragma: export
 #include "partition/greedy.hpp"         // IWYU pragma: export
 #include "partition/heterogeneous.hpp"  // IWYU pragma: export
@@ -38,7 +39,6 @@
 #include "partition/metrics.hpp"        // IWYU pragma: export
 #include "partition/multiaxis.hpp"      // IWYU pragma: export
 #include "partition/partition_audit.hpp"  // IWYU pragma: export
-#include "partition/sfc_heterogeneous.hpp"  // IWYU pragma: export
 #include "partition/sfc_knapsack.hpp"   // IWYU pragma: export
 #include "partition/zoo.hpp"            // IWYU pragma: export
 #include "runtime/runtime.hpp"          // IWYU pragma: export

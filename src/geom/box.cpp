@@ -66,30 +66,15 @@ Box Box::shifted(IntVec offset) const {
 Box Box::refined_by(int levels) const {
   SSAMR_REQUIRE(levels >= 1, "levels must be >= 1");
   if (empty()) return Box(lo_, hi_, level_ + levels);
-  coord_t r = 1;
-  for (int i = 0; i < levels; ++i) r *= kRefinementRatio;
+  const coord_t r = refinement_scale(levels);
   return Box(lo_ * r, (hi_ + IntVec::splat(1)) * r - IntVec::splat(1),
              level_ + levels);
 }
 
-namespace {
-coord_t floor_div(coord_t a, coord_t b) {
-  coord_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-}  // namespace
-
 Box Box::coarsened() const {
   SSAMR_REQUIRE(level_ >= 1, "cannot coarsen a level-0 box");
   if (empty()) return Box(lo_, hi_, level_ - 1);
-  const IntVec lo(floor_div(lo_.x, kRefinementRatio),
-                  floor_div(lo_.y, kRefinementRatio),
-                  floor_div(lo_.z, kRefinementRatio));
-  const IntVec hi(floor_div(hi_.x, kRefinementRatio),
-                  floor_div(hi_.y, kRefinementRatio),
-                  floor_div(hi_.z, kRefinementRatio));
-  return Box(lo, hi, level_ - 1);
+  return Box(coarse_cell(lo_), coarse_cell(hi_), level_ - 1);
 }
 
 int Box::longest_axis() const {

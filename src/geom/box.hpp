@@ -20,6 +20,25 @@ namespace ssamr {
 /// kRefinementRatio cells per direction at level l+1 (paper: factor 2).
 inline constexpr coord_t kRefinementRatio = 2;
 
+/// kRefinementRatio^levels: the cells per direction of one cell refined
+/// `levels` times (1 for levels <= 0).  A power of two, so exact in coord_t
+/// and in real_t.
+constexpr coord_t refinement_scale(int levels) {
+  coord_t r = 1;
+  for (int i = 0; i < levels; ++i) r *= kRefinementRatio;
+  return r;
+}
+
+/// The cell one level coarser that cell `fine` lies in: each coordinate
+/// divided by kRefinementRatio, rounded toward −∞ (integer division
+/// rounds negative coordinates toward zero).
+constexpr IntVec coarse_cell(IntVec fine) {
+  const auto down = [](coord_t a) {
+    return a / kRefinementRatio - (a % kRefinementRatio < 0 ? 1 : 0);
+  };
+  return {down(fine.x), down(fine.y), down(fine.z)};
+}
+
 /// A rectilinear region of cells at one refinement level.
 ///
 /// Bounds are inclusive: the box covers cells lo..hi in each direction.

@@ -54,7 +54,7 @@ PartitionResult DistributedSfcPartitioner::partition(
   // Phase 2 — exscan of the total work: an ordered carry chain over the
   // shards, each adding its boxes in input order to the running sum.  This
   // is the serial left fold of total_work split at shard boundaries, so the
-  // floating-point result is bit-identical to the global-view schemes.
+  // floating-point result is bit-identical to the global view's.
   // Each box's work is kept for the cut walk.
   std::vector<real_t> works(n);
   real_t total = 0;
@@ -67,7 +67,7 @@ PartitionResult DistributedSfcPartitioner::partition(
   }
 
   // Capacity-proportional quantile targets L_p = C_p / ΣC · L, cut in rank
-  // order — same expressions, same order as SfcHeterogeneousPartitioner.
+  // order.
   const std::vector<real_t> targets =
       capacity_targets(total, capacities, cap_sum);
   std::vector<rank_t> proc_order(nproc);

@@ -1,13 +1,15 @@
 #pragma once
 /// \file distributed_sfc.hpp
-/// Distributed capacity-weighted SFC partitioning ("DistributedSfcPrefix").
+/// Distributed capacity-weighted SFC partitioning ("DistributedSfcPrefix")
+/// — the library's one curve walk.
 ///
-/// The global-view SfcHeterogeneousPartitioner sorts the entire composite
-/// box list on one rank and walks it greedily — O(N log N) memory and time
-/// on a single process, which caps the virtual cluster well below real
-/// machine sizes.  This scheme executes the Schornbaum & Rüde distributed
-/// load-balancing recipe instead, phrased over curve *shards* (the role a
-/// rank's local box set plays in a real deployment):
+/// The composite space-filling-curve order is cut into contiguous segments,
+/// one per processor, at the capacity-proportional targets L_k = C_k · L.
+/// Instead of sorting the entire composite box list on one rank — O(N log N)
+/// memory and time on a single process, which caps the virtual cluster well
+/// below real machine sizes — this scheme executes the Schornbaum & Rüde
+/// distributed load-balancing recipe, phrased over curve *shards* (the role
+/// a rank's local box set plays in a real deployment):
 ///
 ///   1. each shard keys and sorts only its own boxes (parallel, local);
 ///   2. an ordered carry-chain scan accumulates the total work shard by
@@ -19,11 +21,14 @@
 ///      the pipelined prefix walk of the paper, never a global sorted list.
 ///
 /// Because the shard merge reproduces the global stable sfc_order total
-/// order (key, level, input position) and the walk is the same resumable
-/// state machine assign_sequence uses, the output is **bit-identical** to
-/// SfcHeterogeneousPartitioner for every input, at every shard count
-/// (pinned by tests/distributed_partition_test.cpp).  The global box list
-/// appears only inside the SSAMR_AUDIT hook — a debug/audit construct.
+/// order (key, level, input position), the output is **bit-identical** to
+/// the global sort-then-walk for every input, at every shard count (pinned
+/// against the oracle in tests/oracle.hpp by
+/// tests/distributed_partition_test.cpp).  At one shard it is the
+/// locality-preserving hybrid ("sfc-heterogeneous" in the zoo), and at one
+/// shard with unit capacities GrACE's equal-work baseline
+/// (grace_default.hpp).  The global box list appears only inside the
+/// SSAMR_AUDIT hook — a debug/audit construct.
 
 #include "partition/partitioner.hpp"
 #include "sfc/sfc_index.hpp"

@@ -9,10 +9,11 @@
 /// The composite grid hierarchy is linearized along a space-filling curve
 /// (preserving inter- and intra-level locality) and the ordered sequence is
 /// cut into P contiguous chunks of equal work L/P, breaking boxes (longest
-/// axis, min-box-size) where a chunk boundary falls inside one.
+/// axis, min-box-size) where a chunk boundary falls inside one.  That is
+/// the capacity-weighted curve walk (distributed_sfc.hpp) at one shard and
+/// unit capacities: its targets L · 1 / P equal L / P bit for bit.
 
-#include "partition/partitioner.hpp"
-#include "sfc/sfc_index.hpp"
+#include "partition/distributed_sfc.hpp"
 
 namespace ssamr {
 
@@ -22,17 +23,19 @@ class GraceDefaultPartitioner final : public Partitioner {
   explicit GraceDefaultPartitioner(SfcConfig sfc = {},
                                    PartitionConstraints constraints = {});
 
+  /// Reads only capacities.size(): the values are deliberately ignored.
   PartitionResult partition(const BoxList& boxes,
                             const std::vector<real_t>& capacities,
                             const WorkModel& work) const override;
 
   std::string name() const override { return "ACEComposite"; }
 
-  PartitionConstraints constraints() const override { return constraints_; }
+  PartitionConstraints constraints() const override {
+    return walk_.constraints();
+  }
 
  private:
-  SfcConfig sfc_;
-  PartitionConstraints constraints_;
+  DistributedSfcPartitioner walk_;
 };
 
 }  // namespace ssamr

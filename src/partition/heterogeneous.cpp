@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <numeric>
 
+#include "partition/partition_audit.hpp"
+#include "util/audit.hpp"
+
 namespace ssamr {
 
 HeterogeneousPartitioner::HeterogeneousPartitioner(
@@ -42,8 +45,18 @@ PartitionResult HeterogeneousPartitioner::partition(
   for (std::size_t p = 0; p < nproc; ++p)
     targets[p] = rank_targets[static_cast<std::size_t>(proc_order[p])];
 
-  return assign_sequence(boxes, works, perm, targets, proc_order, work,
-                         constraints_);
+  AssignmentWalk walk(targets, proc_order, work, constraints_);
+  for (const std::size_t i : perm) walk.feed(boxes[i], works[i]);
+  PartitionResult result = walk.take();
+
+  // Self-audit the walk in Debug/audit builds: coverage, disjointness and
+  // split legality against the normalized capacities.
+  SSAMR_AUDIT([&] {
+    std::vector<real_t> caps(nproc);
+    for (std::size_t k = 0; k < nproc; ++k) caps[k] = capacities[k] / cap_sum;
+    return audit::validate_partition(boxes, result, caps, work, constraints_);
+  }());
+  return result;
 }
 
 }  // namespace ssamr

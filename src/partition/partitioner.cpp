@@ -6,8 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "partition/partition_audit.hpp"
-#include "util/audit.hpp"
 #include "util/error.hpp"
 
 namespace ssamr {
@@ -21,10 +19,8 @@ real_t plane_work(const Box& b, int axis) {
   std::int64_t cells_per_plane = 1;
   for (int d = 0; d < kDim; ++d)
     if (d != axis) cells_per_plane *= e[d];
-  real_t updates = 1;
-  for (level_t l = 0; l < b.level(); ++l)
-    updates *= static_cast<real_t>(kRefinementRatio);
-  return static_cast<real_t>(cells_per_plane) * updates;
+  return static_cast<real_t>(cells_per_plane) *
+         static_cast<real_t>(refinement_scale(b.level()));
 }
 
 /// Exact work of the first `planes` planes of `b` along `axis` under a
@@ -226,12 +222,10 @@ AssignmentWalk::AssignmentWalk(const std::vector<real_t>& targets,
 }
 
 void AssignmentWalk::feed(const Box& box, real_t w) {
-  // This is the historical deque walk of assign_sequence with the queue
-  // replaced by one in-flight box: the original only ever re-examined the
-  // *front* remainder before consuming the next input box, so a single
-  // `cur` carries the identical state — and the identical FP operation
-  // sequence, which the bit-identity tests rely on.  `w` is the work of
-  // `cur`: each box, and each remainder of a split, is priced once.
+  // One in-flight box carries the walk: only the *front* remainder is
+  // ever re-examined before the next input box is consumed.  `w` is the
+  // work of `cur`: each box, and each remainder of a split, is priced
+  // once.
   const std::size_t nproc = targets_.size();
   Box cur = box;
   for (;;) {
@@ -277,33 +271,5 @@ void AssignmentWalk::feed(const Box& box, real_t w) {
 }
 
 PartitionResult AssignmentWalk::take() { return std::move(result_); }
-
-PartitionResult assign_sequence(const BoxList& boxes,
-                                const std::vector<real_t>& works,
-                                const std::vector<std::size_t>& order,
-                                const std::vector<real_t>& targets,
-                                const std::vector<rank_t>& proc_order,
-                                const WorkModel& work,
-                                const PartitionConstraints& constraints) {
-  SSAMR_REQUIRE(works.size() == boxes.size(), "boxes/works size mismatch");
-  AssignmentWalk walk(targets, proc_order, work, constraints);
-  for (const std::size_t i : order) walk.feed(boxes[i], works[i]);
-  PartitionResult result = walk.take();
-
-  // Self-audit the walk in Debug/audit builds: coverage, disjointness and
-  // split legality against the capacities implied by the targets.
-  SSAMR_AUDIT([&] {
-    const std::size_t nproc = targets.size();
-    const real_t sum =
-        std::accumulate(targets.begin(), targets.end(), real_t{0});
-    std::vector<real_t> caps(nproc, real_t{1} / static_cast<real_t>(nproc));
-    if (sum > 0)
-      for (std::size_t q = 0; q < nproc; ++q)
-        caps[static_cast<std::size_t>(proc_order[q])] = targets[q] / sum;
-    return audit::validate_partition(boxes, result, caps, work,
-                                     constraints);
-  }());
-  return result;
-}
 
 }  // namespace ssamr

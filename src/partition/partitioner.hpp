@@ -135,19 +135,16 @@ std::optional<WorkSplit> split_for_work(
 
 /// The greedy assignment walk of paper §5.3 as a resumable state machine:
 /// processors are visited in `proc_order`, the p-th visited processor aims
-/// for `targets[p]` work; curve-ordered boxes are fed one at a time,
-/// splitting (split_for_work) when a box exceeds the processor's remaining
-/// target and assigning whole otherwise.  The last processor absorbs the
-/// remainder.
+/// for `targets[p]` work; boxes are fed one at a time in the caller's order
+/// (curve order, or ACEHeterogeneous's work order), splitting
+/// (split_for_work) when a box exceeds the processor's remaining target and
+/// assigning whole otherwise.  The last processor absorbs the remainder.
 ///
-/// Extracting the walk from assign_sequence lets producers that never
-/// materialize the global ordered box list — the distributed prefix-sum
-/// partitioner streams boxes out of a shard merge — execute the *identical*
-/// floating-point operation sequence as the global-view schemes.  Between
-/// feed() calls the walk's state is one cursor plus the per-rank
-/// accumulators (O(P)), which is exactly the pipelined carry a real
-/// distributed implementation would pass along the curve; bit-identity to
-/// assign_sequence is pinned by tests/distributed_partition_test.cpp.
+/// It is the one walk every splitting partitioner runs.  Between feed()
+/// calls its state is one cursor plus the per-rank accumulators (O(P)),
+/// which is exactly the pipelined carry a real distributed implementation
+/// would pass along the curve, so the distributed prefix-sum partitioner
+/// streams boxes out of a shard merge without a global ordered box list.
 ///
 /// `work` is captured by reference and must outlive the walk.
 class AssignmentWalk {
@@ -157,7 +154,7 @@ class AssignmentWalk {
                  const std::vector<rank_t>& proc_order, const WorkModel& work,
                  const PartitionConstraints& constraints);
 
-  /// Consume the next box along the curve order; `w` is its work under
+  /// Consume the next box in the walk's order; `w` is its work under
   /// the walk's model (callers have priced every box already).
   void feed(const Box& box, real_t w);
 
@@ -173,18 +170,5 @@ class AssignmentWalk {
   std::size_t p_ = 0;  ///< position in proc_order
   PartitionResult result_;
 };
-
-/// The greedy assignment walk over a fully materialized box order (the
-/// global-view partitioners' entry point): feeds boxes[order[i]], with
-/// work works[order[i]], through an AssignmentWalk for i = 0, 1, ...
-/// `works` holds per_box_work(boxes, work); `targets` and `proc_order` must
-/// have equal, non-zero size.
-PartitionResult assign_sequence(const BoxList& boxes,
-                                const std::vector<real_t>& works,
-                                const std::vector<std::size_t>& order,
-                                const std::vector<real_t>& targets,
-                                const std::vector<rank_t>& proc_order,
-                                const WorkModel& work,
-                                const PartitionConstraints& constraints);
 
 }  // namespace ssamr

@@ -6,7 +6,6 @@
 #include "partition/heterogeneous.hpp"
 #include "partition/knapsack.hpp"
 #include "partition/multiaxis.hpp"
-#include "partition/sfc_heterogeneous.hpp"
 #include "partition/sfc_knapsack.hpp"
 #include "util/error.hpp"
 
@@ -27,7 +26,8 @@ const std::vector<ZooEntry>& partitioner_zoo() {
        /*local_view=*/false, [] { return std::make_unique<MultiAxisPartitioner>(); }},
       {"sfc-heterogeneous", /*capacity_aware=*/true, /*splits_boxes=*/true,
        /*sfc_contiguous=*/true, /*permutation_equivariant=*/false,
-       /*local_view=*/false, [] { return std::make_unique<SfcHeterogeneousPartitioner>(); }},
+       /*local_view=*/false,
+       [] { return std::make_unique<DistributedSfcPartitioner>(SfcConfig{}, 1); }},
       {"greedy", /*capacity_aware=*/true, /*splits_boxes=*/false,
        /*sfc_contiguous=*/false, /*permutation_equivariant=*/true,
        /*local_view=*/false, [] { return std::make_unique<GreedyPartitioner>(); }},

@@ -16,9 +16,7 @@ key_t sfc_box_key(const Box& b, const SfcConfig& cfg) {
   // Centroid of the box, in units of half-cells of the box's own level, then
   // scaled to the finest index space (also in half-cells, so rounding cannot
   // collapse distinct centroids).
-  coord_t scale = 1;
-  for (level_t l = b.level(); l < cfg.finest_level; ++l)
-    scale *= kRefinementRatio;
+  const coord_t scale = refinement_scale(cfg.finest_level - b.level());
   const IntVec c2 = b.lo() + b.hi() + IntVec::splat(1);  // 2 * centroid
   IntVec p(c2.x * scale / 2, c2.y * scale / 2, c2.z * scale / 2);
   if (cfg.curve == CurveKind::Morton) return morton_encode(p);

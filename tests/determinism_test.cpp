@@ -146,11 +146,11 @@ TEST(Determinism, ComparePartitionersBitIdenticalAcrossThreadCounts) {
   ThreadPoolOverride serial(1);
   const exp::Comparison reference =
       exp::compare_partitioners(4, /*iterations=*/20, /*sensing=*/5,
-                                /*dynamic_loads=*/true);
+                                /*dynamic_loads=*/true, ExecModelKind::kBsp);
   for (int threads : kThreadCounts) {
     ThreadPoolOverride ov(threads);
     const exp::Comparison got =
-        exp::compare_partitioners(4, 20, 5, true);
+        exp::compare_partitioners(4, 20, 5, true, ExecModelKind::kBsp);
     EXPECT_TRUE(got.system_sensitive == reference.system_sensitive)
         << "threads=" << threads;
     EXPECT_TRUE(got.grace_default == reference.grace_default)

@@ -1,9 +1,11 @@
-// Bit-identity pin for the distributed prefix-sum partitioner: on every
-// input, at every shard count and every thread count, DistributedSfcPrefix
-// must produce the *same bytes* as the global-view SfcHeterogeneous scheme
-// — same assignments, same splits, same assigned_work doubles.  The CMake
-// side re-runs this binary under SSAMR_THREADS=1/2/8 so the shard-parallel
-// key/sort phase is exercised across pool widths.
+// Bit-identity pin for the library's one curve walk: on every input, at
+// every shard count and every thread count, DistributedSfcPrefix must
+// produce the *same bytes* as the globally sorted walk in oracle.hpp — same
+// assignments, same splits, same assigned_work doubles.  The zoo's two SFC
+// entries and GrACE's equal-work baseline (the walk at unit capacities) are
+// pinned against the same oracle.  The CMake side re-runs this binary
+// under SSAMR_THREADS=1/2/8 so the shard-parallel key/sort phase is
+// exercised across pool widths.
 //
 // PartitionResult::operator== is defaulted member-wise equality over
 // doubles and boxes, so EXPECT_TRUE(a == b) is a bit-exact FP comparison,
@@ -17,8 +19,9 @@
 #include <vector>
 
 #include "amr/particles.hpp"
+#include "oracle.hpp"
 #include "partition/distributed_sfc.hpp"
-#include "partition/sfc_heterogeneous.hpp"
+#include "partition/grace_default.hpp"
 #include "partition/zoo.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -109,12 +112,11 @@ std::vector<real_t> random_capacities(Rng& rng, std::size_t n) {
   return caps;
 }
 
-TEST(DistributedPartition, BitIdenticalToSfcHeterogeneousOnFixtures) {
-  const SfcHeterogeneousPartitioner reference;
+TEST(DistributedPartition, BitIdenticalToOracleOnFixtures) {
   for (const Fixture& fx : fixtures())
     for (const auto& caps : capacity_sets()) {
       const PartitionResult expect =
-          reference.partition(fx.boxes, caps, kIntWork);
+          oracle::sfc_partition(fx.boxes, caps, kIntWork);
       for (const int shards : {1, 2, 3, 8, 16}) {
         SCOPED_TRACE(std::string(fx.label) + "/" +
                      std::to_string(caps.size()) + "procs/" +
@@ -126,12 +128,12 @@ TEST(DistributedPartition, BitIdenticalToSfcHeterogeneousOnFixtures) {
 }
 
 TEST(DistributedPartition, BitIdenticalOnRandomWorkloadsAtP32) {
-  const SfcHeterogeneousPartitioner reference;
   Rng rng(0xd157'f00d);
   for (int trial = 0; trial < 12; ++trial) {
     const BoxList boxes = random_workload(rng, 6);
     const auto caps = random_capacities(rng, 32);
-    const PartitionResult expect = reference.partition(boxes, caps, kIntWork);
+    const PartitionResult expect =
+        oracle::sfc_partition(boxes, caps, kIntWork);
     for (const int shards : {1, 4, 16}) {
       SCOPED_TRACE("trial " + std::to_string(trial) + "/" +
                    std::to_string(shards) + "shards");
@@ -159,15 +161,14 @@ TEST(DistributedPartition, ShardCountNeverChangesTheAnswer) {
 
 TEST(DistributedPartition, UniformCapacitiesSplitDyadically) {
   // With uniform capacities each target is total/P computed as
-  // total * (1/P normalized) — the same expression SfcHeterogeneous uses,
-  // so the agreement covers the exactly-representable quantile case too.
-  const SfcHeterogeneousPartitioner reference;
+  // total * (1/P normalized) — the same expression the oracle uses, so the
+  // agreement covers the exactly-representable quantile case too.
   const DistributedSfcPartitioner dist(SfcConfig{}, 4);
   const std::vector<real_t> caps{0.25, 0.25, 0.25, 0.25};
   for (const Fixture& fx : fixtures()) {
     SCOPED_TRACE(fx.label);
     const PartitionResult expect =
-        reference.partition(fx.boxes, caps, kIntWork);
+        oracle::sfc_partition(fx.boxes, caps, kIntWork);
     EXPECT_TRUE(dist.partition(fx.boxes, caps, kIntWork) == expect);
   }
 }
@@ -184,16 +185,60 @@ TEST(DistributedPartition, ParticleCoupledWorkModelAgreesToo) {
   work.cost_per_particle = Work{3.0};
   work.particles = &field;
 
-  const SfcHeterogeneousPartitioner reference;
   const DistributedSfcPartitioner dist(SfcConfig{}, 8);
   for (const Fixture& fx : fixtures())
     for (const auto& caps : capacity_sets()) {
       SCOPED_TRACE(std::string(fx.label) + "/" +
                    std::to_string(caps.size()) + "procs");
-      const PartitionResult expect =
-          reference.partition(fx.boxes, caps, work);
+      const PartitionResult expect = oracle::sfc_partition(fx.boxes, caps, work);
       EXPECT_TRUE(dist.partition(fx.boxes, caps, work) == expect);
     }
+}
+
+TEST(DistributedPartition, ZooSfcEntriesRunTheOracleWalk) {
+  // "sfc-heterogeneous" is the walk at one shard, "distributed-sfc" at
+  // eight; both must give the oracle's bytes.
+  for (const char* id : {"sfc-heterogeneous", "distributed-sfc"}) {
+    const auto p = make_partitioner(id);
+    for (const Fixture& fx : fixtures())
+      for (const auto& caps : capacity_sets()) {
+        SCOPED_TRACE(std::string(id) + "/" + fx.label + "/" +
+                     std::to_string(caps.size()) + "procs");
+        EXPECT_TRUE(p->partition(fx.boxes, caps, kIntWork) ==
+                    oracle::sfc_partition(fx.boxes, caps, kIntWork));
+      }
+  }
+}
+
+TEST(GraceDefault, EqualsTheOracleAtUnitCapacities) {
+  // The baseline reads only how many capacities it is given: whatever
+  // their values — skewed, all zero, negative — it is the oracle walk at
+  // unit capacities, bit for bit, under both work models.
+  const Box domain = Box::from_extent(IntVec(0, 0, 0), IntVec(64, 32, 16), 0);
+  ParticleCloudConfig cloud;
+  cloud.count = 700;
+  const ParticleField field =
+      ParticleField::gaussian_cloud(domain, cloud, /*center_x=*/0.4);
+  WorkModel particle_work;
+  particle_work.cost_per_particle = Work{3.0};
+  particle_work.particles = &field;
+
+  std::vector<std::vector<real_t>> capsets = capacity_sets();
+  capsets.push_back({0.0, 0.0, 0.0});
+  capsets.push_back({0.7, -0.2, 0.5});
+  capsets.push_back({-1.0});
+  const GraceDefaultPartitioner grace;
+  for (const WorkModel& work : {kIntWork, particle_work})
+    for (const Fixture& fx : fixtures())
+      for (const auto& caps : capsets) {
+        SCOPED_TRACE(std::string(fx.label) + "/" +
+                     std::to_string(caps.size()) + "procs/" +
+                     (work.has_particles() ? "particles" : "cells"));
+        const std::vector<real_t> unit(caps.size(), 1.0);
+        EXPECT_TRUE(grace.partition(fx.boxes, caps, work) ==
+                    oracle::sfc_partition(fx.boxes, unit, work));
+      }
+  EXPECT_THROW(grace.partition(single_box(), {}, kIntWork), Error);
 }
 
 TEST(DistributedPartition, ZooFactoryResolvesWithLocalViewFlag) {

@@ -207,7 +207,8 @@ TEST(Experiment, DynamicLoadsEvolveOverTime) {
 }
 
 TEST(Experiment, SystemSensitiveWinsAtFourProcs) {
-  const auto cmp = exp::compare_partitioners(4, 60, 0, false);
+  const auto cmp =
+      exp::compare_partitioners(4, 60, 0, false, ExecModelKind::kBsp);
   EXPECT_GT(cmp.improvement(), 0.0);
   EXPECT_LT(cmp.improvement(), 0.5);
 }
@@ -240,9 +241,11 @@ TEST(Experiment, ImbalanceLowerForSystemSensitive) {
 }
 
 TEST(Experiment, TimescaleCalibrationConverges) {
-  const real_t tau = exp::calibrate_timescale(4, 30, 10, 2);
+  const real_t tau =
+      exp::calibrate_timescale(4, 30, 10, ExecModelKind::kBsp, 2);
   EXPECT_GT(tau, 1.0);
-  const RunTrace t = exp::run_dynamic_het(4, 30, 10, tau);
+  const RunTrace t =
+      exp::run_dynamic_het(4, 30, 10, tau, ExecModelKind::kBsp);
   // The calibrated timescale must be within a factor ~2 of the duration.
   EXPECT_GT(t.total_time, Seconds{0.4 * tau});
   EXPECT_LT(t.total_time, Seconds{2.5 * tau});
@@ -276,6 +279,40 @@ TEST(Experiment, RuntimeConfigMatchesPaperParameters) {
   EXPECT_EQ(cfg.sensing.interval, 20);
   EXPECT_TRUE(cfg.weights.valid());
   EXPECT_DOUBLE_EQ(cfg.weights.cpu, 1.0 / 3.0);  // equal weights
+}
+
+TEST(Experiment, ExecModelComesFromTheFlagThenTheEnvironmentThenTheFallback) {
+  // select_exec_model parses and returns; it stores nothing, so the paper
+  // configuration stays BSP whatever a driver selected or the environment
+  // says.
+  const char* saved = std::getenv("SSAMR_EXEC_MODEL");
+  const std::string restore = saved != nullptr ? saved : "";
+  char prog[] = "driver";
+  char event[] = "--exec-model=event";
+  char proc[] = "--exec-model=proc";
+  char other[] = "--seconds=3";
+  char* none[] = {prog, other};
+  char* one[] = {prog, event};
+  char* two[] = {prog, proc, other, event};
+
+  ::unsetenv("SSAMR_EXEC_MODEL");
+  EXPECT_EQ(exp::select_exec_model(2, none), ExecModelKind::kBsp);
+  EXPECT_EQ(exp::select_exec_model(2, none, ExecModelKind::kProc),
+            ExecModelKind::kProc);
+  EXPECT_EQ(exp::select_exec_model(2, one, ExecModelKind::kProc),
+            ExecModelKind::kEvent);
+  EXPECT_EQ(exp::select_exec_model(4, two), ExecModelKind::kEvent);
+  EXPECT_EQ(exp::paper_runtime_config(10, 0).exec_model, ExecModelKind::kBsp);
+
+  ::setenv("SSAMR_EXEC_MODEL", "proc", 1);
+  EXPECT_EQ(exp::select_exec_model(2, none), ExecModelKind::kProc);
+  EXPECT_EQ(exp::select_exec_model(2, one), ExecModelKind::kEvent);
+  EXPECT_EQ(exp::paper_runtime_config(10, 0).exec_model, ExecModelKind::kBsp);
+
+  if (saved != nullptr)
+    ::setenv("SSAMR_EXEC_MODEL", restore.c_str(), 1);
+  else
+    ::unsetenv("SSAMR_EXEC_MODEL");
 }
 
 }  // namespace

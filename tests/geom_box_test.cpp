@@ -184,6 +184,31 @@ TEST(Box, CoarsenIsTheTightestCover) {
   }
 }
 
+TEST(Box, RefinementScaleIsThePowerOfTheRatio) {
+  EXPECT_EQ(refinement_scale(0), 1);
+  EXPECT_EQ(refinement_scale(-3), 1);
+  coord_t power = 1;
+  for (int levels = 1; levels <= 30; ++levels) {
+    power *= kRefinementRatio;
+    EXPECT_EQ(refinement_scale(levels), power) << levels;
+    // Exact in real_t as well: one division by the ratio undoes a level.
+    EXPECT_EQ(static_cast<real_t>(refinement_scale(levels)) /
+                  static_cast<real_t>(kRefinementRatio),
+              static_cast<real_t>(refinement_scale(levels - 1)))
+        << levels;
+  }
+}
+
+TEST(Box, CoarseCellContainsTheFineCell) {
+  // Every fine cell, negative coordinates included, lies in the
+  // refinement of its coarse cell.
+  for (coord_t i = -9; i <= 9; ++i) {
+    const IntVec fine(i, -i, i + 3);
+    const IntVec coarse = coarse_cell(fine);
+    EXPECT_TRUE(Box(coarse, coarse, 0).refined().contains(fine)) << fine;
+  }
+}
+
 TEST(Box, EmptyBoxStaysEmptyAcrossLevels) {
   const Box e(IntVec(4, 4, 4), IntVec(3, 3, 3), 1);
   ASSERT_TRUE(e.empty());

@@ -13,6 +13,8 @@
 ///     above;
 ///   - gaussian_cloud / count_in: the particle cloud drawn in the
 ///     library's order and counted by testing every particle;
+///   - sfc_partition: the capacity-weighted curve walk over one globally
+///     sorted box list, where the library merges sorted curve shards;
 ///   - pairwise_comm_bytes / ownership_transfer_flows: the rank-to-rank
 ///     ghost and migration flows from an all-pairs box scan, merged in an
 ///     ordered map;
@@ -28,6 +30,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -39,6 +42,8 @@
 #include "geom/box_list.hpp"
 #include "geom/point.hpp"
 #include "partition/metrics.hpp"
+#include "partition/partitioner.hpp"
+#include "sfc/sfc_index.hpp"
 #include "sim/event.hpp"
 #include "util/rng.hpp"
 
@@ -424,6 +429,32 @@ inline std::int64_t count_in(const ParticleCloud& cloud, const Box& b) {
     ++count;
   }
   return count;
+}
+
+// ---------------------------------------------------------------------------
+// Capacity-weighted curve walk, globally sorted
+
+/// Same contract as DistributedSfcPartitioner::partition under the default
+/// SfcConfig, at any shard count: the whole list sorted once by sfc_order,
+/// the works folded left from 0 in input order, capacity_targets cut in
+/// rank order, and one AssignmentWalk fed in curve order.
+inline PartitionResult sfc_partition(
+    const BoxList& boxes, const std::vector<real_t>& capacities,
+    const WorkModel& work, const PartitionConstraints& constraints = {}) {
+  const real_t cap_sum = capacity_sum(capacities);
+  std::vector<real_t> works;
+  real_t total = 0;
+  for (const Box& b : boxes) {
+    works.push_back(box_work(b, work));
+    total += works.back();
+  }
+  std::vector<rank_t> proc_order(capacities.size());
+  std::iota(proc_order.begin(), proc_order.end(), rank_t{0});
+  AssignmentWalk walk(capacity_targets(total, capacities, cap_sum),
+                      proc_order, work, constraints);
+  for (const std::size_t i : sfc_order(boxes.boxes(), SfcConfig{}))
+    walk.feed(boxes[i], works[i]);
+  return walk.take();
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "util/error.hpp"
 #include "geom/box_algebra.hpp"
+#include "partition/distributed_sfc.hpp"
 #include "partition/grace_default.hpp"
 #include "partition/heterogeneous.hpp"
 #include "partition/knapsack.hpp"
@@ -19,7 +20,6 @@
 #include "partition/greedy.hpp"
 #include "partition/multiaxis.hpp"
 #include "partition/partition_audit.hpp"
-#include "partition/sfc_heterogeneous.hpp"
 #include "partition/sfc_knapsack.hpp"
 #include "sfc/sfc_index.hpp"
 
@@ -28,16 +28,14 @@ namespace {
 
 const WorkModel kWork{};
 
-/// assign_sequence over `boxes` in list order, each priced under kWork.
+/// The AssignmentWalk fed `boxes` in list order, each priced under kWork.
 PartitionResult assign_in_order(const std::vector<Box>& boxes,
                                 const std::vector<real_t>& targets,
                                 const std::vector<rank_t>& proc_order,
                                 const PartitionConstraints& c) {
-  const BoxList list(boxes);
-  std::vector<std::size_t> order(boxes.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return assign_sequence(list, per_box_work(list, kWork), order, targets,
-                         proc_order, kWork, c);
+  AssignmentWalk walk(targets, proc_order, kWork, c);
+  for (const Box& b : boxes) walk.feed(b, box_work(b, kWork));
+  return walk.take();
 }
 
 BoxList uniform_grid_boxes(coord_t n_per_axis, coord_t box_size,
@@ -336,8 +334,9 @@ std::vector<PartitionerCase> make_cases() {
                      "heterogeneous"});
     cases.push_back({std::make_shared<MultiAxisPartitioner>(), caps,
                      "multiaxis"});
-    cases.push_back({std::make_shared<SfcHeterogeneousPartitioner>(), caps,
-                     "sfc_heterogeneous"});
+    cases.push_back({std::make_shared<DistributedSfcPartitioner>(
+                         SfcConfig{}, 1),
+                     caps, "sfc_heterogeneous"});
     cases.push_back({std::make_shared<GreedyPartitioner>(), caps,
                      "greedy"});
     cases.push_back({std::make_shared<KnapsackPartitioner>(), caps,
@@ -469,7 +468,7 @@ TEST(Greedy, ZeroCapacityRankGetsNothing) {
 TEST(SfcHeterogeneous, BalancesLikeHeterogeneousWithBetterLocality) {
   const BoxList boxes = uniform_grid_boxes(8, 8);
   const std::vector<real_t> caps{0.16, 0.19, 0.31, 0.34};
-  SfcHeterogeneousPartitioner hybrid;
+  const DistributedSfcPartitioner hybrid(SfcConfig{}, 1);
   HeterogeneousPartitioner het;
   const auto rh = hybrid.partition(boxes, caps, kWork);
   const auto rs = het.partition(boxes, caps, kWork);

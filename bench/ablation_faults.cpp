@@ -46,27 +46,11 @@ std::vector<real_t> env_rates() {
   return rates;
 }
 
-/// The fault plan for one sweep row.  Rate 0 is the reference row: fully
-/// benign, so the run takes the monitor's bit-identical fault-free path.
-FaultPlan plan_for_rate(real_t rate, int nodes, real_t horizon) {
-  if (rate <= 0) return FaultPlan{};
-  const real_t timeout_frac =
-      exp::env_real("SSAMR_FAULT_TIMEOUT_FRACTION", 0.5, 0.0, 1.0);
-  FaultProfile profile;
-  profile.probe_timeout_rate = rate * timeout_frac;
-  profile.probe_drop_rate = rate * (1.0 - timeout_frac);
-  profile.stale_windows = exp::env_int("SSAMR_FAULT_STALE_WINDOWS", 2, 0);
-  profile.crash_episodes = exp::env_int("SSAMR_FAULT_CRASHES", 1, 0);
-  return FaultPlan::scripted(
-      nodes, Seconds{horizon}, profile,
-      static_cast<std::uint64_t>(exp::env_int("SSAMR_FAULT_SEED", 1724, 0)));
-}
-
 RunTrace run_one(const Partitioner& p, const FaultPlan& plan, real_t tau,
                  int iterations, ExecModelKind model) {
   Cluster cluster = exp::paper_cluster(4);
   exp::apply_dynamic_loads(cluster, tau);
-  if (!plan.benign()) cluster.set_fault_plan(plan);
+  cluster.set_fault_plan(plan);
   TraceWorkloadSource source(exp::paper_trace_config());
   RuntimeConfig cfg = exp::paper_runtime_config(iterations,
                                                 /*sensing_interval=*/5);
@@ -92,8 +76,8 @@ int main(int argc, char** argv) {
   std::vector<RunTrace> def(rates.size());
   ThreadPool::global().parallel_for(rates.size() * 2, [&](std::size_t j) {
     const std::size_t i = j / 2;
-    const FaultPlan plan =
-        plan_for_rate(rates[i], /*nodes=*/4, /*horizon=*/tau);
+    // Rate 0 is the reference row: the empty plan, a fault-free run.
+    const FaultPlan plan = exp::fault_plan(rates[i], /*nodes=*/4, tau);
     HeterogeneousPartitioner h;
     GraceDefaultPartitioner d;
     if (j % 2 == 0)

@@ -1,8 +1,8 @@
 /// \file bench_faults.cpp
-/// Microbenchmarks of the fault-tolerant sensing path: the fault-free
-/// probe sweep (the hot path of every run — it must stay at its pre-fault
-/// cost), the degraded sweep with retries and backoff, the forecaster's
-/// bounded selector on long histories, and raw fault-plan queries.
+/// Microbenchmarks of the fault-tolerant sensing path: a probe sweep under
+/// the empty fault plan (the sweep of every run in which nothing fails),
+/// the degraded sweep with retries and backoff, the forecaster's bounded
+/// selector on long histories, and raw fault-plan queries.
 
 #include <benchmark/benchmark.h>
 

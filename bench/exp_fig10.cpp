@@ -18,12 +18,8 @@
 
 using namespace ssamr;
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "=== Figure 10: % load imbalance per regrid ===\n\n";
-
-  const ExecModelKind model = exp::select_exec_model(argc, argv);
-  std::cout << "execution model: " << exec_model_name(model)
-            << " (--exec-model=bsp|event|proc, or SSAMR_EXEC_MODEL)\n\n";
 
   const auto caps = exp::reference_capacities4();
   SyntheticAmrTrace trace(exp::paper_trace_config());

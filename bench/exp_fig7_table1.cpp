@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
   std::vector<exp::Comparison> cmps(4);
   ThreadPool::global().parallel_for(4, [&](std::size_t i) {
     cmps[i] = exp::compare_partitioners(procs[i], iterations,
-                                        /*sensing_interval=*/0,
-                                        /*dynamic_loads=*/false, model);
+                                        /*sensing_interval=*/0, model);
   });
   for (int i = 0; i < 4; ++i) {
     const int p = procs[i];

@@ -44,15 +44,11 @@ void run_scheme(const Partitioner& partitioner, const char* figure,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "=== Figures 8 & 9: per-processor work-load assignment vs "
                "regrid number ===\n\n";
   CsvWriter csv(exp::results_path("fig8_fig9.csv"),
                 {"scheme", "regrid", "proc", "work"});
-
-  const ExecModelKind model = exp::select_exec_model(argc, argv);
-  std::cout << "execution model: " << exec_model_name(model)
-            << " (--exec-model=bsp|event|proc, or SSAMR_EXEC_MODEL)\n\n";
 
   GraceDefaultPartitioner def;
   HeterogeneousPartitioner het;

@@ -52,22 +52,6 @@ constexpr int kProcs = 4;
 constexpr std::int64_t kParticleCount = 4096;
 constexpr real_t kParticleCost = 50.0;
 
-/// Fault plan of the `fault` family (ablation_faults conventions).
-FaultPlan fault_plan(real_t horizon) {
-  const real_t rate = exp::env_real("SSAMR_FAULT_RATE", 0.2, 0.0, 1.0);
-  if (rate <= 0) return FaultPlan{};
-  const real_t timeout_frac =
-      exp::env_real("SSAMR_FAULT_TIMEOUT_FRACTION", 0.5, 0.0, 1.0);
-  FaultProfile profile;
-  profile.probe_timeout_rate = rate * timeout_frac;
-  profile.probe_drop_rate = rate * (1.0 - timeout_frac);
-  profile.stale_windows = exp::env_int("SSAMR_FAULT_STALE_WINDOWS", 2, 0);
-  profile.crash_episodes = exp::env_int("SSAMR_FAULT_CRASHES", 1, 0);
-  return FaultPlan::scripted(
-      kProcs, Seconds{horizon}, profile,
-      static_cast<std::uint64_t>(exp::env_int("SSAMR_FAULT_SEED", 1724, 0)));
-}
-
 /// Trace configuration of one workload family.
 TraceConfig trace_config_for(const std::string& workload) {
   TraceConfig tcfg = exp::paper_trace_config();
@@ -97,8 +81,8 @@ RunTrace run_cell(const std::string& workload, const Partitioner& p,
   Cluster cluster = exp::paper_cluster(kProcs);
   if (workload == "fault") {
     exp::apply_dynamic_loads(cluster, tau);
-    const FaultPlan plan = fault_plan(tau);
-    if (!plan.benign()) cluster.set_fault_plan(plan);
+    cluster.set_fault_plan(exp::fault_plan(
+        exp::env_real("SSAMR_FAULT_RATE", 0.2, 0.0, 1.0), kProcs, tau));
   } else {
     exp::apply_static_loads(cluster);
   }

@@ -60,7 +60,7 @@ int main() {
   // 5. Full adaptive runs on the simulated cluster.
   const auto cmp = exp::compare_partitioners(
       /*nprocs=*/4, /*iterations=*/100, /*sensing_interval=*/20,
-      /*dynamic_loads=*/false, ExecModelKind::kBsp);
+      ExecModelKind::kBsp);
   std::cout << "100-iteration run, sensing every 20 iterations:\n"
             << "  ACEHeterogeneous: "
             << fmt(cmp.system_sensitive.total_time.value(), 1)

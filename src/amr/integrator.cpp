@@ -173,15 +173,8 @@ void BergerOliger::regrid_level_above(int l) {
   auto coarse_boxes = cluster_flags(buffered, l, ccfg);
   // Cluster bounding boxes can bridge gaps between disjoint parent
   // patches; clip against the parent union so the new level nests.
-  if (l >= 1) {
-    std::vector<Box> clipped;
-    for (const Box& b : coarse_boxes)
-      for (const Patch& pp : parent.patches()) {
-        const Box piece = b.intersection(pp.box());
-        if (!piece.empty()) clipped.push_back(piece);
-      }
-    coarse_boxes = coalesce(std::move(clipped));
-  }
+  if (l >= 1)
+    coarse_boxes = clip_and_coalesce(coarse_boxes, parent.box_list().boxes());
   BoxList fine_boxes;
   for (const Box& b : coarse_boxes)
     fine_boxes.push_back(b.refined());

@@ -128,17 +128,9 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
     const auto coarse_boxes =
         cluster_runs(std::move(runs), static_cast<level_t>(l), cfg_.cluster);
     // A cluster's bounding box can bridge the gap between two disjoint
-    // parent boxes; clip against the parent union (and re-coalesce) so the
-    // refined level stays properly nested.
-    std::vector<Box> clipped;
-    for (const Box& b : coarse_boxes)
-      for (const Box& pb : parent_union) {
-        const Box piece = b.intersection(pb);
-        if (!piece.empty()) clipped.push_back(piece);
-      }
-    clipped = coalesce(std::move(clipped));
+    // parent boxes; clipping keeps the refined level properly nested.
     std::vector<Box> next_union;
-    for (const Box& b : clipped) {
+    for (const Box& b : clip_and_coalesce(coarse_boxes, parent_union)) {
       const Box fine = b.refined();
       out.push_back(fine);
       next_union.push_back(fine);

@@ -36,19 +36,19 @@ void Cluster::add_load(rank_t rank, const LoadRamp& ramp) {
 }
 
 void Cluster::set_fault_plan(FaultPlan plan) {
-  fault_plan_ = std::make_shared<const FaultPlan>(std::move(plan));
+  fault_plan_ = std::move(plan);
 }
 
 Seconds Cluster::resume_time(rank_t rank, Seconds t) const {
   check_rank(rank);
-  return fault_plan_ == nullptr ? t : fault_plan_->resume_time(rank, t);
+  return fault_plan_.resume_time(rank, t);
 }
 
 NodeState Cluster::state_at(rank_t rank, Seconds t) const {
   check_rank(rank);
   const NodeSpec& spec = nodes_[static_cast<std::size_t>(rank)];
   const LoadScript& load = loads_[static_cast<std::size_t>(rank)];
-  if (fault_plan_ != nullptr && fault_plan_->node_down(rank, t)) {
+  if (fault_plan_.node_down(rank, t)) {
     NodeState down;
     down.cpu_available = Fraction{0};
     down.memory_free_mb = MegaBytes{0};

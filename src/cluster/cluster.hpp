@@ -8,7 +8,6 @@
 /// the machine — CPU availability, free memory, deliverable bandwidth —
 /// is defined here, deterministically.
 
-#include <memory>
 #include <vector>
 
 #include "cluster/fault_plan.hpp"
@@ -36,17 +35,15 @@ class Cluster {
   /// Attach (append) a load generator to one node.
   void add_load(rank_t rank, const LoadRamp& ramp);
 
-  /// Attach a fault plan (probe faults, stale windows, crash episodes).
-  /// With no plan attached — the default — the cluster is fault-free and
-  /// behaves bit-identically to a cluster built before fault injection
-  /// existed.
+  /// Replace the fault plan (probe faults, stale windows, crash episodes).
+  /// The default plan is empty: the cluster is fault-free.
   void set_fault_plan(FaultPlan plan);
 
-  /// The attached fault plan, or nullptr when the cluster is fault-free.
-  const FaultPlan* fault_plan() const { return fault_plan_.get(); }
+  /// The cluster's fault plan.
+  const FaultPlan& fault_plan() const { return fault_plan_; }
 
   /// The virtual time at which the node is next up: t itself when the node
-  /// is up (always, without a fault plan), else the rejoin time of the
+  /// is up (always, under the empty plan), else the rejoin time of the
   /// covering crash episode(s).  Execution models price work on a crashed
   /// node as a pause until this time, not as progress at the availability
   /// floor.
@@ -80,8 +77,7 @@ class Cluster {
   std::vector<NodeSpec> nodes_;
   std::vector<LoadScript> loads_;
   NetworkModel network_;
-  /// Heap-held so copies of a fault-free cluster stay cheap; null = none.
-  std::shared_ptr<const FaultPlan> fault_plan_;
+  FaultPlan fault_plan_;
 };
 
 }  // namespace ssamr

@@ -12,9 +12,9 @@
 /// pure function of (seed, rank, attempt) — independent of call order and
 /// thread count.
 ///
-/// The plan is attached to a Cluster (cluster.hpp).  With no plan
-/// attached every probe succeeds and the cluster behaves exactly as
-/// before — the zero-fault path is bit-identical.
+/// A Cluster (cluster.hpp) holds one plan.  A default-constructed plan is
+/// empty: no episodes and zero rates, so every probe answers and no node
+/// is ever down.
 
 #include <cstdint>
 #include <vector>
@@ -74,12 +74,6 @@ class FaultPlan {
   void add(const FaultEpisode& e);
 
   const std::vector<FaultEpisode>& episodes() const { return episodes_; }
-
-  /// True when the plan can never produce a fault.
-  bool benign() const {
-    return episodes_.empty() && probe_timeout_rate <= 0 &&
-           probe_drop_rate <= 0;
-  }
 
   /// Outcome of probe attempt number `attempt` (a per-(node, monitor)
   /// counter) against node `rank` at virtual time t.  Scripted episodes

@@ -166,6 +166,20 @@ void apply_dynamic_loads(Cluster& cluster, real_t timescale_s) {
   }
 }
 
+FaultPlan fault_plan(real_t rate, int nodes, real_t horizon_s) {
+  if (rate <= 0) return FaultPlan{};
+  const real_t timeout_frac =
+      env_real("SSAMR_FAULT_TIMEOUT_FRACTION", 0.5, 0.0, 1.0);
+  FaultProfile profile;
+  profile.probe_timeout_rate = rate * timeout_frac;
+  profile.probe_drop_rate = rate * (1.0 - timeout_frac);
+  profile.stale_windows = env_int("SSAMR_FAULT_STALE_WINDOWS", 2, 0);
+  profile.crash_episodes = env_int("SSAMR_FAULT_CRASHES", 1, 0);
+  return FaultPlan::scripted(
+      nodes, Seconds{horizon_s}, profile,
+      static_cast<std::uint64_t>(env_int("SSAMR_FAULT_SEED", 1724, 0)));
+}
+
 namespace {
 
 /// Peak-rate multipliers of the scale sweep's nodes, repeating every four
@@ -255,19 +269,14 @@ real_t Comparison::improvement() const {
 }
 
 Comparison compare_partitioners(int nprocs, int iterations,
-                                int sensing_interval, bool dynamic_loads,
-                                ExecModelKind model,
-                                real_t dynamic_timescale_s) {
+                                int sensing_interval, ExecModelKind model) {
   Comparison out;
   RuntimeConfig cfg = paper_runtime_config(iterations, sensing_interval);
   cfg.exec_model = model;
 
   auto run_one = [&](const Partitioner& p) {
     Cluster cluster = paper_cluster(nprocs);
-    if (dynamic_loads)
-      apply_dynamic_loads(cluster, dynamic_timescale_s);
-    else
-      apply_static_loads(cluster);
+    apply_static_loads(cluster);
     TraceWorkloadSource source(paper_trace_config());
     AdaptiveRuntime runtime(cluster, source, p, cfg);
     return runtime.run();
@@ -293,10 +302,9 @@ RunTrace run_dynamic_het(int nprocs, int iterations, int sensing_interval,
 }
 
 real_t calibrate_timescale(int nprocs, int iterations, int sensing_interval,
-                           ExecModelKind model, int passes) {
-  SSAMR_REQUIRE(passes >= 1, "need at least one pass");
+                           ExecModelKind model) {
   real_t tau = 300.0;
-  for (int i = 0; i < passes; ++i) {
+  for (int pass = 0; pass < 3; ++pass) {
     const RunTrace t =
         run_dynamic_het(nprocs, iterations, sensing_interval, tau, model);
     tau = 0.95 * t.total_time.value();

@@ -62,6 +62,15 @@ void apply_static_loads(Cluster& cluster);
 /// times on two of every four nodes.
 void apply_dynamic_loads(Cluster& cluster, real_t timescale_s);
 
+/// The fault plan of a run at per-attempt probe failure rate `rate`
+/// (ablation_faults and the matrix's `fault` family): the empty plan when
+/// rate <= 0, else FaultPlan::scripted over `nodes` nodes and `horizon_s`
+/// virtual seconds.  SSAMR_FAULT_TIMEOUT_FRACTION (default 0.5) splits the
+/// rate into timeouts and fast drops, SSAMR_FAULT_STALE_WINDOWS (2) and
+/// SSAMR_FAULT_CRASHES (1) size the script, and SSAMR_FAULT_SEED (1724)
+/// seeds it.
+FaultPlan fault_plan(real_t rate, int nodes, real_t horizon_s);
+
 /// The scale sweep's cluster (exp_scale; EXPERIMENTS.md, scale sweep):
 /// node peak rates repeat the multipliers 1, 0.75, 1.5, 1.25.
 Cluster scale_cluster(int nprocs);
@@ -105,12 +114,10 @@ struct Comparison {
 };
 
 /// Run the default and the system-sensitive partitioner under identical
-/// cluster/load/workload conditions (fresh, deterministic state per run)
-/// on execution model `model`.
+/// statically loaded cluster and workload conditions (fresh, deterministic
+/// state per run) on execution model `model`.
 Comparison compare_partitioners(int nprocs, int iterations,
-                                int sensing_interval, bool dynamic_loads,
-                                ExecModelKind model,
-                                real_t dynamic_timescale_s = 120.0);
+                                int sensing_interval, ExecModelKind model);
 
 /// One run of the system-sensitive partitioner under the dynamic load
 /// script with timescale `tau` (fresh deterministic state) on execution
@@ -119,11 +126,12 @@ RunTrace run_dynamic_het(int nprocs, int iterations, int sensing_interval,
                          real_t tau, ExecModelKind model);
 
 /// Fixed-point calibration of the dynamic-load timescale on execution
-/// model `model`: iterate until the scripted load events span the actual
-/// run duration.  The returned τ is then reused across the runs being
-/// compared, so every configuration faces the *same* load dynamics (paper
-/// §6.2.3: "The synthetic load dynamics are the same in each case").
+/// model `model`: three passes that each set τ to 0.95 of the previous
+/// run's duration, so the scripted load events span the actual run.  The
+/// returned τ is then reused across the runs being compared, so every
+/// configuration faces the *same* load dynamics (paper §6.2.3: "The
+/// synthetic load dynamics are the same in each case").
 real_t calibrate_timescale(int nprocs, int iterations, int sensing_interval,
-                           ExecModelKind model, int passes = 3);
+                           ExecModelKind model);
 
 }  // namespace ssamr::exp

@@ -107,4 +107,15 @@ std::vector<Box> coalesce(std::vector<Box> boxes) {
   return boxes;
 }
 
+std::vector<Box> clip_and_coalesce(const std::vector<Box>& boxes,
+                                   const std::vector<Box>& region) {
+  std::vector<Box> pieces;
+  for (const Box& b : boxes)
+    for (const Box& r : region) {
+      const Box piece = b.intersection(r);
+      if (!piece.empty()) pieces.push_back(piece);
+    }
+  return coalesce(std::move(pieces));
+}
+
 }  // namespace ssamr

@@ -1,8 +1,8 @@
 #pragma once
 /// \file box_algebra.hpp
-/// Set-like operations on boxes and box lists: difference and simple
-/// coalescing.  These underpin ghost-region planning and regridding
-/// (computing newly refined / de-refined regions).
+/// Set-like operations on boxes and box lists: difference, simple
+/// coalescing and clipping.  These underpin ghost-region planning and
+/// regridding (computing newly refined / de-refined regions).
 
 #include <vector>
 
@@ -23,5 +23,14 @@ std::vector<Box> box_difference(const Box& a,
 /// Merge adjacent boxes that form a rectilinear union (simple pairwise
 /// face-merge until a fixed point).  Input boxes must be disjoint.
 std::vector<Box> coalesce(std::vector<Box> boxes);
+
+/// The cells of `boxes` inside the union of `region`, coalesced: every box
+/// of `boxes` (outer loop) is intersected with every box of `region`
+/// (inner loop), and the non-empty pieces, in that order, go to
+/// coalesce().  Both lists must be disjoint.  Clipping a new level's
+/// cluster boxes against its parent level's boxes keeps it properly
+/// nested where a cluster bridges a gap between parents.
+std::vector<Box> clip_and_coalesce(const std::vector<Box>& boxes,
+                                   const std::vector<Box>& region);
 
 }  // namespace ssamr

@@ -1,6 +1,8 @@
 #include "monitor/forecaster.hpp"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <limits>
 
 #include "util/error.hpp"
@@ -8,61 +10,63 @@
 
 namespace ssamr {
 
-real_t LastValueForecaster::forecast(
-    const std::vector<real_t>& history) const {
+real_t forecast_last(const std::vector<real_t>& history) {
   return history.empty() ? 0 : history.back();
 }
 
-real_t RunningMeanForecaster::forecast(
-    const std::vector<real_t>& history) const {
+real_t forecast_mean(const std::vector<real_t>& history) {
   return mean_of(history);
 }
 
-SlidingMeanForecaster::SlidingMeanForecaster(std::size_t window)
-    : window_(window) {
+real_t forecast_sliding_mean(const std::vector<real_t>& history,
+                             std::size_t window) {
   SSAMR_REQUIRE(window >= 1, "window must be >= 1");
-}
-
-real_t SlidingMeanForecaster::forecast(
-    const std::vector<real_t>& history) const {
   if (history.empty()) return 0;
-  const std::size_t n = std::min(window_, history.size());
+  const std::size_t n = std::min(window, history.size());
   real_t s = 0;
   for (std::size_t i = history.size() - n; i < history.size(); ++i)
     s += history[i];
   return s / static_cast<real_t>(n);
 }
 
-std::string SlidingMeanForecaster::name() const {
-  return "sliding_mean(" + std::to_string(window_) + ")";
-}
-
-SlidingMedianForecaster::SlidingMedianForecaster(std::size_t window)
-    : window_(window) {
+real_t forecast_sliding_median(const std::vector<real_t>& history,
+                               std::size_t window) {
   SSAMR_REQUIRE(window >= 1, "window must be >= 1");
-}
-
-real_t SlidingMedianForecaster::forecast(
-    const std::vector<real_t>& history) const {
   if (history.empty()) return 0;
-  const std::size_t n = std::min(window_, history.size());
+  const std::size_t n = std::min(window, history.size());
   std::vector<real_t> tail(history.end() - static_cast<std::ptrdiff_t>(n),
                            history.end());
   return median_of(std::move(tail));
 }
 
-std::string SlidingMedianForecaster::name() const {
-  return "sliding_median(" + std::to_string(window_) + ")";
-}
+namespace {
 
-AdaptiveForecaster::AdaptiveForecaster() {
-  members_.push_back(std::make_unique<LastValueForecaster>());
-  members_.push_back(std::make_unique<RunningMeanForecaster>());
-  members_.push_back(std::make_unique<SlidingMeanForecaster>(5));
-  members_.push_back(std::make_unique<SlidingMeanForecaster>(10));
-  members_.push_back(std::make_unique<SlidingMedianForecaster>(5));
-  members_.push_back(std::make_unique<SlidingMedianForecaster>(10));
-}
+/// One member of the adaptive selector's family.
+struct Member {
+  const char* name;
+  real_t (*forecast)(const std::vector<real_t>&);
+};
+
+/// The family in selection order: ties go to the earlier member.
+constexpr Member kFamily[] = {
+    {"last", forecast_last},
+    {"mean", forecast_mean},
+    {"sliding_mean(5)",
+     [](const std::vector<real_t>& h) { return forecast_sliding_mean(h, 5); }},
+    {"sliding_mean(10)",
+     [](const std::vector<real_t>& h) { return forecast_sliding_mean(h, 10); }},
+    {"sliding_median(5)",
+     [](const std::vector<real_t>& h) {
+       return forecast_sliding_median(h, 5);
+     }},
+    {"sliding_median(10)",
+     [](const std::vector<real_t>& h) {
+       return forecast_sliding_median(h, 10);
+     }},
+};
+constexpr std::size_t kFamilySize = std::size(kFamily);
+
+}  // namespace
 
 std::size_t AdaptiveForecaster::best_index(
     const std::vector<real_t>& history) const {
@@ -86,13 +90,13 @@ std::size_t AdaptiveForecaster::best_index(
     base = first > kContext ? first - kContext : 0;
   }
 
-  sse_.assign(members_.size(), 0);
+  std::array<real_t, kFamilySize> sse{};
   scratch_.assign(history.begin() + static_cast<std::ptrdiff_t>(base),
                   history.begin() + static_cast<std::ptrdiff_t>(first));
   for (std::size_t i = first; i < n; ++i) {
-    for (std::size_t m = 0; m < members_.size(); ++m) {
-      const real_t err = members_[m]->forecast(scratch_) - history[i];
-      sse_[m] += err * err;
+    for (std::size_t m = 0; m < kFamilySize; ++m) {
+      const real_t err = kFamily[m].forecast(scratch_) - history[i];
+      sse[m] += err * err;
     }
     scratch_.push_back(history[i]);
   }
@@ -100,8 +104,8 @@ std::size_t AdaptiveForecaster::best_index(
   real_t best_mse = std::numeric_limits<real_t>::infinity();
   std::size_t best = 0;
   const real_t count = static_cast<real_t>(n - first);
-  for (std::size_t m = 0; m < members_.size(); ++m) {
-    const real_t mse = sse_[m] / count;
+  for (std::size_t m = 0; m < kFamilySize; ++m) {
+    const real_t mse = sse[m] / count;
     if (mse < best_mse) {
       best_mse = mse;
       best = m;
@@ -112,12 +116,12 @@ std::size_t AdaptiveForecaster::best_index(
 
 real_t AdaptiveForecaster::forecast(
     const std::vector<real_t>& history) const {
-  return members_[best_index(history)]->forecast(history);
+  return kFamily[best_index(history)].forecast(history);
 }
 
 std::string AdaptiveForecaster::best_member(
     const std::vector<real_t>& history) const {
-  return members_[best_index(history)]->name();
+  return kFamily[best_index(history)].name;
 }
 
 }  // namespace ssamr

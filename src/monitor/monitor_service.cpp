@@ -114,11 +114,6 @@ ResourceEstimate ResourceMonitor::fresh_probe(rank_t rank, Seconds t_obs) {
   return e;
 }
 
-ResourceEstimate ResourceMonitor::probe(rank_t rank, Seconds t) {
-  (void)index_of(rank);
-  return fresh_probe(rank, t);
-}
-
 ResourceEstimate ResourceMonitor::known_good_mean() const {
   ResourceEstimate mean;
   mean.cpu_available = Fraction{0};
@@ -139,17 +134,7 @@ ResourceEstimate ResourceMonitor::known_good_mean() const {
 
 ProbeOutcome ResourceMonitor::probe_outcome(rank_t rank, Seconds t) {
   const std::size_t i = index_of(rank);
-  const FaultPlan* plan = cluster_.fault_plan();
-
-  ProbeOutcome out;
-  if (plan == nullptr || plan->benign()) {
-    out.estimate = fresh_probe(rank, t);
-    out.status = ProbeStatus::kOk;
-    out.attempts = 1;
-    out.elapsed_s = cfg_.probe_cost_s;
-    fail_streak_[i] = 0;
-    return out;
-  }
+  const FaultPlan& plan = cluster_.fault_plan();
 
   // A quarantined node gets one attempt per sweep (no retry budget): the
   // monitor keeps listening for recovery but stops paying for backoff.
@@ -162,7 +147,7 @@ ProbeOutcome ResourceMonitor::probe_outcome(rank_t rank, Seconds t) {
   bool stale = false;
   for (int a = 0; a < max_attempts; ++a) {
     ++attempts;
-    const ProbeFault f = plan->probe_fault(rank, t, attempt_counter_[i]++);
+    const ProbeFault f = plan.probe_fault(rank, t, attempt_counter_[i]++);
     if (f == ProbeFault::kNone || f == ProbeFault::kStale) {
       cost += cfg_.probe_cost_s;
       answered = true;
@@ -176,12 +161,13 @@ ProbeOutcome ResourceMonitor::probe_outcome(rank_t rank, Seconds t) {
       cost += kBackoffBase * std::pow(kBackoffFactor, a);
   }
 
+  ProbeOutcome out;
   out.attempts = attempts;
   out.elapsed_s = cost;
   if (answered) {
     // A stale answer is a real (old) reading: it enters the history and
     // counts as contact for quarantine purposes.
-    const Seconds t_obs = stale ? plan->observable_time(rank, t) : t;
+    const Seconds t_obs = stale ? plan.observable_time(rank, t) : t;
     out.estimate = fresh_probe(rank, t_obs);
     out.status = stale ? ProbeStatus::kStale : ProbeStatus::kOk;
     fail_streak_[i] = 0;
@@ -213,19 +199,6 @@ SweepResult ResourceMonitor::probe_all(Seconds t) {
   SweepResult out;
   out.estimates.reserve(n);
 
-  const FaultPlan* plan = cluster_.fault_plan();
-  if (plan == nullptr || plan->benign()) {
-    // Fault-free fast path, bit-identical to the pre-fault monitor: one
-    // measurement per node and the flat sweep price.
-    for (rank_t r = 0; r < cluster_.size(); ++r)
-      out.estimates.push_back(probe(r, t));
-    out.overhead_s = sweep_cost();
-    out.ok = cluster_.size();
-    SSAMR_AUDIT(audit::validate_cluster(cluster_, t));
-    health_.record_sweep(out);
-    return out;
-  }
-
   const std::vector<char> was_quarantined = quarantined_;
   for (rank_t r = 0; r < cluster_.size(); ++r) {
     const ProbeOutcome o = probe_outcome(r, t);
@@ -250,10 +223,6 @@ SweepResult ResourceMonitor::probe_all(Seconds t) {
   SSAMR_AUDIT(audit::validate_cluster(cluster_, t));
   health_.record_sweep(out);
   return out;
-}
-
-Seconds ResourceMonitor::sweep_cost() const {
-  return cfg_.probe_cost_s * static_cast<real_t>(cluster_.size());
 }
 
 bool ResourceMonitor::quarantined(rank_t rank) const {

@@ -19,12 +19,12 @@
 /// quarantined — reported at zero capacity and probed with a single
 /// attempt (no retry budget) until a probe succeeds again, at which point
 /// they are re-admitted.  The retry, backoff, quarantine and decay values
-/// are constants of this fault policy (monitor_service.cpp).  Without a
-/// fault plan every probe succeeds on the first attempt and the sweep
-/// accounting is bit-identical to the pre-fault monitor.
+/// are constants of this fault policy (monitor_service.cpp).  Every sweep
+/// takes this one retry loop; under the default (empty) fault plan every
+/// probe answers on its first attempt, so a sweep costs probe_cost_s per
+/// node.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "capacity/resource_estimate.hpp"
@@ -65,8 +65,8 @@ struct ProbeOutcome {
 /// and how healthy it was.
 struct SweepResult {
   std::vector<ResourceEstimate> estimates;
-  /// Virtual-time cost of the sweep (probe_cost_s × nodes when fault-free;
-  /// larger when probes timed out, retried or backed off).
+  /// Virtual-time cost of the sweep: its probes' elapsed_s summed in rank
+  /// order (probe_cost_s per node when no probe faulted).
   Seconds overhead_s{0};
   /// Probe-health tallies of this sweep.
   int ok = 0;
@@ -99,10 +99,8 @@ class ResourceMonitor {
   ResourceMonitor(const Cluster& cluster, MonitorConfig cfg);
 
   /// Probe one node at virtual time t: take a measurement (retrying on
-  /// faults), extend the history, and return the forecasted estimate.
-  ResourceEstimate probe(rank_t rank, Seconds t);
-
-  /// As probe(), but report the full outcome (status, attempts, cost).
+  /// faults), extend the history, and report the outcome: status, the
+  /// forecasted (or fallback) estimate, attempts and cost.
   ProbeOutcome probe_outcome(rank_t rank, Seconds t);
 
   /// Probe every node and report the sweep's virtual-time cost, health
@@ -115,9 +113,6 @@ class ResourceMonitor {
   /// sensing lane) and the runtime (reading when a trace is finalized).
   HealthLedger& health() { return health_; }
   const HealthLedger& health() const { return health_; }
-
-  /// Virtual-time cost of probing the whole cluster once, fault-free.
-  Seconds sweep_cost() const;
 
   /// Number of probes issued so far (all nodes, successful or not).
   std::size_t probe_count() const { return probe_count_; }

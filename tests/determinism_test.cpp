@@ -140,20 +140,26 @@ TEST(Determinism, PartitionResultsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, ComparePartitionersBitIdenticalAcrossThreadCounts) {
-  // The bench drivers' core helper: both partitioners under identical
-  // conditions.  The golden-file regression tests rely on this being
-  // thread-count independent.
+  // The bench drivers' core helpers: both partitioners under identical
+  // static loads, and the system-sensitive run under dynamic loads.  The
+  // golden-file regression tests rely on these being thread-count
+  // independent.
   ThreadPoolOverride serial(1);
   const exp::Comparison reference =
       exp::compare_partitioners(4, /*iterations=*/20, /*sensing=*/5,
-                                /*dynamic_loads=*/true, ExecModelKind::kBsp);
+                                ExecModelKind::kBsp);
+  const RunTrace dynamic_reference = exp::run_dynamic_het(
+      4, /*iterations=*/20, /*sensing=*/5, /*tau=*/120.0, ExecModelKind::kBsp);
   for (int threads : kThreadCounts) {
     ThreadPoolOverride ov(threads);
     const exp::Comparison got =
-        exp::compare_partitioners(4, 20, 5, true, ExecModelKind::kBsp);
+        exp::compare_partitioners(4, 20, 5, ExecModelKind::kBsp);
     EXPECT_TRUE(got.system_sensitive == reference.system_sensitive)
         << "threads=" << threads;
     EXPECT_TRUE(got.grace_default == reference.grace_default)
+        << "threads=" << threads;
+    EXPECT_TRUE(exp::run_dynamic_het(4, 20, 5, 120.0, ExecModelKind::kBsp) ==
+                dynamic_reference)
         << "threads=" << threads;
   }
 }

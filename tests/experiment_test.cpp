@@ -206,9 +206,39 @@ TEST(Experiment, DynamicLoadsEvolveOverTime) {
   EXPECT_GT(after, during);  // heavy generator exited at 0.55 tau
 }
 
+TEST(Experiment, FaultPlanIsEmptyAtRateZeroAndScriptedOtherwise) {
+  for (const char* knob :
+       {"SSAMR_FAULT_TIMEOUT_FRACTION", "SSAMR_FAULT_STALE_WINDOWS",
+        "SSAMR_FAULT_CRASHES", "SSAMR_FAULT_SEED"})
+    ASSERT_EQ(::unsetenv(knob), 0);
+  const FaultPlan none = exp::fault_plan(0.0, 4, 100.0);
+  EXPECT_TRUE(none.episodes().empty());
+  EXPECT_EQ(none.probe_timeout_rate, 0.0);
+  EXPECT_EQ(none.probe_drop_rate, 0.0);
+  // The default knobs: half the rate times out, two stale windows, one
+  // crash, seed 1724 — the plan FaultPlan::scripted builds from them.
+  const FaultPlan plan = exp::fault_plan(0.2, 4, 100.0);
+  FaultProfile profile;
+  profile.probe_timeout_rate = 0.1;
+  profile.probe_drop_rate = 0.1;
+  profile.stale_windows = 2;
+  profile.crash_episodes = 1;
+  const FaultPlan want = FaultPlan::scripted(4, Seconds{100.0}, profile, 1724);
+  EXPECT_EQ(plan.probe_timeout_rate, want.probe_timeout_rate);
+  EXPECT_EQ(plan.probe_drop_rate, want.probe_drop_rate);
+  EXPECT_EQ(plan.seed, want.seed);
+  ASSERT_EQ(plan.episodes().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(plan.episodes()[i].rank, want.episodes()[i].rank);
+    EXPECT_EQ(plan.episodes()[i].kind, want.episodes()[i].kind);
+    EXPECT_EQ(plan.episodes()[i].t0, want.episodes()[i].t0);
+    EXPECT_EQ(plan.episodes()[i].t1, want.episodes()[i].t1);
+  }
+}
+
 TEST(Experiment, SystemSensitiveWinsAtFourProcs) {
   const auto cmp =
-      exp::compare_partitioners(4, 60, 0, false, ExecModelKind::kBsp);
+      exp::compare_partitioners(4, 60, 0, ExecModelKind::kBsp);
   EXPECT_GT(cmp.improvement(), 0.0);
   EXPECT_LT(cmp.improvement(), 0.5);
 }
@@ -242,7 +272,7 @@ TEST(Experiment, ImbalanceLowerForSystemSensitive) {
 
 TEST(Experiment, TimescaleCalibrationConverges) {
   const real_t tau =
-      exp::calibrate_timescale(4, 30, 10, ExecModelKind::kBsp, 2);
+      exp::calibrate_timescale(4, 30, 10, ExecModelKind::kBsp);
   EXPECT_GT(tau, 1.0);
   const RunTrace t =
       exp::run_dynamic_het(4, 30, 10, tau, ExecModelKind::kBsp);

@@ -2,8 +2,8 @@
 // loop: FaultPlan determinism and precedence, probe retry/backoff/timeout
 // accounting, staleness fallback, quarantine/readmission, degraded-capacity
 // safety (no NaN / zero-sum vectors), forced repartitioning, rejoin-time
-// pricing of a crashed rank's traffic, and the bit-identity of the
-// zero-fault path.
+// pricing of a crashed rank's traffic, the empty plan, the sweep price,
+// and the bit-identity of the zero-fault path.
 
 #include <gtest/gtest.h>
 
@@ -97,11 +97,9 @@ TEST(FaultPlan, EpisodeKindsMapToProbeFaults) {
   EXPECT_EQ(plan.probe_fault(0, Seconds{15.0}, 0), ProbeFault::kDrop);
   EXPECT_EQ(plan.probe_fault(1, Seconds{15.0}, 0), ProbeFault::kStale);
   EXPECT_EQ(plan.probe_fault(2, Seconds{15.0}, 0), ProbeFault::kTimeout);
-  // Outside the windows (and with zero random rates) everything is benign.
+  // Outside the windows (and with zero random rates) nothing faults.
   EXPECT_EQ(plan.probe_fault(0, Seconds{25.0}, 0), ProbeFault::kNone);
   EXPECT_EQ(plan.probe_fault(0, Seconds{9.999}, 0), ProbeFault::kNone);
-  EXPECT_FALSE(plan.benign());
-  EXPECT_TRUE(FaultPlan{}.benign());
   // Stale windows freeze the observable time at their start.
   EXPECT_DOUBLE_EQ(plan.observable_time(1, Seconds{15.0}).value(), 10.0);
   EXPECT_DOUBLE_EQ(plan.observable_time(1, Seconds{25.0}).value(), 25.0);
@@ -110,6 +108,25 @@ TEST(FaultPlan, EpisodeKindsMapToProbeFaults) {
   EXPECT_FALSE(plan.node_down(2, Seconds{20.0}));
   EXPECT_DOUBLE_EQ(plan.resume_time(2, Seconds{15.0}).value(), 20.0);
   EXPECT_DOUBLE_EQ(plan.resume_time(2, Seconds{5.0}).value(), 5.0);
+}
+
+TEST(FaultPlan, EmptyPlanNeverFaults) {
+  // The default plan is the fault-free cluster: no probe attempt faults, no
+  // node is ever down, and every node is up at any time it is asked about.
+  const FaultPlan plan;
+  const Cluster cluster = Cluster::homogeneous(8);
+  EXPECT_TRUE(cluster.fault_plan().episodes().empty());
+  for (rank_t r = 0; r < 8; ++r)
+    for (const real_t t : {0.0, 0.5, 17.25, 1.0e3, 1.0e9})
+      for (std::uint64_t attempt : {0u, 1u, 2u, 999u, 123456u}) {
+        EXPECT_EQ(plan.probe_fault(r, Seconds{t}, attempt), ProbeFault::kNone);
+        EXPECT_EQ(cluster.fault_plan().probe_fault(r, Seconds{t}, attempt),
+                  ProbeFault::kNone);
+        EXPECT_FALSE(plan.node_down(r, Seconds{t}));
+        EXPECT_EQ(plan.resume_time(r, Seconds{t}), Seconds{t});
+        EXPECT_EQ(cluster.resume_time(r, Seconds{t}), Seconds{t});
+        EXPECT_EQ(plan.observable_time(r, Seconds{t}), Seconds{t});
+      }
 }
 
 TEST(FaultPlan, ResumeTimeFollowsChainedEpisodes) {
@@ -366,11 +383,35 @@ TEST(MonitorFaults, DegradedSweepNeverFeedsCapacityNanOrZeroSum) {
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
+TEST(MonitorFaults, SweepPriceIsTheSumOfItsProbes) {
+  // A sweep costs its probes' elapsed times summed in rank order, fault
+  // or no fault.  At 0.1 s a probe the ten-fold sum and the product
+  // 0.1 × 10 differ in the last bit, so a sweep priced by multiplying
+  // fails here.
+  MonitorConfig cfg;
+  cfg.probe_cost_s = Seconds{0.1};
+  const Cluster c = Cluster::homogeneous(10);
+  ResourceMonitor sweeping(c, cfg);
+  ResourceMonitor twin(c, cfg);
+  for (const real_t t : {0.0, 10.0, 20.0}) {
+    Seconds fold{0};
+    for (rank_t r = 0; r < c.size(); ++r) {
+      const ProbeOutcome o = twin.probe_outcome(r, Seconds{t});
+      EXPECT_EQ(o.attempts, 1);
+      fold += o.elapsed_s;
+    }
+    ASSERT_NE(fold, cfg.probe_cost_s * 10.0);
+    const SweepResult sweep = sweeping.probe_all(Seconds{t});
+    EXPECT_EQ(sweep.overhead_s, fold) << "t = " << t;
+    EXPECT_EQ(sweep.ok, c.size());
+  }
+}
+
 TEST(MonitorFaults, ZeroFaultPathIsBitIdenticalWithBenignPlanAttached) {
   MonitorConfig cfg;  // default (noisy, seeded) config
   Cluster plain = Cluster::homogeneous(3);
   Cluster with_plan = Cluster::homogeneous(3);
-  with_plan.set_fault_plan(FaultPlan{});  // attached but benign
+  with_plan.set_fault_plan(FaultPlan{});  // an explicitly set empty plan
   ResourceMonitor a(plain, cfg);
   ResourceMonitor b(with_plan, cfg);
   for (int i = 0; i < 5; ++i) {
@@ -477,13 +518,13 @@ TEST(RuntimeFaults, TwentyPercentProbeFailuresCompleteAllScenarios) {
 }
 
 TEST(RuntimeFaults, ZeroFaultRunBitIdenticalWithBenignPlan) {
-  auto run_once = [](bool attach_benign_plan) {
+  auto run_once = [](bool set_empty_plan) {
     Cluster cluster = Cluster::homogeneous(4);
     LoadRamp r;
     r.rate = 0.01;
     r.target_level = 2.0;
     cluster.add_load(1, r);
-    if (attach_benign_plan) cluster.set_fault_plan(FaultPlan{});
+    if (set_empty_plan) cluster.set_fault_plan(FaultPlan{});
     TraceWorkloadSource source(small_trace());
     HeterogeneousPartitioner part;
     RuntimeConfig cfg = small_runtime(20, 5);
@@ -492,8 +533,8 @@ TEST(RuntimeFaults, ZeroFaultRunBitIdenticalWithBenignPlan) {
     return rt.run();
   };
   const RunTrace plain = run_once(false);
-  const RunTrace benign = run_once(true);
-  EXPECT_TRUE(plain == benign);  // bit-exact whole-trace comparison
+  const RunTrace with_empty_plan = run_once(true);
+  EXPECT_TRUE(plain == with_empty_plan);  // bit-exact whole-trace comparison
   EXPECT_EQ(plain.health.quarantines, 0);
   EXPECT_EQ(plain.health.forced_repartitions, 0);
 }

@@ -1,4 +1,5 @@
-// Tests for box algebra (difference, union, coalesce) and BoxList.
+// Tests for box algebra (difference, union, coalesce, clipping) and
+// BoxList.
 
 #include <gtest/gtest.h>
 
@@ -152,6 +153,39 @@ TEST(Coalesce, MatchesRestartingScanOracle) {
       ASSERT_EQ(got[i], want[i]) << "trial " << trial << " box " << i;
     EXPECT_EQ(total_cells(got), total_cells(boxes));
   }
+}
+
+TEST(ClipAndCoalesce, CutsTheBridgeBetweenTwoDisjointParents) {
+  // Two parents with a gap at x = 4..7, in patch order.
+  const std::vector<Box> parents = {Box(IntVec(0, 0, 0), IntVec(3, 3, 3)),
+                                    Box(IntVec(8, 0, 0), IntVec(11, 3, 3))};
+  // One cluster box bridges the gap: the bridge goes, one piece per parent.
+  const auto clipped =
+      clip_and_coalesce({Box(IntVec(2, 1, 1), IntVec(9, 2, 2))}, parents);
+  ASSERT_EQ(clipped.size(), 2u);
+  EXPECT_EQ(clipped[0], Box(IntVec(2, 1, 1), IntVec(3, 2, 2)));
+  EXPECT_EQ(clipped[1], Box(IntVec(8, 1, 1), IntVec(9, 2, 2)));
+
+  // Pieces of two cluster boxes that touch across a y face coalesce.
+  const auto merged =
+      clip_and_coalesce({Box(IntVec(2, 0, 0), IntVec(9, 1, 3)),
+                         Box(IntVec(2, 2, 0), IntVec(9, 3, 3))},
+                        parents);
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged[0], Box(IntVec(2, 0, 0), IntVec(3, 3, 3)));
+  EXPECT_EQ(merged[1], Box(IntVec(8, 0, 0), IntVec(9, 3, 3)));
+
+  // With nothing to merge the pieces keep the loop order: cluster boxes
+  // outer, parents inner.
+  const auto ordered =
+      clip_and_coalesce({Box(IntVec(2, 0, 0), IntVec(9, 0, 0)),
+                         Box(IntVec(2, 3, 0), IntVec(9, 3, 0))},
+                        parents);
+  ASSERT_EQ(ordered.size(), 4u);
+  EXPECT_EQ(ordered[0], Box(IntVec(2, 0, 0), IntVec(3, 0, 0)));
+  EXPECT_EQ(ordered[1], Box(IntVec(8, 0, 0), IntVec(9, 0, 0)));
+  EXPECT_EQ(ordered[2], Box(IntVec(2, 3, 0), IntVec(3, 3, 0)));
+  EXPECT_EQ(ordered[3], Box(IntVec(8, 3, 0), IntVec(9, 3, 0)));
 }
 
 TEST(BoxList, TotalCellsAndPrune) {

@@ -5,8 +5,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
-#include <memory>
+#include <string>
 
 #include "monitor/monitor_service.hpp"
 #include "util/error.hpp"
@@ -42,26 +43,24 @@ TEST(Sensor, NoiseIsBoundedAndDeterministic) {
 }
 
 TEST(Forecaster, LastValue) {
-  LastValueForecaster f;
-  EXPECT_EQ(f.forecast({}), 0.0);
-  EXPECT_EQ(f.forecast({1.0, 2.0, 3.0}), 3.0);
+  EXPECT_EQ(forecast_last({}), 0.0);
+  EXPECT_EQ(forecast_last({1.0, 2.0, 3.0}), 3.0);
 }
 
 TEST(Forecaster, RunningMean) {
-  RunningMeanForecaster f;
-  EXPECT_DOUBLE_EQ(f.forecast({1.0, 2.0, 3.0}), 2.0);
+  EXPECT_DOUBLE_EQ(forecast_mean({1.0, 2.0, 3.0}), 2.0);
 }
 
 TEST(Forecaster, SlidingMeanUsesWindow) {
-  SlidingMeanForecaster f(2);
-  EXPECT_DOUBLE_EQ(f.forecast({10.0, 1.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(f.forecast({5.0}), 5.0);
-  EXPECT_THROW(SlidingMeanForecaster(0), Error);
+  EXPECT_DOUBLE_EQ(forecast_sliding_mean({10.0, 1.0, 3.0}, 2), 2.0);
+  EXPECT_DOUBLE_EQ(forecast_sliding_mean({5.0}, 2), 5.0);
+  EXPECT_THROW(forecast_sliding_mean({5.0}, 0), Error);
 }
 
 TEST(Forecaster, SlidingMedianRobustToSpike) {
-  SlidingMedianForecaster f(5);
-  EXPECT_DOUBLE_EQ(f.forecast({1.0, 1.0, 100.0, 1.0, 1.0}), 1.0);
+  EXPECT_DOUBLE_EQ(forecast_sliding_median({1.0, 1.0, 100.0, 1.0, 1.0}, 5),
+                   1.0);
+  EXPECT_THROW(forecast_sliding_median({5.0}, 0), Error);
 }
 
 TEST(Forecaster, AdaptivePicksLastValueOnAStep) {
@@ -86,22 +85,30 @@ TEST(Forecaster, BoundedSelectorMatchesUnboundedOnShortHistories) {
   // fit the window it must pick exactly the member the historical unbounded
   // selector (every member postcast over every prefix) would pick.
   const auto unbounded_best = [](const std::vector<real_t>& hist) {
-    std::vector<std::unique_ptr<Forecaster>> fam;  // default family order
-    fam.push_back(std::make_unique<LastValueForecaster>());
-    fam.push_back(std::make_unique<RunningMeanForecaster>());
-    fam.push_back(std::make_unique<SlidingMeanForecaster>(5));
-    fam.push_back(std::make_unique<SlidingMeanForecaster>(10));
-    fam.push_back(std::make_unique<SlidingMedianForecaster>(5));
-    fam.push_back(std::make_unique<SlidingMedianForecaster>(10));
+    using History = std::vector<real_t>;
+    const struct {
+      std::string name;
+      real_t (*forecast)(const History&);
+    } fam[] = {  // default family order
+        {"last", forecast_last},
+        {"mean", forecast_mean},
+        {"sliding_mean(5)",
+         [](const History& h) { return forecast_sliding_mean(h, 5); }},
+        {"sliding_mean(10)",
+         [](const History& h) { return forecast_sliding_mean(h, 10); }},
+        {"sliding_median(5)",
+         [](const History& h) { return forecast_sliding_median(h, 5); }},
+        {"sliding_median(10)",
+         [](const History& h) { return forecast_sliding_median(h, 10); }},
+    };
     std::size_t best = 0;
     real_t best_sse = std::numeric_limits<real_t>::infinity();
-    for (std::size_t m = 0; m < fam.size(); ++m) {
+    for (std::size_t m = 0; m < std::size(fam); ++m) {
       real_t sse = 0;
       for (std::size_t i = 1; i < hist.size(); ++i) {
-        const std::vector<real_t> prefix(hist.begin(),
-                                         hist.begin() +
-                                             static_cast<std::ptrdiff_t>(i));
-        const real_t err = fam[m]->forecast(prefix) - hist[i];
+        const History prefix(hist.begin(),
+                             hist.begin() + static_cast<std::ptrdiff_t>(i));
+        const real_t err = fam[m].forecast(prefix) - hist[i];
         sse += err * err;
       }
       if (sse < best_sse) {
@@ -109,7 +116,7 @@ TEST(Forecaster, BoundedSelectorMatchesUnboundedOnShortHistories) {
         best = m;
       }
     }
-    return fam[best]->name();
+    return fam[best].name;
   };
 
   AdaptiveForecaster f;
@@ -143,9 +150,9 @@ TEST(Monitor, HistoriesAccumulate) {
   Cluster c = Cluster::homogeneous(1);
   MonitorConfig cfg;
   ResourceMonitor m(c, cfg);
-  m.probe(0, Seconds{0.0});
-  m.probe(0, Seconds{1.0});
-  m.probe(0, Seconds{2.0});
+  m.probe_outcome(0, Seconds{0.0});
+  m.probe_outcome(0, Seconds{1.0});
+  m.probe_outcome(0, Seconds{2.0});
   EXPECT_EQ(m.cpu_history(0).size(), 3u);
   EXPECT_THROW(m.cpu_history(5), Error);
 }
@@ -160,9 +167,9 @@ TEST(Monitor, ForecastTracksLoadStep) {
   MonitorConfig cfg;
   cfg.noise = SensorNoise{0, 0, 0};
   ResourceMonitor m(c, cfg);
-  m.probe(0, Seconds{0.0});
-  m.probe(0, Seconds{5.0});
-  const auto after = m.probe(0, Seconds{20.0});
+  m.probe_outcome(0, Seconds{0.0});
+  m.probe_outcome(0, Seconds{5.0});
+  const auto after = m.probe_outcome(0, Seconds{20.0}).estimate;
   // Adaptive forecaster must move decisively toward the new 0.5 level.
   EXPECT_LT(after.cpu_available.value(), 0.75);
 }

@@ -116,6 +116,6 @@ int main(int argc, char** argv) {
   std::cout << "Expected shape: the gain column stays positive across the "
                "sweep — degraded\nsensing narrows but does not erase the "
                "system-sensitive advantage.\nraw series written to "
-               "results/ablation_faults.csv\n";
+            << exp::results_path("ablation_faults.csv") << '\n';
   return 0;
 }

@@ -69,7 +69,7 @@ int main() {
   std::cout << t.str() << '\n';
   std::cout << "Expected shape: an interior optimum — small thresholds "
                "migrate data chasing noise,\nhuge thresholds never adopt "
-               "real load changes (compute blows up).\nraw series written "
-               "to results/ablation_hysteresis.csv\n";
+               "real load changes (compute blows up).\nraw series written to "
+            << exp::results_path("ablation_hysteresis.csv") << '\n';
   return 0;
 }

@@ -97,6 +97,7 @@ int main() {
          "most; the composite\nbaseline communicates least but ignores "
          "capacities; the hybrid sits between on comm while\nmatching the "
          "heterogeneous balance — and wins (or ties) on execution time.\n"
-         "raw series written to results/ablation_locality.csv\n";
+         "raw series written to "
+      << exp::results_path("ablation_locality.csv") << '\n';
   return 0;
 }

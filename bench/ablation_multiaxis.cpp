@@ -91,6 +91,7 @@ int main() {
       << "Expected shape: the multi-axis variant never increases the "
          "effective imbalance, and the gap\nwidens as the workload "
          "coarsens — the paper's predicted benefit of finer granularity.\n"
-         "raw series written to results/ablation_multiaxis.csv\n";
+         "raw series written to "
+      << exp::results_path("ablation_multiaxis.csv") << '\n';
   return 0;
 }

@@ -130,6 +130,6 @@ int main() {
                "profile matched to the application's dominant resource "
                "demand\nis at or near the per-row minimum — the paper's "
                "§8 conjecture.\nraw series written to "
-               "results/ablation_weights.csv\n";
+            << exp::results_path("ablation_weights.csv") << '\n';
   return 0;
 }

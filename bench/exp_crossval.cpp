@@ -27,8 +27,6 @@
 ///   SSAMR_CROSSVAL_P        rank count, 1..64 (default 8)
 ///   SSAMR_EXP_ITERS         coarse iterations (default 200)
 ///   SSAMR_PROC_TIME_SCALE   wall seconds per virtual second (default 1e-3)
-///   SSAMR_PROC_BYTES_SCALE  wire bytes per modeled byte (default 1.0)
-///   SSAMR_PROC_TCP          1 = loopback TCP instead of AF_UNIX (0)
 
 #include <iostream>
 #include <string>
@@ -71,9 +69,6 @@ int main(int argc, char** argv) {
   const int iterations = exp::run_iterations(200);
   const double time_scale =
       exp::env_real("SSAMR_PROC_TIME_SCALE", 1e-3, 1e-6, 1.0);
-  const double bytes_scale =
-      exp::env_real("SSAMR_PROC_BYTES_SCALE", 1.0, 0.0, 1e3);
-  const bool use_tcp = exp::env_int("SSAMR_PROC_TCP", 0, 0, 1) != 0;
 
   // The measured side defaults to proc; --exec-model / SSAMR_EXEC_MODEL
   // override it (running event-vs-event is a useful null check).
@@ -84,9 +79,7 @@ int main(int argc, char** argv) {
             << " iterations, measured model = "
             << exec_model_name(measured_kind)
             << ", time_scale = " << time_scale
-            << " wall s / virtual s, bytes_scale = " << bytes_scale
-            << (use_tcp ? ", transport = loopback TCP" : ", transport = AF_UNIX")
-            << "\n\n";
+            << " wall s / virtual s\n\n";
 
   const auto run_one = [&](ExecModelKind kind) {
     Cluster cluster = exp::paper_cluster(nprocs);
@@ -97,8 +90,6 @@ int main(int argc, char** argv) {
         exp::paper_runtime_config(iterations, /*sensing_interval=*/0);
     cfg.exec_model = kind;
     cfg.executor.proc.time_scale = time_scale;
-    cfg.executor.proc.bytes_scale = bytes_scale;
-    cfg.executor.proc.use_tcp = use_tcp;
     AdaptiveRuntime runtime(cluster, source, het, cfg);
     return runtime.run();
   };

@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
       << "Expected shape: assignments re-proportion after each sampling as "
          "the capacities change;\nbetween samplings the proportions hold "
          "while the total work drifts with the adapting hierarchy.\n"
-         "raw series written to results/fig11.csv\n";
+         "raw series written to "
+      << exp::results_path("fig11.csv") << '\n';
   return 0;
 }

@@ -59,6 +59,7 @@ int main() {
                "(equal work irrespective of capacity);\n"
                "the system-sensitive curves are ordered by capacity, "
                "proc 3 > proc 2 > proc 1 > proc 0.\n"
-               "raw series written to results/fig8_fig9.csv\n";
+               "raw series written to "
+            << exp::results_path("fig8_fig9.csv") << '\n';
   return 0;
 }

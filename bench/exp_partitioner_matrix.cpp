@@ -223,6 +223,7 @@ int main(int argc, char** argv) {
   std::cout << "\naudit sweep: "
             << (audit_errors == 0 ? "all partitions clean"
                                   : "ERRORS — see above")
-            << "\nraw matrix written to results/partitioner_matrix.csv\n";
+            << "\nraw matrix written to "
+            << exp::results_path("partitioner_matrix.csv") << '\n';
   return audit_errors == 0 ? 0 : 1;
 }

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   std::cout << "Table III:\n" << t.str() << '\n';
   std::cout << "best sensing frequency: every " << best_freq
             << " iterations (paper: 20)\n"
-            << "raw series written to results/table3.csv and "
-               "results/fig12_15.csv\n";
+            << "raw series written to " << exp::results_path("table3.csv")
+            << " and " << exp::results_path("fig12_15.csv") << '\n';
   return 0;
 }

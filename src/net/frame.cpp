@@ -147,10 +147,8 @@ IoStatus write_some(int fd, const std::uint8_t* buf, std::size_t size,
   *put = 0;
   for (;;) {
     // send(MSG_NOSIGNAL) so a dead peer yields EPIPE instead of killing the
-    // process with SIGPIPE; falls back to write(2) for non-socket fds
-    // (ENOTSOCK), e.g. pipes in tests.
-    ssize_t n = ::send(fd, buf, size, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) n = ::write(fd, buf, size);
+    // process with SIGPIPE.
+    const ssize_t n = ::send(fd, buf, size, MSG_NOSIGNAL);
     if (n >= 0) {
       *put = static_cast<std::size_t>(n);
       return IoStatus::kOk;

@@ -16,8 +16,8 @@
 /// corrupted length prefix *before* the reader allocates `length` bytes, so
 /// a garbage prefix (including a "negative" length, i.e. >= 2^31) can never
 /// drive an attacker- or corruption-controlled allocation.  Payload
-/// integrity is the transport's job — these are local SOCK_STREAM /
-/// loopback-TCP sockets, not a lossy network.
+/// integrity is the transport's job — these are local AF_UNIX SOCK_STREAM
+/// sockets, not a lossy network.
 ///
 /// Two layers of API:
 ///   - FrameDecoder: incremental, push-based — feed() arbitrary byte chunks
@@ -95,9 +95,9 @@ enum class IoStatus {
 IoStatus read_some(int fd, std::uint8_t* buf, std::size_t cap,
                    std::size_t* got);
 
-/// write(2) once from [buf, buf+size), retrying EINTR.  EAGAIN returns kOk
-/// with *put == 0.  EPIPE returns kClosed (install SIG_IGN for SIGPIPE or
-/// use MSG_NOSIGNAL upstream; we use send() with MSG_NOSIGNAL on sockets).
+/// send(2) once from [buf, buf+size) on socket `fd`, retrying EINTR.
+/// EAGAIN returns kOk with *put == 0.  MSG_NOSIGNAL turns a dead peer into
+/// EPIPE instead of SIGPIPE, and EPIPE/ECONNRESET return kClosed.
 IoStatus write_some(int fd, const std::uint8_t* buf, std::size_t size,
                     std::size_t* put);
 

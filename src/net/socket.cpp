@@ -1,94 +1,22 @@
 #include "net/socket.hpp"
 
 #include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
 
-#include "net/sysio.hpp"
 #include "util/error.hpp"
 
 namespace ssamr::net {
-namespace {
 
-[[noreturn]] void fail(const char* what) {
-  throw Error(std::string("net: ") + what + ": " + ::strerror(errno));
-}
-
-/// Nonblocking only.  CLOEXEC is never set here — descriptors must be born
-/// CLOEXEC (SOCK_CLOEXEC / accept4) or a fork between creation and fcntl
-/// leaks them into the child's exec image.
-void set_nonblock(int fd) {
-  const int fl = ::fcntl(fd, F_GETFL, 0);
-  SSAMR_REQUIRE(fl >= 0, "fcntl(F_GETFL)");
-  SSAMR_REQUIRE(::fcntl(fd, F_SETFL, fl | O_NONBLOCK) == 0,
-                "fcntl(F_SETFL, O_NONBLOCK)");
-}
-
-StreamPair make_unix_pair() {
+StreamPair make_stream_pair() {
   int sv[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0,
                    sv) != 0)
-    fail("socketpair(AF_UNIX)");
+    throw Error(std::string("net: socketpair(AF_UNIX): ") + ::strerror(errno));
   return StreamPair{sv[0], sv[1]};
-}
-
-/// Loopback TCP self-connect: listen on an ephemeral 127.0.0.1 port,
-/// connect a client socket to it, accept — then throw the listener away.
-/// Every fd is held by a UniqueFd until the pair is assembled, so the
-/// throwing fail() paths cannot leak a descriptor.
-StreamPair make_tcp_pair() {
-  UniqueFd listener(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (listener.get() < 0) fail("socket(AF_INET) listener");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (::bind(listener.get(), reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0)
-    fail("bind(127.0.0.1:0)");
-  socklen_t alen = sizeof addr;
-  if (::getsockname(listener.get(), reinterpret_cast<sockaddr*>(&addr),
-                    &alen) != 0)
-    fail("getsockname");
-  if (::listen(listener.get(), 1) != 0) fail("listen");
-  UniqueFd client(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (client.get() < 0) fail("socket(AF_INET) client");
-  // Blocking connect to our own listener: loopback completes immediately,
-  // and an EINTR mid-handshake resumes via the poll path in connect_retry.
-  // The client stays blocking until after the connect — a nonblocking
-  // connect would return EINPROGRESS instead.
-  if (connect_retry(client.get(), reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof addr) != 0)
-    fail("connect(loopback)");
-  UniqueFd accepted;
-  for (;;) {
-    accepted.reset(::accept4(listener.get(), nullptr, nullptr, SOCK_CLOEXEC));
-    if (accepted.get() >= 0 || errno != EINTR) break;
-  }
-  if (accepted.get() < 0) fail("accept4");
-  const int one = 1;
-  ::setsockopt(client.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  ::setsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  set_nonblock(client.get());
-  set_nonblock(accepted.get());
-  return StreamPair{client.release(), accepted.release()};
-}
-
-}  // namespace
-
-void UniqueFd::reset(int fd) {
-  close_fd(fd_);
-  fd_ = fd;
-}
-
-StreamPair make_stream_pair(bool use_tcp) {
-  return use_tcp ? make_tcp_pair() : make_unix_pair();
 }
 
 void close_fd(int fd) {

@@ -2,58 +2,15 @@
 /// \file socket.hpp
 /// Connected stream-socket pairs for the proc backend (DESIGN.md §12).
 ///
-/// The default transport is an AF_UNIX socketpair — the coordinator forks
-/// its ranks, so both ends exist before fork() and no filesystem path or
-/// port is ever exposed.  The TCP fallback binds a loopback listener on an
-/// ephemeral port and connects to itself, for environments where
-/// AF_UNIX is unavailable (some containers) or when cross-checking the
-/// framing layer over a real TCP stack.  Both ends come back nonblocking
-/// and CLOEXEC; TCP ends additionally have TCP_NODELAY set so small control
-/// frames are not Nagle-delayed.
-///
-/// Every descriptor is CLOEXEC *at creation* (SOCK_CLOEXEC / accept4),
-/// never via a later fcntl: a window between socket() and F_SETFD is a
-/// window in which a concurrent fork+exec inherits the fd.  The
-/// fd-lifecycle lint rule enforces this, and UniqueFd below is the RAII
-/// shape it recognizes as an ownership transfer.
+/// The one transport is an AF_UNIX socketpair: the coordinator forks its
+/// ranks, so both ends exist before fork() and no filesystem path or port
+/// is ever exposed.  Both ends come back nonblocking and CLOEXEC from the
+/// socketpair call itself (SOCK_NONBLOCK | SOCK_CLOEXEC), never via a later
+/// fcntl: a window between creation and F_SETFD is a window in which a
+/// concurrent fork+exec inherits the fd.  The fd-lifecycle lint rule
+/// enforces CLOEXEC-at-creation.
 
 namespace ssamr::net {
-
-/// Owning file descriptor: closes on destruction, so a throwing path
-/// between creation and handoff can never leak the fd.  Movable, not
-/// copyable; release() transfers ownership out (to a StreamPair, a child
-/// process table, ...).
-class UniqueFd {
- public:
-  UniqueFd() = default;
-  explicit UniqueFd(int fd) : fd_(fd) {}
-  ~UniqueFd() { reset(); }
-  UniqueFd(UniqueFd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  UniqueFd& operator=(UniqueFd&& other) noexcept {
-    if (this != &other) {
-      reset(other.fd_);
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  UniqueFd(const UniqueFd&) = delete;
-  UniqueFd& operator=(const UniqueFd&) = delete;
-
-  int get() const { return fd_; }
-
-  /// Give up ownership; the caller must close the returned fd.
-  int release() {
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
-  /// Close the held fd (if any) and adopt `fd`.
-  void reset(int fd = -1);
-
- private:
-  int fd_ = -1;
-};
 
 /// Two connected nonblocking stream endpoints.  After fork(), the parent
 /// keeps one end and closes the other; the child does the reverse.
@@ -63,7 +20,7 @@ struct StreamPair {
 };
 
 /// Create a connected pair.  Throws ssamr::Error on resource exhaustion.
-StreamPair make_stream_pair(bool use_tcp);
+StreamPair make_stream_pair();
 
 /// close(2); ignores already-closed fds (fd < 0).  Deliberately does NOT
 /// retry EINTR: on Linux the descriptor is released even when close() is

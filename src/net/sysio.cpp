@@ -2,6 +2,9 @@
 
 #include <errno.h>
 #include <sys/wait.h>
+#include <time.h>
+
+#include <algorithm>
 
 namespace ssamr::net {
 
@@ -19,33 +22,16 @@ pid_t waitpid_retry(pid_t pid, int* status, int options) {
   }
 }
 
-int connect_retry(int fd, const struct sockaddr* addr, socklen_t addrlen) {
-  // Retrying connect() after EINTR is wrong (the second call reports
-  // EALREADY while the first attempt is still in flight); the sanctioned
-  // resume is the writability wait below, so this one raw call is
-  // exempted from the in-loop requirement.
-  // ssamr-lint: allow(eintr-retry)
-  if (::connect(fd, addr, addrlen) == 0) return 0;
-  if (errno != EINTR && errno != EINPROGRESS) return -1;
-  // The interrupted attempt completes in the background; wait for the
-  // socket to become writable, then surface the attempt's real outcome.
-  struct pollfd pfd {};
-  pfd.fd = fd;
-  pfd.events = POLLOUT;
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/-1);
-    if (rc > 0) break;
-    if (rc < 0 && errno == EINTR) continue;
-    return -1;
+void sleep_wall(double wall_s) {
+  const double whole = std::clamp(wall_s, 0.0, 3600.0);
+  struct timespec ts;
+  ts.tv_sec = static_cast<time_t>(whole);
+  ts.tv_nsec =
+      static_cast<long>(std::clamp((whole - static_cast<double>(ts.tv_sec)) *
+                                       1e9,
+                                   0.0, 999'999'999.0));
+  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
   }
-  int err = 0;
-  socklen_t len = sizeof err;
-  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) return -1;
-  if (err != 0) {
-    errno = err;
-    return -1;
-  }
-  return 0;
 }
 
 }  // namespace ssamr::net

@@ -12,30 +12,28 @@
 /// never get the retry protocol wrong.
 ///
 /// Frame-level I/O keeps its own loops in frame.cpp (read_some/write_some
-/// fold EINTR handling into partial-I/O handling); everything else routes
-/// through here.
+/// fold EINTR handling into partial-I/O handling, and poll_until
+/// recomputes its deadline each round); everything else routes through
+/// here.
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 
 namespace ssamr::net {
 
-/// poll(2), retrying EINTR with the same timeout slice.  Callers run
-/// bounded slices under their own deadline arithmetic (net/frame.cpp
-/// style), so a retried slice can only delay one deadline re-check, never
-/// extend the deadline itself.
+/// poll(2), retrying EINTR with the same timeout slice.  A retried slice
+/// restarts at its full length, so a signal storm that interrupts every
+/// slice keeps the caller from ever re-checking its deadline; a wait that
+/// must expire under signals recomputes the time left each round instead
+/// (net/frame.cpp's poll_until).
 int poll_retry(struct pollfd* fds, nfds_t nfds, int timeout_ms);
 
 /// waitpid(2) with EINTR retry.  WNOHANG calls pass through unchanged
 /// (they cannot block, hence cannot be meaningfully interrupted).
 pid_t waitpid_retry(pid_t pid, int* status, int options);
 
-/// connect(2) that survives interruption.  A blocking connect interrupted
-/// by a signal keeps establishing the connection asynchronously — calling
-/// connect() again yields EALREADY, not a retry — so the correct resume is
-/// to wait for writability and read SO_ERROR.  Returns 0 on success, -1
-/// with errno set on failure.
-int connect_retry(int fd, const struct sockaddr* addr, socklen_t addrlen);
+/// Sleep `wall_s` wall seconds (clamped to [0, 3600]), resuming after
+/// EINTR with the time nanosleep(2) reports as left.
+void sleep_wall(double wall_s);
 
 }  // namespace ssamr::net

@@ -30,13 +30,8 @@ struct ProcOptions {
   /// seconds) into wall milliseconds per phase while staying far above
   /// scheduler quantum noise.
   double time_scale = 1e-3;
-  /// Wire bytes actually shipped per modeled byte of ghost/migration
-  /// traffic (1.0 = byte-for-byte over the sockets).
-  double bytes_scale = 1.0;
   /// Per-message deadline on every data-plane frame and phase exchange.
   double frame_timeout_s = 30.0;
-  /// Use loopback TCP instead of AF_UNIX socketpairs.
-  bool use_tcp = false;
 
   /// The sanctioned normalization seam between measured wall clock and the
   /// virtual timeline: every wall measurement that feeds a RankTimeline,

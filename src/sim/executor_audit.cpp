@@ -53,10 +53,6 @@ AuditReport validate_proc_options(const ProcOptions& opt, int nranks) {
           "time_scale = " + std::to_string(opt.time_scale) +
               " must be finite and > 0 (it divides every measured wall "
               "span)");
-  if (!nonneg(opt.bytes_scale))
-    r.add(Severity::Error, "proc.bytes_scale", "",
-          "bytes_scale = " + std::to_string(opt.bytes_scale) +
-              " must be finite and >= 0");
   if (!positive(opt.frame_timeout_s))
     r.add(Severity::Error, "proc.frame_timeout", "",
           "frame_timeout_s = " + std::to_string(opt.frame_timeout_s) +

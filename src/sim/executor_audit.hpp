@@ -14,10 +14,9 @@ namespace ssamr::audit {
 AuditReport validate_executor_config(const ExecutorConfig& cfg);
 
 /// Audit the proc-backend knobs for `nranks` forked ranks: time_scale
-/// finite and > 0 (it divides every measured wall span), bytes_scale
-/// finite and >= 0, frame_timeout_s finite and > 0, and nranks within
-/// [1, sim::kMaxProcRanks].  ProcModel enforces this report at
-/// construction.
+/// finite and > 0 (it divides every measured wall span), frame_timeout_s
+/// finite and > 0, and nranks within [1, sim::kMaxProcRanks].  ProcModel
+/// enforces this report at construction.
 AuditReport validate_proc_options(const ProcOptions& opt, int nranks);
 
 }  // namespace ssamr::audit

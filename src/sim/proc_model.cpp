@@ -3,7 +3,6 @@
 #include <errno.h>
 #include <sys/prctl.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -30,14 +29,6 @@ std::size_t pair_index(int i, int j, int n) {
   return ii * nn - ii * (ii + 1) / 2 + (jj - ii - 1);
 }
 
-void sleep_ms(int ms) {
-  struct timespec ts;
-  ts.tv_sec = 0;
-  ts.tv_nsec = static_cast<long>(std::clamp(ms, 0, 999)) * 1'000'000L;
-  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-}
-
 [[noreturn]] void io_fail(const char* stage, int rank, net::IoStatus st) {
   const char* what = "error";
   switch (st) {
@@ -50,16 +41,12 @@ void sleep_ms(int ms) {
               std::to_string(rank) + " failed: " + what);
 }
 
-/// Add `flows` to the per-rank phase plans as wire traffic of
-/// `bytes_scale` wire bytes per modeled byte; a flow that scales to zero
-/// bytes is dropped.
+/// Add `flows` to the per-rank phase plans as wire traffic: the ranks move
+/// exactly the modeled bytes (the cost core omits zero flows).
 void plan_wire_flows(std::vector<PhasePlan>& plans,
-                     const std::vector<RankFlow>& flows, double bytes_scale) {
+                     const std::vector<RankFlow>& flows) {
   for (const RankFlow& f : flows) {
-    const double scaled = static_cast<double>(f.bytes) * bytes_scale;
-    const auto wire =
-        static_cast<std::uint64_t>(std::clamp(scaled, 0.0, 1.0e15));
-    if (wire == 0) continue;
+    const auto wire = static_cast<std::uint64_t>(f.bytes);
     plans[static_cast<std::size_t>(f.src)].sends.push_back(
         WireFlow{f.dst, wire});
     plans[static_cast<std::size_t>(f.dst)].recvs.push_back(
@@ -84,10 +71,9 @@ ProcModel::ProcModel(const Cluster& cluster, const ExecutorConfig& cfg)
   std::vector<net::StreamPair> data;
   ctrl.reserve(static_cast<std::size_t>(n));
   data.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
-  for (int k = 0; k < n; ++k) ctrl.push_back(net::make_stream_pair(opt_.use_tcp));
+  for (int k = 0; k < n; ++k) ctrl.push_back(net::make_stream_pair());
   for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j)
-      data.push_back(net::make_stream_pair(opt_.use_tcp));
+    for (int j = i + 1; j < n; ++j) data.push_back(net::make_stream_pair());
 
   const pid_t coordinator = ::getpid();
   pids_.assign(static_cast<std::size_t>(n), -1);
@@ -210,7 +196,7 @@ void ProcModel::shutdown_children() noexcept {
       else
         all_reaped = false;
     }
-    if (!all_reaped) sleep_ms(2);
+    if (!all_reaped) net::sleep_wall(0.002);
   }
   for (pid_t& pid : pids_) {
     if (pid <= 0) continue;
@@ -277,8 +263,7 @@ Seconds ProcModel::regrid(Seconds t, std::size_t boxes, int iteration) {
 Seconds ProcModel::migrate(const PartitionResult& previous,
                            const PartitionResult& next, Seconds t) {
   std::vector<PhasePlan> plans(static_cast<std::size_t>(cluster_.size()));
-  plan_wire_flows(plans, exec_.migration_flows(previous, next),
-                  opt_.bytes_scale);
+  plan_wire_flows(plans, exec_.migration_flows(previous, next));
   double window = 0;
   run_phase(plans, &window);
   const Seconds cost = opt_.to_virtual(window);
@@ -294,7 +279,7 @@ StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
   for (int k = 0; k < n; ++k)
     plans[static_cast<std::size_t>(k)].compute_wall_s =
         comp[static_cast<std::size_t>(k)].value() * opt_.time_scale;
-  plan_wire_flows(plans, exec_.ghost_flows(r), opt_.bytes_scale);
+  plan_wire_flows(plans, exec_.ghost_flows(r));
 
   double window = 0;
   const std::vector<PhaseReport> reports = run_phase(plans, &window);

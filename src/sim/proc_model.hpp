@@ -4,13 +4,13 @@
 ///
 /// Where BspModel and EventExecutor *price* a run on virtual clocks, the
 /// ProcModel *executes* it: the constructor forks one OS process per rank,
-/// wired to the coordinator by an AF_UNIX control socket (loopback TCP
-/// fallback) and to every peer by a data socket.  Each advance/migrate
-/// stage becomes a real phase — the coordinator ships a PhasePlan frame per
-/// rank (compute budget and exact per-peer byte counts, both priced by the
-/// shared cost core), ranks emulate compute with nanosleep and move the
-/// planned bytes through a nonblocking exchange engine, and the measured
-/// wall-clock comes back as PhaseReport frames.
+/// wired to the coordinator by an AF_UNIX control socketpair and to every
+/// peer by an AF_UNIX data socketpair.  Each advance/migrate stage becomes
+/// a real phase — the coordinator ships a PhasePlan frame per rank (compute
+/// budget and exact per-peer byte counts, both priced by the shared cost
+/// core; one wire byte per modeled byte), ranks emulate compute with
+/// nanosleep and move the planned bytes through a nonblocking exchange
+/// engine, and the measured wall-clock comes back as PhaseReport frames.
 ///
 /// Measured wall time is normalized by ProcOptions::time_scale back into
 /// virtual seconds so the stage interface, RankTimeline lanes and

@@ -1,8 +1,6 @@
 #include "sim/proc_rank.hpp"
 
-#include <errno.h>
 #include <poll.h>
-#include <time.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -20,19 +18,6 @@ namespace {
 /// kMsgData chunk size: small enough that a full-mesh exchange never wedges
 /// on a default ~208 KiB socket buffer, large enough to amortize syscalls.
 constexpr std::size_t kDataChunk = 64 * 1024;
-
-/// Sleep `wall_s` wall seconds, resuming across EINTR via the remainder.
-void sleep_wall(double wall_s) {
-  const double whole = std::clamp(wall_s, 0.0, 3600.0);
-  struct timespec ts;
-  ts.tv_sec = static_cast<time_t>(whole);
-  ts.tv_nsec =
-      static_cast<long>(std::clamp((whole - static_cast<double>(ts.tv_sec)) *
-                                       1e9,
-                                   0.0, 999'999'999.0));
-  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-}
 
 /// Per-peer exchange state.  Decoders persist across phases so a chunk
 /// straddling a read boundary is never lost.
@@ -175,7 +160,7 @@ int exchange_phase(std::vector<PeerIo>& peers, double deadline_s) {
 
     PhaseReport report;
     const double t0 = wallclock_seconds();
-    if (plan.compute_wall_s > 0) sleep_wall(plan.compute_wall_s);
+    if (plan.compute_wall_s > 0) net::sleep_wall(plan.compute_wall_s);
     const double t1 = wallclock_seconds();
     report.compute_wall_s = t1 - t0;
 

@@ -407,11 +407,16 @@ TEST(MonitorFaults, SweepPriceIsTheSumOfItsProbes) {
   }
 }
 
-TEST(MonitorFaults, ZeroFaultPathIsBitIdenticalWithBenignPlanAttached) {
+TEST(MonitorFaults, ZeroFaultPathIsBitIdenticalWithPlanAttached) {
   MonitorConfig cfg;  // default (noisy, seeded) config
   Cluster plain = Cluster::homogeneous(3);
+  // A cluster that held a faulting plan and was then handed the empty one:
+  // set_fault_plan must replace the plan, not keep the one it held.
   Cluster with_plan = Cluster::homogeneous(3);
-  with_plan.set_fault_plan(FaultPlan{});  // an explicitly set empty plan
+  FaultPlan faulty;
+  faulty.add(episode(1, FaultKind::kProbeTimeout, 0.0, 1.0e9));
+  with_plan.set_fault_plan(faulty);
+  with_plan.set_fault_plan(FaultPlan{});
   ResourceMonitor a(plain, cfg);
   ResourceMonitor b(with_plan, cfg);
   for (int i = 0; i < 5; ++i) {
@@ -517,14 +522,24 @@ TEST(RuntimeFaults, TwentyPercentProbeFailuresCompleteAllScenarios) {
   }
 }
 
-TEST(RuntimeFaults, ZeroFaultRunBitIdenticalWithBenignPlan) {
-  auto run_once = [](bool set_empty_plan) {
+TEST(RuntimeFaults, ZeroFaultRunBitIdenticalWithPlan) {
+  auto run_once = [](bool replace_faulty_plan) {
     Cluster cluster = Cluster::homogeneous(4);
     LoadRamp r;
     r.rate = 0.01;
     r.target_level = 2.0;
     cluster.add_load(1, r);
-    if (set_empty_plan) cluster.set_fault_plan(FaultPlan{});
+    if (replace_faulty_plan) {
+      // Install a plan that faults, then the empty plan over it: the run
+      // must match a cluster that never held a plan.
+      FaultProfile profile;
+      profile.probe_timeout_rate = 0.1;
+      profile.probe_drop_rate = 0.1;
+      profile.crash_episodes = 1;
+      cluster.set_fault_plan(
+          FaultPlan::scripted(4, Seconds{100.0}, profile, 7));
+      cluster.set_fault_plan(FaultPlan{});
+    }
     TraceWorkloadSource source(small_trace());
     HeterogeneousPartitioner part;
     RuntimeConfig cfg = small_runtime(20, 5);
@@ -533,8 +548,9 @@ TEST(RuntimeFaults, ZeroFaultRunBitIdenticalWithBenignPlan) {
     return rt.run();
   };
   const RunTrace plain = run_once(false);
-  const RunTrace with_empty_plan = run_once(true);
-  EXPECT_TRUE(plain == with_empty_plan);  // bit-exact whole-trace comparison
+  const RunTrace replaced = run_once(true);
+  EXPECT_TRUE(plain == replaced);  // bit-exact whole-trace comparison
+  EXPECT_EQ(replaced.health.timeouts, 0);
   EXPECT_EQ(plain.health.quarantines, 0);
   EXPECT_EQ(plain.health.forced_repartitions, 0);
 }

@@ -972,7 +972,8 @@ class FdTracker:
         self.leaks.setdefault(
             line,
             f"fd '{self.var}' from ::{self.cr['fn']} leaks {how} — close "
-            "it, transfer ownership, or hold it in net::UniqueFd")
+            "it or transfer ownership (return it, hand it to a "
+            "constructor, or store it)")
 
     def walk_seq(self, stmts, statuses):
         for st in stmts:
